@@ -30,17 +30,16 @@ from .qds import (
 from .quantizer import (
     PackedCodes,
     QuantizedSample,
-    USING_NATIVE_KERNEL,
     compute_scale,
     dequantize_sample,
     max_code,
     pack_codes,
+    quantize_rows,
     quantize_sample,
     unpack_codes,
 )
 from .sensitivity import (
     LogisticModel,
-    feature_degradation,
     gradient_check,
     score_dataset,
     sensitivity_score,

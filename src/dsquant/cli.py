@@ -11,8 +11,8 @@ lines.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -32,20 +32,6 @@ class _Emitter:
             print(f"{key}={value}")
         else:
             print(f"{key}: {value}")
-
-
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic(path, writer) -> None:
-    """Run writer against a temp path, then rename into place."""
-    tmp = f"{path}.tmp-stage"
-    writer(tmp)
-    os.replace(tmp, path)
 
 
 def _read_file(path) -> bytes:
@@ -86,7 +72,7 @@ def _cmd_ingest(args, emit: _Emitter) -> int:
         if classes < 2 or total % classes:
             raise ValueError("--synth sample count must divide evenly by classes")
         dset = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
-    _atomic(args.out, lambda tmp: ds.write_dataset_file(dset, tmp))
+    ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(dset, tmp))
     emit.kv("samples", len(dset))
     shape = dset.shape
     emit.kv("shape", f"{shape.height}x{shape.width}x{shape.channels}")
@@ -98,7 +84,7 @@ def _cmd_score(args, emit: _Emitter) -> int:
     dset = ds.read_dataset_file(args.dataset)
     oracle = trainer.fit_scoring_model(dset, args.model_init, args.seed)
     scores = sensitivity.score_dataset(dset, oracle, args.probe_bits)
-    _atomic(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
+    ds.write_atomically(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
     emit.kv("samples", scores.size)
     emit.kv("mean_score", f"{scores.mean():.9g}" if scores.size else "0")
     return EXIT_OK
@@ -125,7 +111,7 @@ def _cmd_allocate(args, emit: _Emitter) -> int:
     )
     keep = allocator.read_keep_list(args.keep_list) if args.keep_list else None
     plan = allocator.allocate(scores, config, seed=args.seed, keep_indices=keep)
-    _atomic(args.out, lambda tmp: allocator.write_plan(plan, tmp))
+    ds.write_atomically(args.out, lambda tmp: allocator.write_plan(plan, tmp))
     emit.kv("samples", len(plan))
     emit.kv("b_avg", f"{plan.b_avg:.9g}")
     emit.kv("ratio", f"{plan.compression_ratio:.9g}")
@@ -135,17 +121,8 @@ def _cmd_allocate(args, emit: _Emitter) -> int:
 def _cmd_quantize(args, emit: _Emitter) -> int:
     dset = ds.read_dataset_file(args.dataset)
     plan = allocator.read_plan(args.plan)
-    if len(plan) != len(dset):
-        raise ValueError(
-            f"plan covers {len(plan)} samples, dataset has {len(dset)}"
-        )
-    report_holder = {}
-
-    def writer(tmp):
-        report_holder["report"] = qds.write_qds(dset, plan, tmp)
-
-    _atomic(args.out, writer)
-    for line in report_holder["report"].as_lines():
+    report = qds.write_qds(dset, plan, args.out)
+    for line in report.as_lines():
         key, value = line.split("=", 1)
         emit.kv(key, value)
     return EXIT_OK
@@ -193,7 +170,7 @@ def _cmd_compare(args, emit: _Emitter) -> int:
     if args.loss_csv:
         lines = ["epoch,loss\n"]
         lines += [f"{i},{loss:.9g}\n" for i, loss in enumerate(report.loss_curve)]
-        _atomic_write_text(args.loss_csv, "".join(lines))
+        ds.write_atomically(args.loss_csv, lambda tmp: Path(tmp).write_text("".join(lines)))
     return EXIT_OK
 
 
@@ -214,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--porcelain", action="store_true",
                         help="machine-readable key=value output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all stages currently run single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="build the internal dataset file")

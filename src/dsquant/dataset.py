@@ -16,6 +16,8 @@ header over the same raw layout; see write_dataset_file.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -195,6 +197,19 @@ def synth_half_noise(num_classes: int, dim: int, per_class: int,
     return Dataset(SampleShape(1, 1, dim), num_classes, values, labels)
 
 
+def write_atomically(path, writer) -> None:
+    """Run writer against a temp path, then rename it into place; the
+    temp file is removed if the writer fails."""
+    tmp = f"{path}.tmp"
+    try:
+        writer(tmp)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def write_dataset_file(dataset: Dataset, path) -> None:
     """Write the single-file DSR1 stage container."""
     header = _DATASET_HEADER.pack(
@@ -221,8 +236,11 @@ def read_dataset_file(path) -> Dataset:
         if version != DATASET_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
         shape = SampleShape(h, w, c)
+        body = os.fstat(fh.fileno()).st_size - _DATASET_HEADER.size
+        expected = n * (shape.element_count + 1) * 4
+        if body != expected:
+            problem = "truncated" if body < expected else "trailing bytes after"
+            raise ValueError(f"{path}: {problem} dataset body")
         values_data = fh.read(n * shape.element_count * 4)
         labels_data = fh.read(n * 4)
-        if len(values_data) != n * shape.element_count * 4 or len(labels_data) != n * 4:
-            raise ValueError(f"{path}: truncated dataset body")
     return ingest_raw(values_data, labels_data, shape, num_classes)

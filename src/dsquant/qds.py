@@ -22,26 +22,33 @@ Layout (all little-endian):
 Dropped samples keep a 5-byte tombstone so the record index stays
 aligned with score and plan files. Identical (dataset, plan) inputs
 produce byte-identical files.
+
+Records are encoded and decoded one width group at a time, in fixed row
+chunks, as array operations. The reader finds every record's offset in
+one walk over the record prefixes. The bit layout itself lives in
+dsquant._bitpack_py; this module only slices byte rows.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
-from .dataset import Dataset, SampleShape
+from .dataset import Dataset, SampleShape, write_atomically
 from .quantizer import (
-    PackedCodes,
+    CHUNK_ELEMENTS,
+    MAX_BIT_WIDTH,
     QuantizedSample,
-    dequantize_sample,
+    dequantize_rows,
     is_valid_bit_width,
-    pack_codes,
-    quantize_sample,
-    unpack_codes,
+    pack_code_rows,
+    quantize_rows,
+    unpack_code_rows,
 )
 
 QDS_MAGIC = b"QDS1"
@@ -51,8 +58,9 @@ FLAG_LABELS = 1
 _HEADER = struct.Struct("<4sHQIIIII")
 HEADER_BYTES = _HEADER.size  # 34
 
-_RECORD_PREFIX = struct.Struct("<BI")  # bit_width, label
-_SCALE = struct.Struct("<f")
+PREFIX_BYTES = 5  # bit_width u8, label u32
+_SCALE_AT = PREFIX_BYTES
+_PAYLOAD_AT = PREFIX_BYTES + 4
 
 
 class QdsFormatError(ValueError):
@@ -82,17 +90,14 @@ class StorageReport:
             "nominal_ratio", "realized_ratio")]
 
 
-def _payload_bytes(element_count: int, bit_width: int) -> int:
-    return (element_count * bit_width + 7) // 8
-
-
 def _build_report(shape: SampleShape, assignments) -> StorageReport:
-    assignments = np.asarray(assignments)
+    assignments = np.asarray(assignments, dtype=np.int64)
     n = assignments.size
     elems = shape.element_count
-    surviving = assignments[assignments > 0]
-    payload_bits = int(8 * sum(_payload_bytes(elems, int(b)) for b in surviving))
-    scale_bits = 32 * surviving.size
+    widths, counts = np.unique(assignments[assignments > 0], return_counts=True)
+    payload_bits = 8 * sum(int(k) * payload_bytes(elems, int(b))
+                           for b, k in zip(widths, counts))
+    scale_bits = 32 * int(counts.sum())
     metadata_bits = (8 + 32) * n
     total_bits = HEADER_BYTES * 8 + payload_bits + scale_bits + metadata_bits
     total_bytes = (total_bits + 7) // 8
@@ -103,86 +108,149 @@ def _build_report(shape: SampleShape, assignments) -> StorageReport:
                          compression_ratio(b_avg), realized)
 
 
+def _scatter(out: np.ndarray, at: np.ndarray, rows: np.ndarray) -> None:
+    """Copy row i's bytes into out at offset at[i]."""
+    rows = np.ascontiguousarray(rows).view(np.uint8).reshape(len(at), -1)
+    sliding_window_view(out, rows.shape[1], writeable=True)[at] = rows
+
+
 def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
     """Quantize per the plan and write the container atomically."""
     if len(plan) != len(dataset):
         raise ValueError(
             f"plan covers {len(plan)} samples, dataset has {len(dataset)}"
         )
+    widths = np.asarray(plan.assignments, dtype=np.int64)
+    if not all(map(is_valid_bit_width, np.unique(widths).tolist())):
+        raise ValueError("plan has an invalid bit width")
     header = _HEADER.pack(
         QDS_MAGIC, QDS_VERSION, len(dataset),
         dataset.shape.height, dataset.shape.width, dataset.shape.channels,
         dataset.num_classes, FLAG_LABELS,
     )
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        for i in range(len(dataset)):
-            values, label = dataset.sample(i)
-            bits = int(plan.assignments[i])
-            fh.write(_RECORD_PREFIX.pack(bits, label))
-            if bits:
-                q = quantize_sample(values, bits, label)
-                fh.write(_SCALE.pack(q.scale))
-                fh.write(pack_codes(q).payload)
-    os.replace(tmp, path)
-    return _build_report(dataset.shape, plan.assignments)
+    elems = dataset.shape.element_count
+    sizes = np.where(widths > 0, _PAYLOAD_AT + (elems * widths + 7) // 8, PREFIX_BYTES)
+    step = max(1, CHUNK_ELEMENTS // elems)
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for start in range(0, len(dataset), step):
+                w, size = widths[start:start + step], sizes[start:start + step]
+                values = dataset.values[start:start + step]
+                at = np.cumsum(size) - size  # record starts within this chunk
+                out = np.zeros(int(size.sum()), dtype=np.uint8)
+                out[at] = w
+                _scatter(out, at + 1, dataset.labels[start:start + step].astype("<u4"))
+                for bits in np.unique(w[w > 0]).tolist():
+                    rows = np.flatnonzero(w == bits)
+                    codes, scales = quantize_rows(values[rows], bits)
+                    _scatter(out, at[rows] + _SCALE_AT, scales.astype("<f4"))
+                    _scatter(out, at[rows] + _PAYLOAD_AT, pack_code_rows(codes, bits))
+                fh.write(out)
+
+    write_atomically(path, write)
+    return _build_report(dataset.shape, widths)
 
 
-def _read_exact(fh, n: int, what: str):
-    data = fh.read(n)
-    if len(data) != n:
-        raise QdsFormatError(f"truncated file: {what}")
-    return data
+class QdsRecords:
+    """A container read into memory with its structure checked: magic,
+    version, a sample count the file can hold, every record's width,
+    extent and label, and no trailing bytes. Payloads decode on demand."""
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if len(raw) < HEADER_BYTES:
+            raise QdsFormatError("truncated file: header")
+        magic, version, count, h, w, c, num_classes, flags = _HEADER.unpack_from(raw)
+        if magic != QDS_MAGIC:
+            raise QdsFormatError(f"bad magic {magic!r}, expected {QDS_MAGIC!r}")
+        if version != QDS_VERSION:
+            raise QdsFormatError(f"unsupported version {version}")
+        if count > (len(raw) - HEADER_BYTES) // PREFIX_BYTES:
+            raise QdsFormatError(f"header claims {count} records, more than "
+                                 f"a {len(raw)}-byte file holds")
+        self.header = QdsHeader(count, SampleShape(h, w, c), num_classes, flags)
+        elems = self.header.shape.element_count
+        sizes = {b: _PAYLOAD_AT + payload_bytes(elems, b) if b else PREFIX_BYTES
+                 for b in range(MAX_BIT_WIDTH + 1) if is_valid_bit_width(b)}
+        offsets, pos = [], HEADER_BYTES
+        for i in range(count):
+            if pos >= len(raw):
+                raise QdsFormatError(f"truncated file: record {i}")
+            size = sizes.get(raw[pos])
+            if size is None:
+                raise QdsFormatError(f"record {i}: invalid bit width {raw[pos]}")
+            if pos + size > len(raw):
+                raise QdsFormatError(f"truncated file: record {i}")
+            offsets.append(pos)
+            pos += size
+        if pos != len(raw):
+            raise QdsFormatError("trailing bytes after final record")
+        self.data = np.frombuffer(raw, dtype=np.uint8)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.widths = self.data[self.offsets].astype(np.int64)  # 0 = dropped
+        self.labels = (sliding_window_view(self.data, 4)[self.offsets + 1]
+                       .view("<u4")[:, 0].astype(np.int64))
+        bad = np.flatnonzero(self.labels >= num_classes)
+        if bad.size:
+            raise QdsFormatError(f"record {bad[0]}: label {self.labels[bad[0]]} "
+                                 f"out of range for {num_classes} classes")
+
+    def decode(self, rows):
+        """Yield (positions, bit_width, codes, scales) for the stored
+        records among rows, a width group and row chunk at a time;
+        positions index into rows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        count = self.header.shape.element_count
+        widths = self.widths[rows]
+        step = max(1, CHUNK_ELEMENTS // count)
+        for bits in np.unique(widths[widths > 0]).tolist():
+            group = np.flatnonzero(widths == bits)
+            payload = sliding_window_view(self.data, payload_bytes(count, bits))
+            for positions in np.split(group, range(step, group.size, step)):
+                at = self.offsets[rows[positions]]
+                try:
+                    codes = unpack_code_rows(payload[at + _PAYLOAD_AT], count, bits)
+                except ValueError as exc:
+                    raise QdsFormatError(f"{bits}-bit record payload: {exc}") from exc
+                scales = sliding_window_view(self.data, 4)[at + _SCALE_AT].view("<f4")[:, 0]
+                yield positions, bits, codes, scales
+
+    def training_set(self, rows) -> Dataset:
+        """Dequantize the stored records among rows, in order, skipping
+        tombstones."""
+        rows = np.asarray(rows, dtype=np.int64)
+        kept = rows[self.widths[rows] > 0]
+        values = np.empty((kept.size, self.header.shape.element_count), np.float32)
+        for positions, _, codes, scales in self.decode(kept):
+            values[positions] = dequantize_rows(codes, scales)
+        return Dataset(self.header.shape, self.header.num_classes, values, self.labels[kept])
 
 
 def read_qds(path):
     """Read a container; returns (records, header) where a record is a
     QuantizedSample or None for a dropped sample."""
-    with open(path, "rb") as fh:
-        raw = _read_exact(fh, HEADER_BYTES, "header")
-        magic, version, count, h, w, c, num_classes, flags = _HEADER.unpack(raw)
-        if magic != QDS_MAGIC:
-            raise QdsFormatError(f"bad magic {magic!r}, expected {QDS_MAGIC!r}")
-        if version != QDS_VERSION:
-            raise QdsFormatError(f"unsupported version {version}")
-        shape = SampleShape(h, w, c)
-        header = QdsHeader(count, shape, num_classes, flags)
-        records = []
-        for i in range(count):
-            prefix = _read_exact(fh, _RECORD_PREFIX.size, f"record {i}")
-            bits, label = _RECORD_PREFIX.unpack(prefix)
-            if bits == 0:
-                records.append(None)
-                continue
-            if not is_valid_bit_width(bits):
-                raise QdsFormatError(f"record {i}: invalid bit width {bits}")
-            (scale,) = _SCALE.unpack(_read_exact(fh, 4, f"record {i} scale"))
-            payload = _read_exact(
-                fh, _payload_bytes(shape.element_count, bits), f"record {i} payload"
-            )
-            codes = unpack_codes(PackedCodes(payload, shape.element_count, bits))
-            records.append(QuantizedSample(codes, np.float32(scale), bits, label))
-        if fh.read(1):
-            raise QdsFormatError("trailing bytes after final record")
-    return records, header
+    stored = QdsRecords(path)
+    labels = stored.labels.tolist()
+    records = [None] * stored.header.sample_count
+    for positions, bits, codes, scales in stored.decode(np.arange(len(records))):
+        for k, i in enumerate(positions.tolist()):
+            records[i] = QuantizedSample(codes[k], scales[k], bits, labels[i])
+    return records, stored.header
 
 
 def storage_report(path) -> StorageReport:
-    """Recompute the storage accounting from an existing file."""
-    records, header = read_qds(path)
-    assignments = np.array([0 if r is None else r.bit_width for r in records],
-                           dtype=np.int32)
-    return _build_report(header.shape, assignments)
+    """Recompute the storage accounting from an existing file, after
+    checking every record's payload."""
+    stored = QdsRecords(path)
+    for _ in stored.decode(np.arange(stored.header.sample_count)):
+        pass  # decoding rejects nonzero pad bits and the reserved sentinel
+    return _build_report(stored.header.shape, stored.widths)
 
 
 def materialize_training_set(path) -> Dataset:
     """Dequantize all surviving records into an in-memory Dataset."""
-    records, header = read_qds(path)
-    kept = [r for r in records if r is not None]
-    values = (
-        np.stack([dequantize_sample(r) for r in kept])
-        if kept else np.zeros((0, header.shape.element_count), dtype=np.float32)
-    )
-    labels = np.array([r.label for r in kept], dtype=np.int64)
-    return Dataset(header.shape, header.num_classes, values, labels)
+    stored = QdsRecords(path)
+    return stored.training_set(np.arange(stored.header.sample_count))

@@ -12,8 +12,9 @@ as the unsigned offset c + Q in exactly b bits, MSB-first within each
 byte, zero-padded to a byte boundary. Offsets occupy [0, 2Q]; the value
 2^b - 1 is a reserved sentinel never produced by the encoder.
 
-Packing/unpacking runs on a compiled kernel when the extension built;
-``USING_NATIVE_KERNEL`` reports which implementation is active.
+Everything works on rows: an (N, D) array of samples at one bit-width
+is quantized, packed, unpacked or dequantized as one array operation;
+the per-sample functions are the one-row case.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from . import _bitpack as _kernel
-    USING_NATIVE_KERNEL = True
-except ImportError:  # extension not built; NumPy fallback
-    from . import _bitpack_py as _kernel
-    USING_NATIVE_KERNEL = False
+from . import _bitpack_py as _kernel
+
+USING_NATIVE_KERNEL = False  # kept for tools that record the kernel used
 
 EPSILON = 1e-12
 MIN_BIT_WIDTH = 2
 MAX_BIT_WIDTH = 16
+
+# Row-batched stages take this many elements' worth of rows per array
+# operation, which bounds their temporaries whatever the row count.
+CHUNK_ELEMENTS = 1 << 20
 
 
 def is_valid_bit_width(b: int) -> bool:
@@ -41,13 +43,9 @@ def is_valid_bit_width(b: int) -> bool:
 
 def max_code(bit_width: int) -> int:
     """Q = 2^(b-1) - 1, the symmetric code range bound."""
-    _require_storable(bit_width)
-    return (1 << (bit_width - 1)) - 1
-
-
-def _require_storable(bit_width: int) -> None:
     if not MIN_BIT_WIDTH <= bit_width <= MAX_BIT_WIDTH:
         raise ValueError(f"bit width must be in [{MIN_BIT_WIDTH}, {MAX_BIT_WIDTH}], got {bit_width}")
+    return (1 << (bit_width - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -67,57 +65,73 @@ class PackedCodes:
 
 def compute_scale(values, bit_width: int) -> np.float32:
     """Scale factor (m + eps) / Q, computed in float64, stored float32."""
-    _require_storable(bit_width)
-    v = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
+    return quantize_rows(np.reshape(values, (1, -1)), bit_width)[1][0]
+
+
+def quantize_rows(values, bit_width: int):
+    """Quantize each row of an (N, D) array; returns (int32 codes, float32 scales)."""
+    q = max_code(bit_width)
+    rows = np.asarray(values, dtype=np.float64)
+    m = np.abs(rows).max(axis=1, initial=0.0)
+    if not np.isfinite(m).all():  # a NaN or inf anywhere in a row reaches its max
         raise ValueError("sample values must be finite")
-    m = float(np.abs(v).max()) if v.size else 0.0
-    return np.float32((m + EPSILON) / max_code(bit_width))
+    scales = ((m + EPSILON) / q).astype(np.float32)
+    scaled = rows / scales.astype(np.float64)[:, None]
+    # round half away from zero, symmetric about 0
+    rounded = np.abs(scaled)
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
+    np.copysign(rounded, scaled, out=rounded)
+    return np.clip(rounded, -q, q, out=rounded).astype(np.int32), scales
+
+
+def dequantize_rows(codes, scales) -> np.ndarray:
+    """Reconstruct float32 rows as scale * code."""
+    return (np.asarray(scales, dtype=np.float64)[:, None]
+            * np.asarray(codes, dtype=np.float64)).astype(np.float32)
+
+
+def pack_code_rows(codes, bit_width: int) -> np.ndarray:
+    """Pack an (N, D) array of signed codes; row i is sample i's payload."""
+    bound, codes = max_code(bit_width), np.asarray(codes)
+    if codes.size and (codes.min() < -bound or codes.max() > bound):
+        raise ValueError(f"code outside [-{bound}, {bound}]")
+    return _kernel.pack_rows(codes.astype(np.int64) + bound, bit_width)
+
+
+def unpack_code_rows(payload, count: int, bit_width: int) -> np.ndarray:
+    """Inverse of pack_code_rows; rejects nonzero pad bits and the sentinel."""
+    bound, payload = max_code(bit_width), np.asarray(payload, dtype=np.uint8)
+    offsets = _kernel.unpack_rows(payload, count, bit_width)
+    pad_bits = payload.shape[1] * 8 - count * bit_width
+    if pad_bits and (payload[:, -1] & ((1 << pad_bits) - 1)).any():
+        raise ValueError("nonzero trailing pad bits")
+    sentinel = (1 << bit_width) - 1
+    if offsets.size and int(offsets.max()) >= sentinel:
+        raise ValueError(f"reserved offset {sentinel} in payload")
+    return (offsets.astype(np.int64) - bound).astype(np.int32)
 
 
 def quantize_sample(values, bit_width: int, label: int = 0) -> QuantizedSample:
     """Quantize one flattened sample at the given bit-width."""
-    scale = compute_scale(values, bit_width)
-    q = max_code(bit_width)
-    scaled = np.asarray(values, dtype=np.float64) / float(scale)
-    # round half away from zero, symmetric about 0
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    codes = np.clip(rounded, -q, q).astype(np.int32)
-    return QuantizedSample(codes, scale, bit_width, label)
+    codes, scales = quantize_rows(np.reshape(values, (1, -1)), bit_width)
+    return QuantizedSample(codes[0], scales[0], bit_width, label)
 
 
 def dequantize_sample(q: QuantizedSample) -> np.ndarray:
     """Reconstruct float32 values as scale * code."""
     if q.bit_width == 0:
         raise ValueError("cannot dequantize a dropped (0-bit) sample")
-    return (float(q.scale) * q.codes.astype(np.float64)).astype(np.float32)
+    return dequantize_rows(np.reshape(q.codes, (1, -1)), [q.scale])[0]
 
 
 def pack_codes(q: QuantizedSample) -> PackedCodes:
     """Pack signed codes into the offset-binary bit stream."""
-    bound = max_code(q.bit_width)
-    codes = np.asarray(q.codes)
-    if codes.size and (codes.min() < -bound or codes.max() > bound):
-        raise ValueError(f"code outside [-{bound}, {bound}]")
-    offsets = (codes.astype(np.int64) + bound).astype(np.uint32)
-    payload = _kernel.pack_offsets(offsets, q.bit_width)
-    return PackedCodes(payload, int(codes.size), q.bit_width)
+    payload = pack_code_rows(np.reshape(q.codes, (1, -1)), q.bit_width)[0]
+    return PackedCodes(payload.tobytes(), np.size(q.codes), q.bit_width)
 
 
 def unpack_codes(p: PackedCodes) -> np.ndarray:
     """Inverse of pack_codes; exact for every valid code sequence."""
-    bound = max_code(p.bit_width)
-    expected = (p.count * p.bit_width + 7) // 8
-    if len(p.payload) != expected:
-        raise ValueError(
-            f"payload is {len(p.payload)} bytes, expected {expected} "
-            f"for {p.count} codes at {p.bit_width} bits"
-        )
-    pad_bits = expected * 8 - p.count * p.bit_width
-    if pad_bits and p.payload and p.payload[-1] & ((1 << pad_bits) - 1):
-        raise ValueError("nonzero trailing pad bits")
-    offsets = _kernel.unpack_offsets(p.payload, p.count, p.bit_width)
-    sentinel = (1 << p.bit_width) - 1
-    if offsets.size and int(offsets.max()) >= sentinel:
-        raise ValueError(f"reserved offset {sentinel} in payload")
-    return (offsets.astype(np.int64) - bound).astype(np.int32)
+    payload = np.frombuffer(p.payload, dtype=np.uint8)[None]
+    return unpack_code_rows(payload, p.count, p.bit_width)[0]

@@ -11,16 +11,16 @@ gradient, and is 0 when quantization leaves the gradient unchanged. If
 either gradient norm falls below 1e-12 the sample is treated as
 insensitive (S = 0).
 
-Any object with gradient(values, label), features(values),
-parameter_count and feature_dim works as the gradient oracle;
-LogisticModel is the built-in closed-form reference.
+score_dataset uses the closed form of LogisticModel's gradient
+g = [r (x) x, r], r = p - onehot(y): <g1, g2> = (r1.r2)(x1.x2 + 1) and
+||g||^2 = ||r||^2 (||x||^2 + 1), so it never builds the C x D gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quantizer import dequantize_sample, quantize_sample
+from .quantizer import CHUNK_ELEMENTS, dequantize_rows, quantize_rows
 
 NORM_FLOOR = 1e-12
 
@@ -38,7 +38,6 @@ class LogisticModel:
 
     For logits u = W d + beta and p = softmax(u), the cross-entropy
     gradient is dL/dW = (p - onehot(y)) d^T and dL/dbeta = p - onehot(y).
-    The feature map is the pre-softmax logits vector.
     """
 
     def __init__(self, weights, bias):
@@ -72,15 +71,8 @@ class LogisticModel:
     def parameter_count(self) -> int:
         return self.weights.size + self.bias.size
 
-    @property
-    def feature_dim(self) -> int:
-        return self.num_classes
-
     def logits(self, values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) @ self.weights.T + self.bias
-
-    def features(self, values) -> np.ndarray:
-        return self.logits(values)
 
     def probabilities(self, values) -> np.ndarray:
         return _softmax(self.logits(values))
@@ -116,24 +108,30 @@ def sensitivity_score(g_orig, g_quant) -> float:
     return float(1.0 - cosine)
 
 
-def feature_degradation(oracle, values, values_tilde) -> float:
-    """Euclidean distance between feature maps of a sample and its proxy."""
-    a = np.asarray(values)
-    b = np.asarray(values_tilde)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    return float(np.linalg.norm(oracle.features(a) - oracle.features(b)))
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
-def score_dataset(dataset, oracle, probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
+def score_dataset(dataset, model: LogisticModel,
+                  probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
     """Score every sample; output index i corresponds to sample i."""
     scores = np.zeros(len(dataset), dtype=np.float64)
-    for i in range(len(dataset)):
-        values, label = dataset.sample(i)
-        probed = dequantize_sample(quantize_sample(values, probe_bit_width, label))
-        scores[i] = sensitivity_score(
-            oracle.gradient(values, label), oracle.gradient(probed, label)
-        )
+    step = max(1, CHUNK_ELEMENTS // dataset.shape.element_count)
+    for start in range(0, len(dataset), step):
+        values = dataset.values[start:start + step]
+        probed = dequantize_rows(*quantize_rows(values, probe_bit_width))
+        x, x_tilde = values.astype(np.float64), probed.astype(np.float64)
+        onehot = np.eye(model.num_classes)[dataset.labels[start:start + step]]
+        r, r_tilde = model.probabilities(x) - onehot, model.probabilities(x_tilde) - onehot
+        dot = _row_dot(r, r_tilde) * (_row_dot(x, x_tilde) + 1.0)
+        norm = np.sqrt(_row_dot(r, r) * (_row_dot(x, x) + 1.0))
+        norm_tilde = np.sqrt(_row_dot(r_tilde, r_tilde) * (_row_dot(x_tilde, x_tilde) + 1.0))
+        # exact fidelity must score exactly zero; near-zero gradients are insensitive
+        insensitive = ((values == probed).all(axis=1)
+                       | (norm < NORM_FLOOR) | (norm_tilde < NORM_FLOOR))
+        cosine = dot / np.where(insensitive, 1.0, norm * norm_tilde)
+        scores[start:start + step] = np.where(insensitive, 0.0,
+                                              1.0 - np.clip(cosine, -1.0, 1.0))
     return scores
 
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .qds import read_qds
-from .quantizer import dequantize_sample
+from .qds import QdsRecords
 from .sensitivity import LogisticModel, _softmax
 
 _STD_FLOOR = 1e-8
@@ -161,20 +160,15 @@ def compare(original: Dataset, quantized_path, config: TrainConfig,
     baseline = train(original.subset(train_idx), config)
     baseline_acc = evaluate(baseline, test_set)
 
-    records, header = read_qds(quantized_path)
-    if header.sample_count != len(original):
+    stored = QdsRecords(quantized_path)
+    if stored.header.sample_count != len(original):
         raise ValueError(
-            f"quantized file covers {header.sample_count} samples, "
+            f"quantized file covers {stored.header.sample_count} samples, "
             f"dataset has {len(original)}"
         )
-    kept = [records[i] for i in train_idx if records[i] is not None]
-    if not kept:
+    quant_train = stored.training_set(train_idx)
+    if len(quant_train) == 0:
         raise ValueError("empty training set: every sample was dropped")
-    quant_train = Dataset(
-        original.shape, original.num_classes,
-        np.stack([dequantize_sample(r) for r in kept]),
-        np.array([r.label for r in kept], dtype=np.int64),
-    )
     quant_model, curve = _fit(quant_train, config)
     quant_acc = evaluate(quant_model, test_set)
     return EvalReport(

@@ -118,6 +118,52 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert not out_file.exists()
 
+    @staticmethod
+    def _write_partial_then_fail(_, path):
+        with open(path, "wb") as fh:
+            fh.write(b"partial")
+        raise OSError("disk full")
+
+    @staticmethod
+    def _fail_encoding(codes, bits):  # write_qds has already written its header
+        raise OSError("disk full")
+
+    @pytest.mark.parametrize("stage, writer", [
+        ("ingest", "dsquant.dataset.write_dataset_file"),
+        ("score", "dsquant.sensitivity.write_scores"),
+        ("allocate", "dsquant.allocator.write_plan"),
+        ("quantize", "dsquant.qds.pack_code_rows"),
+    ])
+    def test_failed_writer_leaves_no_temp_file(self, tmp_path, capsys, synth_file,
+                                               monkeypatch, stage, writer):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        fail = (self._fail_encoding if stage == "quantize"
+                else self._write_partial_then_fail)
+        monkeypatch.setattr(writer, fail)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        args = {
+            "ingest": ["--synth", "3,16,300,0.5"],
+            "score": ["--dataset", str(synth_file)],
+            "allocate": ["--scores", str(tmp_path / "scores.tsv"), "--bits", "8,4"],
+            "quantize": ["--dataset", str(synth_file),
+                         "--plan", str(tmp_path / "plan.tsv")],
+        }[stage]
+        code, _, err = run(capsys, stage, *args, "--out", str(out_dir / "result"))
+        assert code in (EXIT_IO, EXIT_VALIDATION)
+        assert err.startswith("error:")
+        assert list(out_dir.iterdir()) == []
+
+    def test_stats_rejects_out_of_range_label(self, tmp_path, capsys, synth_file):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        qds_path = tmp_path / "data.qds"
+        data = bytearray(qds_path.read_bytes())
+        data[35:39] = (99).to_bytes(4, "little")  # record 0's label, 3 classes
+        qds_path.write_bytes(bytes(data))
+        code, _, err = run(capsys, "stats", "--qds", str(qds_path))
+        assert code == EXIT_VALIDATION
+        assert "label 99" in err
+
     def test_stats_porcelain_keys(self, tmp_path, capsys, synth_file):
         self._score_allocate_quantize(tmp_path, capsys, synth_file, "16,16")
         code, out, _ = run(capsys, "--porcelain", "stats",

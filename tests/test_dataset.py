@@ -170,3 +170,15 @@ def test_dataset_validation():
                 np.array([0, 5]))
     with pytest.raises(ValueError):
         SampleShape(0, 1, 1)
+
+
+def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
+    path = tmp_path / "data.bin"
+    write_dataset_file(synth_blobs(2, 4, 3, 0.5, seed=1), path)
+    data = path.read_bytes()
+    path.write_bytes(data + b"\x00" * 8)
+    with pytest.raises(ValueError, match="trailing"):
+        read_dataset_file(path)
+    path.write_bytes(data[:-1])
+    with pytest.raises(ValueError, match="truncated"):
+        read_dataset_file(path)

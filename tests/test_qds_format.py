@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dsquant.qds import (
     storage_report,
     write_qds,
 )
-from dsquant.quantizer import dequantize_sample, quantize_sample
+from dsquant.quantizer import dequantize_sample, pack_codes, quantize_sample
 
 
 def small_dataset(n=3, dim=4, seed=0, num_classes=3):
@@ -67,6 +69,31 @@ class TestWriteQds:
         with pytest.raises(ValueError):
             write_qds(small_dataset(n=3), plan_of([8, 8]), target)
         assert not target.exists()
+
+    def test_no_temp_file_when_encoding_fails(self, tmp_path, monkeypatch):
+        def fail(codes, bits):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("dsquant.qds.pack_code_rows", fail)
+        with pytest.raises(OSError):
+            write_qds(small_dataset(n=3), plan_of([8, 0, 4]), tmp_path / "out.qds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_matches_per_record_reference_writer(self, tmp_path):
+        # more rows than one write chunk holds, in mixed widths
+        rng = np.random.default_rng(21)
+        dset = small_dataset(n=2500, dim=700, seed=21, num_classes=5)
+        bits = rng.choice([0, 2, 3, 8, 11, 16], len(dset))
+        path = tmp_path / "batched.qds"
+        write_qds(dset, plan_of(bits), path)
+        expected = [struct.pack("<4sHQIIIII", b"QDS1", 1, len(dset), 1, 1, 700, 5, 1)]
+        for i, b in enumerate(bits):
+            values, label = dset.sample(i)
+            expected.append(struct.pack("<BI", b, label))
+            if b:
+                q = quantize_sample(values, int(b), label)
+                expected.append(struct.pack("<f", q.scale) + pack_codes(q).payload)
+        assert path.read_bytes() == b"".join(expected)
 
 
 class TestReadQds:
@@ -131,6 +158,44 @@ class TestReadQds:
                 expected = quantize_sample(values, bits, label)
                 np.testing.assert_array_equal(records[i].codes, expected.codes)
                 assert records[i].scale.tobytes() == expected.scale.tobytes()
+
+
+class TestHostileInput:
+    @staticmethod
+    def _written(tmp_path, bits=(8, 0, 4)):
+        path = tmp_path / "h.qds"
+        write_qds(small_dataset(n=len(bits), dim=6), plan_of(bits), path)
+        return path, bytearray(path.read_bytes())
+
+    def test_label_out_of_range(self, tmp_path):
+        path, data = self._written(tmp_path)
+        struct.pack_into("<I", data, HEADER_BYTES + 1, 99)
+        path.write_bytes(bytes(data))
+        for reader in (read_qds, storage_report, materialize_training_set):
+            with pytest.raises(QdsFormatError, match="record 0: label 99"):
+                reader(path)
+
+    def test_huge_sample_count_fails_before_allocating(self, tmp_path):
+        path, data = self._written(tmp_path)
+        struct.pack_into("<Q", data, 6, 2 ** 62)
+        path.write_bytes(bytes(data))
+        with pytest.raises(QdsFormatError, match="header claims"):
+            read_qds(path)
+
+    def test_reserved_sentinel_in_payload(self, tmp_path):
+        path, data = self._written(tmp_path, bits=(4,))
+        data[HEADER_BYTES + 9] = 0xFF
+        path.write_bytes(bytes(data))
+        for reader in (read_qds, storage_report, materialize_training_set):
+            with pytest.raises(QdsFormatError, match="reserved"):
+                reader(path)
+
+    def test_invalid_width_names_record(self, tmp_path):
+        path, data = self._written(tmp_path)
+        data[HEADER_BYTES + 15] = 1  # record 1's width byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(QdsFormatError, match="record 1: invalid bit width"):
+            read_qds(path)
 
 
 class TestMaterialize:

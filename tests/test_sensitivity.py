@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from dsquant.dataset import Dataset, SampleShape, synth_blobs
+from dsquant.quantizer import dequantize_sample, quantize_sample
 from dsquant.sensitivity import (
+    NORM_FLOOR,
     LogisticModel,
-    feature_degradation,
     gradient_check,
     read_scores,
     score_dataset,
@@ -53,39 +54,6 @@ class TestSensitivityScore:
             assert 0.0 <= s <= 2.0
 
 
-class TestFeatureDegradation:
-    def test_identity_is_zero(self):
-        model = random_model()
-        d = np.arange(8.0)
-        assert feature_degradation(model, d, d) == 0.0
-
-    def test_symmetric_in_arguments(self):
-        model = random_model()
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        assert feature_degradation(model, a, b) == feature_degradation(model, b, a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            feature_degradation(random_model(), np.zeros(8), np.zeros(7))
-
-    def test_coarser_probe_degrades_more(self):
-        # linear features make the degradation ||W (d - d~)||, and the
-        # quantization error shrinks with the bit-width
-        from dsquant.quantizer import dequantize_sample, quantize_sample
-        model = random_model(dim=16, seed=3)
-        rng = np.random.default_rng(4)
-        wins = 0
-        for _ in range(200):
-            d = rng.standard_normal(16).astype(np.float32)
-            deltas = {}
-            for b in (4, 8):
-                probed = dequantize_sample(quantize_sample(d, b))
-                deltas[b] = feature_degradation(model, d, probed)
-            wins += deltas[8] <= deltas[4]
-        assert wins >= 190
-
-
 class TestScoreDataset:
     def test_all_zero_samples_score_zero(self):
         dset = Dataset(SampleShape(1, 1, 4), 2,
@@ -107,6 +75,33 @@ class TestScoreDataset:
         a = score_dataset(dset, model, 4)
         b = score_dataset(dset, model, 4)
         np.testing.assert_array_equal(a, b)
+
+    def test_closed_form_matches_per_sample_gradients(self):
+        dset = synth_blobs(3, 8, 30, 0.5, seed=6)
+        model = random_model(3, 8, seed=1)
+        values = dset.values.copy()
+        # probing at 4 bits reproduces these two exactly (scale 1.0)
+        values[0] = 0.0
+        values[2] = [7, -7, -5, 7, -5, 2, 4, -4]
+        # so far along the class-2 weights that its residual, and with it
+        # the whole gradient, is below the norm floor
+        values[1] = 30.0 * model.weights[2] / np.linalg.norm(model.weights[2])
+        labels = dset.labels.copy()
+        labels[1], labels[2] = 2, 0
+        dset = Dataset(dset.shape, 3, values, labels)
+        scores = score_dataset(dset, model, 4)
+        reference = np.zeros(len(dset))
+        for i in range(len(dset)):
+            x, y = dset.sample(i)
+            probed = dequantize_sample(quantize_sample(x, 4))
+            g, g_probed = model.gradient(x, y), model.gradient(probed, y)
+            if i == 1:
+                assert np.linalg.norm(g) < NORM_FLOOR
+                assert not np.array_equal(g, g_probed)
+            reference[i] = sensitivity_score(g, g_probed)
+        assert scores[0] == scores[1] == scores[2] == 0.0
+        assert np.abs(scores - reference).max() <= 1e-9
+        assert reference[3:].min() > 1e-6
 
     def test_output_order_matches_dataset(self):
         dset = synth_blobs(2, 8, 5, 0.5, seed=6)
@@ -152,12 +147,6 @@ class TestLogisticModel:
         lengths = {model.gradient(rng.standard_normal(8), 0).size
                    for _ in range(5)}
         assert lengths == {model.parameter_count}
-
-    def test_features_are_logits(self):
-        model = random_model(3, 8)
-        d = np.arange(8.0)
-        np.testing.assert_array_equal(model.features(d), model.logits(d))
-        assert model.feature_dim == 3
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
