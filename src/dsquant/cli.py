@@ -74,8 +74,7 @@ def _cmd_ingest(args, emit: _Emitter) -> int:
         dset = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
     ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(dset, tmp))
     emit.kv("samples", len(dset))
-    shape = dset.shape
-    emit.kv("shape", f"{shape.height}x{shape.width}x{shape.channels}")
+    emit.kv("shape", dset.shape)
     emit.kv("classes", dset.num_classes)
     return EXIT_OK
 
@@ -154,7 +153,7 @@ def _cmd_train(args, emit: _Emitter) -> int:
     dset = ds.read_dataset_file(args.dataset)
     config = _train_config(args)
     train_idx, test_idx = trainer.stratified_split(dset, 0.2, config.seed)
-    model = trainer.train(dset.subset(train_idx), config)
+    model = trainer.train(dset, config, rows=train_idx)
     emit.kv("train_accuracy", f"{trainer.evaluate(model, dset.subset(train_idx)):.9g}")
     emit.kv("test_accuracy", f"{trainer.evaluate(model, dset.subset(test_idx)):.9g}")
     return EXIT_OK

@@ -49,6 +49,9 @@ class SampleShape:
     def element_count(self) -> int:
         return self.height * self.width * self.channels
 
+    def __str__(self) -> str:
+        return f"{self.height}x{self.width}x{self.channels}"
+
 
 @dataclass(frozen=True)
 class Dataset:

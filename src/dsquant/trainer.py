@@ -12,6 +12,13 @@ compare() trains two models from the same seeded initialization, one on
 the original samples and one on their dequantized counterparts (index
 alignment through drop tombstones), and evaluates both on the same
 held-out split of the original data.
+
+Memory: a fit holds one float64 copy of its training rows, gathered and
+standardized in place a row chunk (quantizer.CHUNK_ELEMENTS elements) at
+a time, so it peaks at 8 bytes per trained element plus one chunk. At
+its peak, compare() holds the original float32 data, its float32 test
+split, the QDS file's bytes, the dequantized float32 train set and that
+one float64 matrix plus one chunk.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .qds import QdsRecords
+from .quantizer import CHUNK_ELEMENTS
 from .sensitivity import LogisticModel, _softmax
 
 _STD_FLOOR = 1e-8
@@ -56,19 +64,46 @@ def initial_model(num_classes: int, input_dim: int, seed: int) -> LogisticModel:
     return LogisticModel.seeded(num_classes, input_dim, seed)
 
 
-def _fit(dataset: Dataset, config: TrainConfig):
-    if len(dataset) == 0:
+def _training_matrix(dataset: Dataset, rows: np.ndarray, normalize: bool):
+    """dataset.values[rows] as one float64 matrix, standardized in place
+    per feature when normalize is set; returns (x, mean, std).
+
+    Bit for bit this is astype(float64), mean(axis=0), std(axis=0) and
+    (x - mean) / std, without their full-size temporaries: an axis-0 sum
+    adds rows in order, so the squared deviations are summed a row chunk
+    at a time with the running total folded into each chunk's first row.
+    """
+    n, dim = len(rows), dataset.shape.element_count
+    step = max(1, CHUNK_ELEMENTS // dim)
+    chunks = [slice(start, start + step) for start in range(0, n, step)]
+    x = np.empty((n, dim), dtype=np.float64)
+    for chunk in chunks:
+        x[chunk] = dataset.values[rows[chunk]]
+    if not normalize:
+        return x, None, None
+    mean = x.mean(axis=0)
+    x -= mean
+    total = np.zeros(dim)
+    for chunk in chunks:
+        squares = np.square(x[chunk])
+        squares[0] += total
+        total = squares.sum(axis=0)
+    std = np.sqrt(total / n)
+    std[std < _STD_FLOOR] = 1.0
+    x /= std
+    return x, mean, std
+
+
+def _fit(dataset: Dataset, config: TrainConfig, rows=None):
+    """Train on dataset (or on its rows, in that order); returns the
+    model and the per-epoch mean loss curve."""
+    rows = np.arange(len(dataset)) if rows is None else np.asarray(rows, dtype=np.int64)
+    y = dataset.labels[rows]
+    if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
-    x = dataset.values.astype(np.float64)
-    y = dataset.labels
+    x, mean, std = _training_matrix(dataset, rows, config.normalize)
     n, dim = x.shape
     classes = dataset.num_classes
-
-    if config.normalize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std[std < _STD_FLOOR] = 1.0
-        x = (x - mean) / std
 
     model = initial_model(classes, dim, config.seed)
     weights, bias = model.weights, model.bias
@@ -106,10 +141,10 @@ def _fit(dataset: Dataset, config: TrainConfig):
     return LogisticModel(weights, bias), tuple(losses)
 
 
-def train(dataset: Dataset, config: TrainConfig) -> LogisticModel:
-    """Fit the classifier; with epochs=0 (and normalize off) this is
-    exactly the seeded initialization."""
-    model, _ = _fit(dataset, config)
+def train(dataset: Dataset, config: TrainConfig, rows=None) -> LogisticModel:
+    """Fit the classifier on dataset, or on its rows; with epochs=0 (and
+    normalize off) this is exactly the seeded initialization."""
+    model, _ = _fit(dataset, config, rows)
     return model
 
 
@@ -151,21 +186,35 @@ def fit_scoring_model(dataset: Dataset, mode: str = "trained",
     raise ValueError(f"unknown scoring-model mode {mode!r}")
 
 
+def _check_same_dataset(stored: QdsRecords, original: Dataset) -> None:
+    """Reject a container that was not quantized from original."""
+    header = stored.header
+    for what, theirs, ours in (
+        ("sample count", header.sample_count, len(original)),
+        ("sample shape", header.shape, original.shape),
+        ("class count", header.num_classes, original.num_classes),
+    ):
+        if theirs != ours:
+            raise ValueError(f"quantized file has {what} {theirs}, dataset has {ours}")
+    kept = np.flatnonzero(stored.widths > 0)
+    bad = kept[stored.labels[kept] != original.labels[kept]]
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"record {i}: quantized file has label {stored.labels[i]}, "
+                         f"dataset has {original.labels[i]}")
+
+
 def compare(original: Dataset, quantized_path, config: TrainConfig,
             test_fraction: float = 0.2) -> EvalReport:
     """Train on original vs dequantized data and report the accuracy gap."""
+    stored = QdsRecords(quantized_path)
+    _check_same_dataset(stored, original)
     train_idx, test_idx = stratified_split(original, test_fraction, config.seed)
     test_set = original.subset(test_idx)
 
-    baseline = train(original.subset(train_idx), config)
+    baseline = train(original, config, rows=train_idx)
     baseline_acc = evaluate(baseline, test_set)
 
-    stored = QdsRecords(quantized_path)
-    if stored.header.sample_count != len(original):
-        raise ValueError(
-            f"quantized file covers {stored.header.sample_count} samples, "
-            f"dataset has {len(original)}"
-        )
     quant_train = stored.training_set(train_idx)
     if len(quant_train) == 0:
         raise ValueError("empty training set: every sample was dropped")

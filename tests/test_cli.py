@@ -164,6 +164,41 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert "label 99" in err
 
+    @staticmethod
+    def _no_training(*args, **kwargs):
+        pytest.fail("compare trained before checking the quantized file")
+
+    @pytest.mark.parametrize("other, message", [
+        ("4,16,300,0.5", "class count 4, dataset has 3"),
+        ("3,8,300,0.5", "sample shape 1x1x8, dataset has 1x1x16"),
+        ("3,16,330,0.5", "sample count 330, dataset has 300"),
+    ])
+    def test_compare_rejects_qds_of_another_dataset(self, tmp_path, capsys, synth_file,
+                                                    monkeypatch, other, message):
+        other_file = tmp_path / "other.bin"
+        code, _, _ = run(capsys, "ingest", "--synth", other, "--out", str(other_file))
+        assert code == EXIT_OK
+        self._score_allocate_quantize(tmp_path, capsys, other_file, "8,4")
+        monkeypatch.setattr("dsquant.trainer._fit", self._no_training)
+        code, _, err = run(capsys, "compare", "--dataset", str(synth_file),
+                           "--qds", str(tmp_path / "data.qds"), "--epochs", "1")
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
+    def test_compare_rejects_mismatched_label(self, tmp_path, capsys, synth_file,
+                                              monkeypatch):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,8")
+        qds_path = tmp_path / "data.qds"
+        data = bytearray(qds_path.read_bytes())
+        data[35:39] = (2).to_bytes(4, "little")  # record 0 is class 0
+        qds_path.write_bytes(bytes(data))
+        monkeypatch.setattr("dsquant.trainer._fit", self._no_training)
+        code, _, err = run(capsys, "compare", "--dataset", str(synth_file),
+                           "--qds", str(qds_path), "--epochs", "1")
+        assert code == EXIT_VALIDATION
+        assert "record 0: quantized file has label 2, dataset has 0" in err
+
     def test_stats_porcelain_keys(self, tmp_path, capsys, synth_file):
         self._score_allocate_quantize(tmp_path, capsys, synth_file, "16,16")
         code, out, _ = run(capsys, "--porcelain", "stats",

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dsquant import trainer
 from dsquant.allocator import AllocationConfig, allocate
 from dsquant.dataset import Dataset, SampleShape, synth_blobs, synth_half_noise
 from dsquant.qds import write_qds
-from dsquant.sensitivity import score_dataset
+from dsquant.sensitivity import LogisticModel, _softmax, score_dataset
 from dsquant.trainer import (
     EvalReport,
     TrainConfig,
@@ -64,6 +67,114 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+def reference_fit(dataset, config):
+    """The fit as first written, with full-size float64 temporaries:
+    astype, np.std and (x - mean) / std."""
+    x = dataset.values.astype(np.float64)
+    y = dataset.labels
+    n, dim = x.shape
+    classes = dataset.num_classes
+    if config.normalize:
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+        std[std < 1e-8] = 1.0
+        x = (x - mean) / std
+    model = initial_model(classes, dim, config.seed)
+    weights, bias = model.weights, model.bias
+    vel_w = np.zeros_like(weights)
+    vel_b = np.zeros_like(bias)
+    onehot = np.eye(classes)[y]
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            xb, tb = x[batch], onehot[batch]
+            probs = _softmax(xb @ weights.T + bias)
+            epoch_loss += -np.log(
+                np.maximum(probs[np.arange(len(batch)), y[batch]], 1e-300)
+            ).sum()
+            residual = (probs - tb) / len(batch)
+            grad_w = residual.T @ xb + config.weight_decay * weights
+            grad_b = residual.sum(axis=0)
+            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
+            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+            weights = weights + vel_w
+            bias = bias + vel_b
+        losses.append(epoch_loss / n)
+    if config.normalize:
+        weights = weights / std
+        bias = bias - weights @ mean
+    return LogisticModel(weights, bias), tuple(losses)
+
+
+def _varied(n, dim, seed=0):
+    """Features with distinct offsets and scales; column 0 is constant
+    and column 1's std is nonzero but under the floor."""
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal((n, dim)) * rng.uniform(0.01, 20.0, dim)
+              + rng.uniform(-5.0, 5.0, dim)).astype(np.float32)
+    values[:, 0] = 0.75
+    values[:, 1] = np.arange(n) % 2 * 1e-10
+    return Dataset(SampleShape(1, 1, dim), 4, values, rng.integers(0, 4, n))
+
+
+class TestFitOracle:
+    """_fit standardizes one float64 matrix in place, in row chunks; its
+    result must equal the full-temporary reference bit for bit."""
+
+    @pytest.mark.parametrize("n, dim, subset", [
+        (200, 16, False),
+        (200, 16, True),
+        (1000, 3072, False),   # three row chunks
+        (1000, 3072, True),
+        (1, 16, False),
+        (1, 16, True),
+    ])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_bitwise_equal_to_reference(self, n, dim, subset, normalize):
+        dset = _varied(n, dim)
+        rows = None
+        if subset:
+            rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
+        config = TrainConfig(epochs=2, batch_size=32, normalize=normalize, seed=3)
+        model, curve = _fit(dset, config, rows=rows)
+        ref_model, ref_curve = reference_fit(
+            dset if rows is None else dset.subset(rows), config)
+        assert np.array_equal(model.weights, ref_model.weights)
+        assert np.array_equal(model.bias, ref_model.bias)
+        assert np.array_equal(np.array(curve), np.array(ref_curve))
+
+    def test_unsorted_rows_train_in_given_order(self, blobs):
+        rows = np.random.default_rng(4).permutation(len(blobs))[:150]
+        config = TrainConfig(epochs=2)
+        a = train(blobs, config, rows=rows)
+        b = train(blobs.subset(rows), config)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+    def test_empty_rows_rejected(self, blobs):
+        with pytest.raises(ValueError, match="empty"):
+            train(blobs, TrainConfig(), rows=[])
+
+    def test_peak_memory_is_one_float64_matrix(self, monkeypatch):
+        chunk = 1 << 14
+        monkeypatch.setattr(trainer, "CHUNK_ELEMENTS", chunk)
+        n, dim = 4096, 64  # 16 row chunks
+        dset = _varied(n, dim)
+        tracemalloc.start()
+        try:
+            _fit(dset, TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the matrix plus a few chunk-sized buffers; the full-size
+        # temporaries of the reference peak at about three matrices
+        assert peak <= 8 * n * dim + 4 * 8 * chunk
 
 
 class TestEvaluate:
