@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import read_indexed, read_table, write_indexed
 from .quantizer import is_valid_bit_width
 
 STRATEGIES = ("adaptive_two_group", "adaptive_k_group", "fixed_uniform")
@@ -178,39 +179,22 @@ def allocate(scores, config: AllocationConfig, seed: int = 0,
 
 def write_plan(plan: AllocationPlan, path) -> None:
     """Header `N b_avg ratio`, then one `index<TAB>bits` line per sample."""
-    with open(path, "w") as fh:
-        fh.write(f"{len(plan)} {plan.b_avg:.9g} {plan.compression_ratio:.9g}\n")
-        for i, b in enumerate(plan.assignments):
-            fh.write(f"{i}\t{int(b)}\n")
+    write_indexed(path, plan.assignments, "d", header=(
+        f"{len(plan)} {plan.b_avg:.9g} {plan.compression_ratio:.9g}"))
 
 
 def read_plan(path) -> AllocationPlan:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed plan header")
-        n = int(header[0])
-        assignments = np.zeros(n, dtype=np.int32)
-        seen = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, bits = line.split("\t")
-            idx, bits = int(idx), int(bits)
-            if idx != seen:
-                raise ValueError(f"{path}: plan indices must be 0..N-1 in order")
-            if not is_valid_bit_width(bits):
-                raise ValueError(f"{path}: invalid bit width {bits}")
-            assignments[idx] = bits
-            seen += 1
-    if seen != n:
-        raise ValueError(f"{path}: expected {n} assignments, found {seen}")
+    header, assignments = read_indexed(path, np.int64, header_fields=3)
+    if header[0] != str(assignments.size):
+        raise ValueError(f"{path}: expected {header[0]} assignments, "
+                         f"found {assignments.size}")
+    invalid = assignments[~is_valid_bit_width(assignments)]
+    if invalid.size:
+        raise ValueError(f"{path}: invalid bit width {invalid[0]}")
     return AllocationPlan.from_assignments(assignments)
 
 
 def read_keep_list(path) -> np.ndarray:
     """One surviving sample index per line."""
-    with open(path) as fh:
-        indices = [int(line) for line in fh if line.strip()]
-    return np.unique(np.asarray(indices, dtype=np.int64))
+    _, rows = read_table(path, [("index", np.int64)])
+    return np.unique(rows["index"])

@@ -34,11 +34,6 @@ class _Emitter:
             print(f"{key}: {value}")
 
 
-def _read_file(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _parse_shape(text: str) -> ds.SampleShape:
     parts = text.lower().split("x")
     if len(parts) != 3:
@@ -53,14 +48,14 @@ def _parse_bits(text: str) -> tuple:
 
 def _cmd_ingest(args, emit: _Emitter) -> int:
     if args.cifar:
-        data = _read_file(args.cifar)
+        data = Path(args.cifar).read_bytes()
         dset = ds.ingest_cifar_binary(data, args.num_classes)
     elif args.raw:
         values_path, labels_path = args.raw
         if args.shape is None:
             raise ValueError("--raw requires --shape HxWxC")
         dset = ds.ingest_raw(
-            _read_file(values_path), _read_file(labels_path),
+            Path(values_path).read_bytes(), Path(labels_path).read_bytes(),
             _parse_shape(args.shape), args.num_classes,
         )
     else:

@@ -11,7 +11,9 @@ External formats:
   (little-endian uint32, one per sample).
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
-header over the same raw layout; see write_dataset_file.
+header over the same raw layout; see write_dataset_file. The text stage
+files (scores, plans, keep-lists) share one codec: write_indexed,
+read_indexed and read_table.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +214,47 @@ def write_atomically(path, writer) -> None:
             os.unlink(tmp)
         raise
     os.replace(tmp, path)
+
+
+def write_indexed(path, values, spec: str, header: str = None) -> None:
+    """One `index<TAB>value` line per entry, each value formatted with
+    spec (".9g" or "d"), after an optional header line."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(f"{header}\n")
+        fh.writelines(f"{i}\t{v:{spec}}\n" for i, v in enumerate(np.asarray(values).tolist()))
+
+
+def read_table(path, columns, header_fields: int = 0):
+    """Parse tab-separated lines, one field per (name, dtype) column, in
+    one np.loadtxt call, after a header line of header_fields tokens if
+    header_fields is set. Empty lines are skipped and an integer field
+    takes no fraction. Returns (header tokens, structured rows); a parse
+    error is a one-line ValueError naming path."""
+    with open(path) as fh, warnings.catch_warnings():
+        # loadtxt warns on an empty file, which is just no rows; NumPy < 2
+        # warns instead of failing on an integer field written "1.0"
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            header = fh.readline().split() if header_fields else []
+            rows = np.loadtxt(fh, dtype=columns, delimiter="\t", comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if len(header) != header_fields:
+        raise ValueError(f"{path}: malformed header")
+    return header, rows
+
+
+def read_indexed(path, dtype, header_fields: int = 0):
+    """Inverse of write_indexed: (header tokens, value column), where the
+    indices must be exactly 0..N-1 in order."""
+    header, rows = read_table(path, [("index", np.int64), ("value", dtype)], header_fields)
+    wrong = np.flatnonzero(rows["index"] != np.arange(rows.size))
+    if wrong.size:
+        raise ValueError(f"{path}: indices must be 0..N-1 in order, "
+                         f"entry {wrong[0]} has index {rows['index'][wrong[0]]}")
+    return header, np.ascontiguousarray(rows["value"])
 
 
 def write_dataset_file(dataset: Dataset, path) -> None:

@@ -121,7 +121,7 @@ def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
             f"plan covers {len(plan)} samples, dataset has {len(dataset)}"
         )
     widths = np.asarray(plan.assignments, dtype=np.int64)
-    if not all(map(is_valid_bit_width, np.unique(widths).tolist())):
+    if not is_valid_bit_width(widths).all():
         raise ValueError("plan has an invalid bit width")
     header = _HEADER.pack(
         QDS_MAGIC, QDS_VERSION, len(dataset),

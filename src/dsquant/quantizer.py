@@ -36,9 +36,10 @@ MAX_BIT_WIDTH = 16
 CHUNK_ELEMENTS = 1 << 20
 
 
-def is_valid_bit_width(b: int) -> bool:
-    """True for widths a sample may be stored at (0 = dropped)."""
-    return b == 0 or MIN_BIT_WIDTH <= b <= MAX_BIT_WIDTH
+def is_valid_bit_width(b):
+    """True for widths a sample may be stored at (0 = dropped); an array
+    of widths gives a boolean array."""
+    return (b == 0) | ((MIN_BIT_WIDTH <= b) & (b <= MAX_BIT_WIDTH))
 
 
 def max_code(bit_width: int) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import read_indexed, write_indexed
 from .quantizer import CHUNK_ELEMENTS, dequantize_rows, quantize_rows
 
 NORM_FLOOR = 1e-12
@@ -163,22 +164,14 @@ def gradient_check(model: LogisticModel, values, label: int, step: float) -> flo
 
 def write_scores(scores, path) -> None:
     """One `index<TAB>score` line per sample, 9 significant digits."""
-    with open(path, "w") as fh:
-        for i, s in enumerate(scores):
-            fh.write(f"{i}\t{s:.9g}\n")
+    write_indexed(path, scores, ".9g")
 
 
 def read_scores(path) -> np.ndarray:
-    """Read a score file back into an index-ordered array."""
-    indices, values = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, val = line.split("\t")
-            indices.append(int(idx))
-            values.append(float(val))
-    if indices != list(range(len(indices))):
-        raise ValueError(f"{path}: score indices must be 0..N-1 in order")
-    return np.asarray(values, dtype=np.float64)
+    """Read a score file back into an index-ordered array of finite scores."""
+    _, scores = read_indexed(path, np.float64)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"{path}: score at index {bad[0]} is not finite "
+                         f"({scores[bad[0]]})")
+    return scores

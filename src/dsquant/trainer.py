@@ -18,7 +18,9 @@ standardized in place a row chunk (quantizer.CHUNK_ELEMENTS elements) at
 a time, so it peaks at 8 bytes per trained element plus one chunk. At
 its peak, compare() holds the original float32 data, its float32 test
 split, the QDS file's bytes, the dequantized float32 train set and that
-one float64 matrix plus one chunk.
+one float64 matrix plus one chunk. evaluate() casts the set it scores to
+float64 in one piece, after the fit has freed its matrix: in row chunks,
+BLAS can round a logit of a short final chunk differently.
 """
 
 from __future__ import annotations

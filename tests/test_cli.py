@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,38 @@ class TestPipelineStages:
                            "--plan", str(plan), "--out", str(out_file))
         assert code == EXIT_VALIDATION
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("99999999999999 8 0.75\n0\t8\n1\t8\n", "expected 99999999999999 assignments, found 2"),
+        ("2 8 0.75\n0\t8\n1\t8\n2\t8\n", "expected 2 assignments, found 3"),
+    ])
+    def test_quantize_rejects_plan_count_mismatch(self, tmp_path, capsys, synth_file,
+                                                  text, message):
+        plan = tmp_path / "plan.tsv"
+        plan.write_text(text)
+        code, _, err = run(capsys, "quantize", "--dataset", str(synth_file),
+                           "--plan", str(plan), "--out", str(tmp_path / "data.qds"))
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {plan}: {message}\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_allocate_rejects_non_finite_score(self, tmp_path, capsys, bad):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(f"0\t0.5\n1\t{bad}\n2\t0.25\n")
+        code, _, err = run(capsys, "allocate", "--scores", str(scores),
+                           "--bits", "8,4", "--out", str(tmp_path / "plan.tsv"))
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {scores}: score at index 1 is not finite ({bad})\n"
+
+    def test_allocate_rejects_empty_score_file(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "allocate", "--scores", str(scores),
+                               "--bits", "8,4", "--out", str(tmp_path / "plan.tsv"))
+        assert code == EXIT_VALIDATION
+        assert err == "error: empty score list\n"
 
     @staticmethod
     def _write_partial_then_fail(_, path):
