@@ -1,12 +1,9 @@
 """Turn sensitivity scores into per-sample bit-width assignments.
 
-Strategies:
-
-* adaptive_two_group — split by score into two groups (highest scores
-  first) and give the high group the larger bit-width.
-* adaptive_k_group — same mechanism with any number of descending bit
-  levels and group fractions.
-* fixed_uniform — one bit-width for every surviving sample.
+One rule: sort the surviving samples by descending score, split them
+into groups by largest-remainder shares of the group fractions, and give
+group g bit level g. One level is uniform quantization; two or more are
+adaptive, highest scores getting the most bits.
 
 A random prune step (seeded) may drop a fraction of samples to 0 bits
 before allocation, or an explicit keep-list can pin the survivors so an
@@ -24,8 +21,6 @@ import numpy as np
 from .dataset import read_indexed, read_table, write_indexed
 from .quantizer import is_valid_bit_width
 
-STRATEGIES = ("adaptive_two_group", "adaptive_k_group", "fixed_uniform")
-
 ORIGINAL_BITS = 32
 
 _FRACTION_TOL = 1e-9
@@ -33,14 +28,11 @@ _FRACTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AllocationConfig:
-    strategy: str
     bit_levels: tuple
     group_fractions: tuple = None
     prune_ratio: float = 0.0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         levels = tuple(int(b) for b in self.bit_levels)
         if not levels:
             raise ValueError("bit_levels must be non-empty")
@@ -52,8 +44,6 @@ class AllocationConfig:
             raise ValueError("bit_levels must be non-increasing")
         if 0 in levels[:-1]:
             raise ValueError("0 bits only allowed as the last level")
-        if self.strategy == "adaptive_two_group" and len(levels) != 2:
-            raise ValueError("adaptive_two_group needs exactly two bit levels")
         fractions = self.group_fractions
         if fractions is None:
             fractions = tuple(1.0 / len(levels) for _ in levels)
@@ -168,22 +158,24 @@ def allocate(scores, config: AllocationConfig, seed: int = 0,
 
     assignments = np.zeros(n, dtype=np.int32)
     if survivors.size:
-        if config.strategy == "fixed_uniform":
-            assignments[survivors] = config.bit_levels[0]
-        else:
-            groups = split_by_score(scores, config.group_fractions, survivors)
-            for group, bits in zip(groups, config.bit_levels):
-                assignments[group] = bits
+        groups = split_by_score(scores, config.group_fractions, survivors)
+        for group, bits in zip(groups, config.bit_levels):
+            assignments[group] = bits
     return AllocationPlan.from_assignments(assignments)
+
+
+def _plan_header(plan: AllocationPlan) -> list:
+    return [str(len(plan)), f"{plan.b_avg:.9g}", f"{plan.compression_ratio:.9g}"]
 
 
 def write_plan(plan: AllocationPlan, path) -> None:
     """Header `N b_avg ratio`, then one `index<TAB>bits` line per sample."""
-    write_indexed(path, plan.assignments, "d", header=(
-        f"{len(plan)} {plan.b_avg:.9g} {plan.compression_ratio:.9g}"))
+    write_indexed(path, plan.assignments, "d", header=" ".join(_plan_header(plan)))
 
 
 def read_plan(path) -> AllocationPlan:
+    """Read a plan whose header is exactly what write_plan writes for
+    its rows."""
     header, assignments = read_indexed(path, np.int64, header_fields=3)
     if header[0] != str(assignments.size):
         raise ValueError(f"{path}: expected {header[0]} assignments, "
@@ -191,7 +183,12 @@ def read_plan(path) -> AllocationPlan:
     invalid = assignments[~is_valid_bit_width(assignments)]
     if invalid.size:
         raise ValueError(f"{path}: invalid bit width {invalid[0]}")
-    return AllocationPlan.from_assignments(assignments)
+    plan = AllocationPlan.from_assignments(assignments)
+    expected = _plan_header(plan)[1:]
+    if header[1:] != expected:
+        raise ValueError(f"{path}: header b_avg and ratio {' '.join(header[1:])} "
+                         f"do not match the rows ({' '.join(expected)})")
+    return plan
 
 
 def read_keep_list(path) -> np.ndarray:

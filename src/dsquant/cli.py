@@ -42,10 +42,6 @@ def _parse_shape(text: str) -> ds.SampleShape:
     return ds.SampleShape(h, w, c)
 
 
-def _parse_bits(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(","))
-
-
 def _cmd_ingest(args, emit: _Emitter) -> int:
     if args.cifar:
         data = Path(args.cifar).read_bytes()
@@ -76,7 +72,7 @@ def _cmd_ingest(args, emit: _Emitter) -> int:
 
 def _cmd_score(args, emit: _Emitter) -> int:
     dset = ds.read_dataset_file(args.dataset)
-    oracle = trainer.fit_scoring_model(dset, args.model_init, args.seed)
+    oracle = trainer.fit_scoring_model(dset, args.seed)
     scores = sensitivity.score_dataset(dset, oracle, args.probe_bits)
     ds.write_atomically(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
     emit.kv("samples", scores.size)
@@ -86,21 +82,10 @@ def _cmd_score(args, emit: _Emitter) -> int:
 
 def _cmd_allocate(args, emit: _Emitter) -> int:
     scores = sensitivity.read_scores(args.scores)
-    bits = _parse_bits(args.bits)
-    if args.groups is not None and args.groups != len(bits):
-        raise ValueError(f"--groups {args.groups} does not match {len(bits)} bit levels")
-    fractions = None
-    if args.fractions:
-        fractions = tuple(float(f) for f in args.fractions.split(","))
-    if args.strategy == "fixed":
-        strategy = "fixed_uniform"
-        if len(bits) != 1:
-            raise ValueError("fixed strategy takes a single bit level")
-        fractions = (1.0,)
-    else:
-        strategy = "adaptive_two_group" if len(bits) == 2 else "adaptive_k_group"
+    # AllocationConfig parses and checks the levels and fractions
     config = allocator.AllocationConfig(
-        strategy=strategy, bit_levels=bits, group_fractions=fractions,
+        bit_levels=args.bits.split(","),
+        group_fractions=args.fractions.split(",") if args.fractions else None,
         prune_ratio=args.prune_ratio,
     )
     keep = allocator.read_keep_list(args.keep_list) if args.keep_list else None
@@ -201,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="sensitivity-score every sample")
     p.add_argument("--dataset", required=True)
     p.add_argument("--probe-bits", type=int, default=sensitivity.DEFAULT_PROBE_BIT_WIDTH)
-    p.add_argument("--model-init", choices=("trained", "random"), default="trained")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
@@ -209,10 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="assign per-sample bit-widths")
     p.add_argument("--scores", required=True)
     p.add_argument("--bits", required=True,
-                   help="comma-separated descending bit levels, e.g. 8,0")
+                   help="comma-separated descending bit levels, e.g. 8,0; "
+                        "a single level is uniform quantization")
     p.add_argument("--fractions", help="comma-separated group fractions")
-    p.add_argument("--groups", type=int, help="expected group count (validated)")
-    p.add_argument("--strategy", choices=("adaptive", "fixed"), default="adaptive")
     p.add_argument("--prune-ratio", type=float, default=0.0)
     p.add_argument("--keep-list", help="file of surviving indices, one per line")
     p.add_argument("--seed", type=int, default=0)

@@ -10,7 +10,7 @@ Layout (all little-endian):
         width        u32
         channels     u32
         num_classes  u32
-        flags        u32  bit 0: labels present
+        flags        u32  must be 1 (bit 0: labels present)
 
     record, one per sample in dataset order:
         bit_width    u8   0 (dropped) or 2..16
@@ -155,7 +155,7 @@ def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
 
 class QdsRecords:
     """A container read into memory with its structure checked: magic,
-    version, a sample count the file can hold, every record's width,
+    version, flags, a sample count the file can hold, every record's width,
     extent and label, and no trailing bytes. Payloads decode on demand."""
 
     def __init__(self, path):
@@ -168,6 +168,8 @@ class QdsRecords:
             raise QdsFormatError(f"bad magic {magic!r}, expected {QDS_MAGIC!r}")
         if version != QDS_VERSION:
             raise QdsFormatError(f"unsupported version {version}")
+        if flags != FLAG_LABELS:
+            raise QdsFormatError(f"unsupported flags {flags:#x}, expected {FLAG_LABELS}")
         if count > (len(raw) - HEADER_BYTES) // PREFIX_BYTES:
             raise QdsFormatError(f"header claims {count} records, more than "
                                  f"a {len(raw)}-byte file holds")

@@ -61,11 +61,6 @@ class EvalReport:
     baseline_test_accuracy: float
 
 
-def initial_model(num_classes: int, input_dim: int, seed: int) -> LogisticModel:
-    """Seeded initialization shared by both arms of a comparison."""
-    return LogisticModel.seeded(num_classes, input_dim, seed)
-
-
 def _training_matrix(dataset: Dataset, rows: np.ndarray, normalize: bool):
     """dataset.values[rows] as one float64 matrix, standardized in place
     per feature when normalize is set; returns (x, mean, std).
@@ -107,7 +102,7 @@ def _fit(dataset: Dataset, config: TrainConfig, rows=None):
     n, dim = x.shape
     classes = dataset.num_classes
 
-    model = initial_model(classes, dim, config.seed)
+    model = LogisticModel.seeded(classes, dim, config.seed)
     weights, bias = model.weights, model.bias
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(bias)
@@ -174,18 +169,10 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int):
             np.sort(np.concatenate(test_idx)))
 
 
-def fit_scoring_model(dataset: Dataset, mode: str = "trained",
-                      seed: int = 42) -> LogisticModel:
-    """Model state used for sensitivity scoring.
-
-    "trained" runs one SGD pass over the full-precision data from the
-    seeded initialization; "random" returns the initialization itself.
-    """
-    if mode == "random":
-        return initial_model(dataset.num_classes, dataset.shape.element_count, seed)
-    if mode == "trained":
-        return train(dataset, TrainConfig(epochs=1, seed=seed))
-    raise ValueError(f"unknown scoring-model mode {mode!r}")
+def fit_scoring_model(dataset: Dataset, seed: int = 42) -> LogisticModel:
+    """Model state used for sensitivity scoring: one SGD pass over the
+    full-precision data from the seeded initialization."""
+    return train(dataset, TrainConfig(epochs=1, seed=seed))
 
 
 def _check_same_dataset(stored: QdsRecords, original: Dataset) -> None:

@@ -48,8 +48,7 @@ def test_criterion_1_budget_arithmetic():
         ok &= compression_ratio(b_avg) == ratio
     # prune 90% of 100 samples, keep the rest at 16 bits (nominal 50%)
     plan = allocate(np.random.default_rng(0).random(100),
-                    AllocationConfig("adaptive_two_group", (16, 16),
-                                     prune_ratio=0.9), seed=1)
+                    AllocationConfig((16, 16), prune_ratio=0.9), seed=1)
     ok &= plan.b_avg == 1.6 and plan.compression_ratio == 0.95
     _verdict(1, "budget arithmetic", ok)
 
@@ -137,10 +136,10 @@ def test_criterion_5_score_properties():
 def test_criterion_6_allocation_invariants():
     rng = np.random.default_rng(90)
     configs = [
-        AllocationConfig("adaptive_two_group", (8, 0)),
-        AllocationConfig("adaptive_two_group", (10, 6), group_fractions=(0.3, 0.7)),
-        AllocationConfig("adaptive_k_group", (16, 8, 4, 0)),
-        AllocationConfig("fixed_uniform", (8,)),
+        AllocationConfig((8, 0)),
+        AllocationConfig((10, 6), group_fractions=(0.3, 0.7)),
+        AllocationConfig((16, 8, 4, 0)),
+        AllocationConfig((8,)),
     ]
     ok = True
     for trial in range(10**3):
@@ -214,15 +213,14 @@ def test_criterion_8_end_to_end_comparability(tmp_path):
         dset = synth_blobs(3, 64, 1000, 0.5, seed=seed)
         config = TrainConfig(epochs=10, seed=100 + seed)
 
-        uniform = allocate(np.zeros(len(dset)),
-                           AllocationConfig("fixed_uniform", (16,)))
+        uniform = allocate(np.zeros(len(dset)), AllocationConfig((16,)))
         path = tmp_path / f"u16-{seed}.qds"
         write_qds(dset, uniform, path)
         ok &= abs(compare(dset, path, config).accuracy_delta) <= 0.01
 
-        model = fit_scoring_model(dset, "trained", seed=42 + seed)
+        model = fit_scoring_model(dset, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
-        adaptive = allocate(scores, AllocationConfig("adaptive_two_group", (8, 0)))
+        adaptive = allocate(scores, AllocationConfig((8, 0)))
         ok &= adaptive.compression_ratio == 0.875
         path = tmp_path / f"a80-{seed}.qds"
         write_qds(dset, adaptive, path)
@@ -235,10 +233,10 @@ def test_criterion_9_adaptive_beats_fixed(tmp_path):
     margins = []
     for seed in range(5):
         dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
-        model = fit_scoring_model(dset, "trained", seed=42 + seed)
+        model = fit_scoring_model(dset, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
-        adaptive = allocate(scores, AllocationConfig("adaptive_two_group", (8, 0)))
-        fixed = allocate(scores, AllocationConfig("fixed_uniform", (4,)))
+        adaptive = allocate(scores, AllocationConfig((8, 0)))
+        fixed = allocate(scores, AllocationConfig((4,)))
         assert adaptive.b_avg == fixed.b_avg == 4.0
         config = TrainConfig(epochs=15, seed=100 + seed)
         deltas = {}
@@ -255,7 +253,7 @@ def test_criterion_10_probe_fidelity_ordering():
     ok = True
     for seed in range(5):
         dset = synth_blobs(3, 32, 100, 0.5, seed=seed)
-        model = fit_scoring_model(dset, "trained", seed=42 + seed)
+        model = fit_scoring_model(dset, seed=42 + seed)
         fine = score_dataset(dset, model, 16)
         coarse = score_dataset(dset, model, 4)
         ok &= float(fine.mean()) < float(coarse.mean())

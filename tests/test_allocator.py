@@ -14,6 +14,63 @@ from dsquant.allocator import (
 )
 
 
+def reference_allocate(scores, strategy, config, seed=0, keep_indices=None):
+    """The three-strategy allocate this module replaced, as an oracle:
+    "fixed_uniform" gave every survivor bit_levels[0], the adaptive
+    strategies split by score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    if keep_indices is not None:
+        survivors = np.unique(np.asarray(keep_indices, dtype=np.int64))
+    elif config.prune_ratio > 0.0:
+        n_drop = int(round(config.prune_ratio * n))
+        rng = np.random.default_rng(seed)
+        dropped = rng.choice(n, size=n_drop, replace=False)
+        mask = np.ones(n, dtype=bool)
+        mask[dropped] = False
+        survivors = np.flatnonzero(mask)
+    else:
+        survivors = np.arange(n, dtype=np.int64)
+    assignments = np.zeros(n, dtype=np.int32)
+    if survivors.size:
+        if strategy == "fixed_uniform":
+            assignments[survivors] = config.bit_levels[0]
+        else:
+            groups = split_by_score(scores, config.group_fractions, survivors)
+            for group, bits in zip(groups, config.bit_levels):
+                assignments[group] = bits
+    return assignments, int(assignments.sum()) / n
+
+
+@pytest.mark.parametrize("levels, strategies", [
+    ((8,), ("fixed_uniform", "adaptive_k_group")),
+    ((0,), ("fixed_uniform", "adaptive_k_group")),
+    ((8, 0), ("adaptive_two_group", "adaptive_k_group")),
+    ((16, 16), ("adaptive_two_group", "adaptive_k_group")),
+    ((16, 8, 4, 0), ("adaptive_k_group",)),
+    ((12, 6, 6, 2), ("adaptive_k_group",)),
+])
+def test_one_rule_matches_the_strategy_allocator(levels, strategies):
+    rng = np.random.default_rng(sum(levels) + len(levels))
+    for case in range(120):
+        n = int(rng.integers(1, 60))
+        # few distinct values, so many scores tie
+        scores = rng.integers(0, 4, size=n) / 4.0
+        fractions = None
+        if case % 2:
+            weights = rng.integers(1, 5, size=len(levels))
+            fractions = tuple(weights / weights.sum())
+        config = AllocationConfig(levels, fractions, prune_ratio=0.3 if case % 3 == 0 else 0.0)
+        keep = None
+        if case % 4 == 1:  # every other keep-list is empty
+            keep = rng.integers(0, n, size=int(rng.integers(0, n + 1)) if case % 8 == 1 else 0)
+        plan = allocate(scores, config, seed=case, keep_indices=keep)
+        for strategy in strategies:
+            assignments, b_avg = reference_allocate(scores, strategy, config, case, keep)
+            assert np.array_equal(plan.assignments, assignments), (strategy, case)
+            assert plan.b_avg == b_avg
+
+
 class TestSplitByScore:
     def test_two_group_example(self):
         groups = split_by_score([0.9, 0.1, 0.5, 0.5], [0.5, 0.5])
@@ -72,53 +129,48 @@ class TestBudget:
 class TestAllocationConfig:
     def test_levels_must_descend(self):
         with pytest.raises(ValueError, match="non-increasing"):
-            AllocationConfig("adaptive_two_group", (6, 8))
+            AllocationConfig((6, 8))
 
     def test_equal_levels_allowed(self):
-        AllocationConfig("adaptive_two_group", (16, 16))
+        AllocationConfig((16, 16))
 
     def test_invalid_widths(self):
         with pytest.raises(ValueError):
-            AllocationConfig("adaptive_two_group", (8, 1))
+            AllocationConfig((8, 1))
         with pytest.raises(ValueError):
-            AllocationConfig("adaptive_two_group", (17, 8))
-
-    def test_two_group_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            AllocationConfig("adaptive_two_group", (8,))
+            AllocationConfig((17, 8))
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            AllocationConfig("adaptive_two_group", (8, 0),
-                             group_fractions=(0.6, 0.6))
+            AllocationConfig((8, 0), group_fractions=(0.6, 0.6))
 
     def test_default_fractions_are_equal(self):
-        cfg = AllocationConfig("adaptive_k_group", (10, 6, 2))
+        cfg = AllocationConfig((10, 6, 2))
         assert cfg.group_fractions == pytest.approx((1 / 3,) * 3)
 
     def test_prune_ratio_range(self):
         with pytest.raises(ValueError):
-            AllocationConfig("adaptive_two_group", (8, 0), prune_ratio=1.0)
+            AllocationConfig((8, 0), prune_ratio=1.0)
 
 
 class TestAllocate:
     def test_adaptive_keeps_top_scores(self):
         scores = np.array([0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6, 0.5, 0.05])
-        cfg = AllocationConfig("adaptive_two_group", (8, 0))
+        cfg = AllocationConfig((8, 0))
         plan = allocate(scores, cfg)
         top5 = set(np.argsort(-scores)[:5])
         assert set(np.flatnonzero(plan.assignments == 8)) == top5
         assert plan.b_avg == 4.0
 
     def test_fixed_uniform(self):
-        cfg = AllocationConfig("fixed_uniform", (8,))
+        cfg = AllocationConfig((8,))
         plan = allocate(np.zeros(10), cfg)
         assert np.all(plan.assignments == 8)
         assert plan.compression_ratio == 0.75
 
     def test_prune_then_quantize_total_ratio(self):
         # 90% random prune, then nominal 50% quantization: total 95%
-        cfg = AllocationConfig("adaptive_two_group", (16, 16), prune_ratio=0.9)
+        cfg = AllocationConfig((16, 16), prune_ratio=0.9)
         plan = allocate(np.random.default_rng(0).random(100), cfg, seed=1)
         assert np.sum(plan.assignments == 0) == 90
         assert plan.b_avg == 1.6
@@ -126,25 +178,25 @@ class TestAllocate:
 
     def test_keep_list_overrides_pruning(self):
         scores = np.arange(10, dtype=float)
-        cfg = AllocationConfig("fixed_uniform", (8,), prune_ratio=0.5)
+        cfg = AllocationConfig((8,), prune_ratio=0.5)
         plan = allocate(scores, cfg, keep_indices=[1, 3])
         assert set(np.flatnonzero(plan.assignments == 8)) == {1, 3}
 
     def test_keep_list_range_checked(self):
-        cfg = AllocationConfig("fixed_uniform", (8,))
+        cfg = AllocationConfig((8,))
         with pytest.raises(ValueError, match="keep-list"):
             allocate(np.zeros(4), cfg, keep_indices=[5])
 
     def test_deterministic(self):
         scores = np.random.default_rng(3).random(50)
-        cfg = AllocationConfig("adaptive_two_group", (8, 0), prune_ratio=0.2)
+        cfg = AllocationConfig((8, 0), prune_ratio=0.2)
         a = allocate(scores, cfg, seed=7)
         b = allocate(scores, cfg, seed=7)
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
     def test_positive_scale_invariance(self):
         scores = np.random.default_rng(4).random(31)
-        cfg = AllocationConfig("adaptive_k_group", (10, 6, 2))
+        cfg = AllocationConfig((10, 6, 2))
         a = allocate(scores, cfg)
         b = allocate(1234.5 * scores, cfg)
         np.testing.assert_array_equal(a.assignments, b.assignments)
@@ -152,8 +204,7 @@ class TestAllocate:
     def test_monotone_fidelity(self):
         rng = np.random.default_rng(6)
         scores = rng.random(40)
-        cfg = AllocationConfig("adaptive_k_group", (16, 8, 4, 0),
-                               group_fractions=(0.25,) * 4)
+        cfg = AllocationConfig((16, 8, 4, 0), group_fractions=(0.25,) * 4)
         plan = allocate(scores, cfg)
         order = np.lexsort((np.arange(40), -scores))
         bits = plan.assignments[order]
@@ -161,20 +212,19 @@ class TestAllocate:
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
-            allocate([], AllocationConfig("fixed_uniform", (8,)))
+            allocate([], AllocationConfig((8,)))
 
     def test_budget_matches_solve_budget(self):
         scores = np.random.default_rng(7).random(11)
         fractions = (0.4, 0.6)
-        cfg = AllocationConfig("adaptive_two_group", (10, 6),
-                               group_fractions=fractions)
+        cfg = AllocationConfig((10, 6), group_fractions=fractions)
         plan = allocate(scores, cfg)
         sizes = [np.sum(plan.assignments == b) for b in (10, 6)]
         assert plan.b_avg == solve_budget(sizes, (10, 6))
 
 
 def test_plan_file_round_trip(tmp_path):
-    cfg = AllocationConfig("adaptive_two_group", (8, 0))
+    cfg = AllocationConfig((8, 0))
     plan = allocate(np.random.default_rng(1).random(9), cfg)
     path = tmp_path / "plan.tsv"
     write_plan(plan, path)

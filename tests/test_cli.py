@@ -86,7 +86,6 @@ class TestPipelineStages:
         scores.write_text("".join(f"{i}\t0.5\n" for i in range(10)))
         code, out, _ = run(capsys, "--porcelain", "allocate",
                            "--scores", str(scores), "--bits", "4",
-                           "--strategy", "fixed",
                            "--out", str(tmp_path / "plan.tsv"))
         assert code == EXIT_OK
         assert porcelain(out)["ratio"] == "0.875"
@@ -101,15 +100,6 @@ class TestPipelineStages:
             assert code == EXIT_OK
             content = plan.read_bytes()
         assert plan.read_bytes() == content
-
-    def test_groups_flag_validated(self, tmp_path, capsys):
-        scores = tmp_path / "scores.tsv"
-        scores.write_text("0\t0.5\n")
-        code, _, err = run(capsys, "allocate", "--scores", str(scores),
-                           "--bits", "8,0", "--groups", "3",
-                           "--out", str(tmp_path / "plan.tsv"))
-        assert code == EXIT_VALIDATION
-        assert "groups" in err
 
     def test_quantize_stage_mismatch(self, tmp_path, capsys, synth_file):
         plan = tmp_path / "plan.tsv"
@@ -132,6 +122,21 @@ class TestPipelineStages:
                            "--plan", str(plan), "--out", str(tmp_path / "data.qds"))
         assert code == EXIT_VALIDATION
         assert err == f"error: {plan}: {message}\n"
+
+    @pytest.mark.parametrize("header, values", [
+        ("2 99 -5", "99 -5"),
+        ("2 abc xyz", "abc xyz"),
+        ("2 8 0.75", "8 0.75"),  # the header of two 8-bit rows
+    ])
+    def test_quantize_rejects_plan_header_mismatch(self, tmp_path, capsys, synth_file,
+                                                   header, values):
+        plan = tmp_path / "plan.tsv"
+        plan.write_text(f"{header}\n0\t8\n1\t0\n")
+        code, _, err = run(capsys, "quantize", "--dataset", str(synth_file),
+                           "--plan", str(plan), "--out", str(tmp_path / "data.qds"))
+        assert code == EXIT_VALIDATION
+        assert err == (f"error: {plan}: header b_avg and ratio {values} "
+                       f"do not match the rows (4 0.875)\n")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_allocate_rejects_non_finite_score(self, tmp_path, capsys, bad):
@@ -197,6 +202,17 @@ class TestPipelineStages:
         code, _, err = run(capsys, "stats", "--qds", str(qds_path))
         assert code == EXIT_VALIDATION
         assert "label 99" in err
+
+    def test_stats_and_compare_reject_unknown_flags(self, tmp_path, capsys, synth_file):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        qds_path = tmp_path / "data.qds"
+        data = bytearray(qds_path.read_bytes())
+        data[30:34] = (0xFFFF).to_bytes(4, "little")  # header flags
+        qds_path.write_bytes(bytes(data))
+        for argv in (["stats"], ["compare", "--dataset", str(synth_file), "--epochs", "1"]):
+            code, _, err = run(capsys, *argv, "--qds", str(qds_path))
+            assert code == EXIT_VALIDATION
+            assert err == "error: unsupported flags 0xffff, expected 1\n"
 
     @staticmethod
     def _no_training(*args, **kwargs):

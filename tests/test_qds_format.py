@@ -190,6 +190,14 @@ class TestHostileInput:
             with pytest.raises(QdsFormatError, match="reserved"):
                 reader(path)
 
+    def test_unknown_flags(self, tmp_path):
+        path, data = self._written(tmp_path)
+        struct.pack_into("<I", data, HEADER_BYTES - 4, 0xFFFF)
+        path.write_bytes(bytes(data))
+        for reader in (read_qds, storage_report, materialize_training_set):
+            with pytest.raises(QdsFormatError, match="unsupported flags 0xffff"):
+                reader(path)
+
     def test_invalid_width_names_record(self, tmp_path):
         path, data = self._written(tmp_path)
         data[HEADER_BYTES + 15] = 1  # record 1's width byte

@@ -63,7 +63,7 @@ class TestScoreDataset:
 
     def test_finer_probe_scores_lower_on_average(self):
         dset = synth_blobs(3, 16, 40, 0.5, seed=6)
-        model = fit_scoring_model(dset, "trained", 42)
+        model = fit_scoring_model(dset, 42)
         coarse = score_dataset(dset, model, 4)
         fine = score_dataset(dset, model, 16)
         assert fine.mean() < coarse.mean()

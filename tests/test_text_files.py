@@ -66,7 +66,7 @@ def sample_scores(n, seed):
 @pytest.mark.parametrize("n", [1, 7, 1000])
 def test_files_and_arrays_match_reference_code(tmp_path, n):
     scores = sample_scores(n, seed=n)
-    plan = allocate(scores, AllocationConfig("adaptive_k_group", (16, 8, 2, 0)), seed=n)
+    plan = allocate(scores, AllocationConfig((16, 8, 2, 0)), seed=n)
     ours, theirs = tmp_path / "ours", tmp_path / "theirs"
     write_scores(scores, ours)
     reference_write_scores(scores, theirs)
@@ -85,7 +85,7 @@ def test_empty_lines_are_skipped(tmp_path):
     path = tmp_path / "f"
     path.write_text("\n0\t0.5\n\n1\t0.25\n\n")
     assert read_scores(path).tolist() == [0.5, 0.25]
-    path.write_text("2 8 0.75\n\n0\t8\n\n1\t0\n")
+    path.write_text("2 4 0.875\n\n0\t8\n\n1\t0\n")
     assert read_plan(path).assignments.tolist() == [8, 0]
     path.write_text("\n4\n\n2\n")
     assert read_keep_list(path).tolist() == [2, 4]
@@ -136,7 +136,7 @@ def valid(tmp_path_factory):
     write_dataset_file(dataset, root / "data.bin")
     scores = sample_scores(N_SAMPLES, seed=2)
     write_scores(scores, root / "scores.tsv")
-    write_plan(allocate(scores, AllocationConfig("adaptive_two_group", (8, 4))),
+    write_plan(allocate(scores, AllocationConfig((8, 4))),
                root / "plan.tsv")
     (root / "keep.txt").write_text("".join(f"{i}\n" for i in range(0, N_SAMPLES, 3)))
     return root

@@ -14,7 +14,6 @@ from dsquant.trainer import (
     compare,
     evaluate,
     fit_scoring_model,
-    initial_model,
     stratified_split,
     train,
     _fit,
@@ -34,7 +33,7 @@ class TestTrain:
     def test_zero_epochs_returns_initialization(self, blobs):
         config = TrainConfig(epochs=0, normalize=False)
         model = train(blobs, config)
-        init = initial_model(3, 16, config.seed)
+        init = LogisticModel.seeded(3, 16, config.seed)
         np.testing.assert_array_equal(model.weights, init.weights)
         np.testing.assert_array_equal(model.bias, init.bias)
 
@@ -81,7 +80,7 @@ def reference_fit(dataset, config):
         std = x.std(axis=0)
         std[std < 1e-8] = 1.0
         x = (x - mean) / std
-    model = initial_model(classes, dim, config.seed)
+    model = LogisticModel.seeded(classes, dim, config.seed)
     weights, bias = model.weights, model.bias
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(bias)
@@ -223,7 +222,7 @@ class TestStratifiedSplit:
 class TestCompare:
     def test_16bit_uniform_preserves_accuracy(self, tmp_path):
         dset = synth_blobs(3, 64, 1000, 0.5, seed=0)
-        cfg = AllocationConfig("fixed_uniform", (16,))
+        cfg = AllocationConfig((16,))
         plan = allocate(np.zeros(len(dset)), cfg)
         path = tmp_path / "u16.qds"
         write_qds(dset, plan, path)
@@ -234,8 +233,7 @@ class TestCompare:
 
     def test_everything_dropped_is_an_error(self, tmp_path):
         dset = synth_blobs(3, 8, 20, 0.5, seed=0)
-        plan = allocate(np.zeros(len(dset)),
-                        AllocationConfig("fixed_uniform", (8,), prune_ratio=0.0))
+        plan = allocate(np.zeros(len(dset)), AllocationConfig((8,), prune_ratio=0.0))
         assignments = np.zeros(len(dset), np.int32)
         from dsquant.allocator import AllocationPlan
         plan = AllocationPlan.from_assignments(assignments)
@@ -251,10 +249,10 @@ class TestCompare:
         margins = []
         for seed in range(2):
             dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
-            model = fit_scoring_model(dset, "trained", seed=42 + seed)
+            model = fit_scoring_model(dset, seed=42 + seed)
             scores = score_dataset(dset, model, 4)
-            adaptive = allocate(scores, AllocationConfig("adaptive_two_group", (8, 0)))
-            fixed = allocate(scores, AllocationConfig("fixed_uniform", (4,)))
+            adaptive = allocate(scores, AllocationConfig((8, 0)))
+            fixed = allocate(scores, AllocationConfig((4,)))
             assert adaptive.b_avg == fixed.b_avg == 4.0
             config = TrainConfig(epochs=15, seed=100 + seed)
             deltas = {}
