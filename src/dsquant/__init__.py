@@ -6,7 +6,6 @@ from .allocator import (
     AllocationPlan,
     allocate,
     compression_ratio,
-    solve_budget,
     split_by_score,
 )
 from .dataset import (
@@ -15,7 +14,6 @@ from .dataset import (
     ingest_cifar_binary,
     ingest_raw,
     synth_blobs,
-    synth_half_noise,
     write_raw,
 )
 from .qds import (
@@ -30,8 +28,6 @@ from .qds import (
 from .quantizer import (
     PackedCodes,
     QuantizedSample,
-    compute_scale,
-    dequantize_sample,
     max_code,
     pack_codes,
     quantize_rows,

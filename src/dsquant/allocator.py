@@ -51,6 +51,9 @@ class AllocationConfig:
             fractions = tuple(float(f) for f in fractions)
         if len(fractions) != len(levels):
             raise ValueError("group_fractions must match bit_levels")
+        if not all(math.isfinite(f) for f in fractions):
+            raise ValueError("group fractions must be finite, got "
+                             + ", ".join(map(str, fractions)))
         if any(f <= 0 for f in fractions):
             raise ValueError("group fractions must be positive")
         if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
@@ -114,17 +117,6 @@ def split_by_score(scores, fractions, indices=None) -> list:
         groups.append(order[start:start + size])
         start += size
     return groups
-
-
-def solve_budget(group_sizes, bit_levels) -> float:
-    """Average bits per sample for the given grouping (exact numerator)."""
-    if len(group_sizes) != len(bit_levels) or not group_sizes:
-        raise ValueError("group_sizes and bit_levels must be equal, non-empty")
-    total = sum(int(s) * int(b) for s, b in zip(group_sizes, bit_levels))
-    n = sum(int(s) for s in group_sizes)
-    if n <= 0:
-        raise ValueError("group sizes must sum to a positive count")
-    return total / n
 
 
 def compression_ratio(b_avg: float) -> float:

@@ -1,5 +1,5 @@
 """Command-line pipeline: ingest -> score -> allocate -> quantize -> stats
--> train/compare.
+-> compare.
 
 Each stage reads the previous stage's file and writes its own output
 atomically (temp file + rename), so a failing stage never leaves a
@@ -11,10 +11,9 @@ lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import allocator, dataset as ds, qds, sensitivity, trainer
 
@@ -101,22 +100,16 @@ def _cmd_quantize(args, emit: _Emitter) -> int:
     dset = ds.read_dataset_file(args.dataset)
     plan = allocator.read_plan(args.plan)
     report = qds.write_qds(dset, plan, args.out)
-    for line in report.as_lines():
-        key, value = line.split("=", 1)
+    for key, value in dataclasses.asdict(report).items():
         emit.kv(key, value)
     return EXIT_OK
 
 
 def _cmd_stats(args, emit: _Emitter) -> int:
-    report = qds.storage_report(args.qds)
-    if emit.porcelain:
-        for line in report.as_lines():
-            print(line)
-    else:
-        width = max(len(k) for k in report.__dataclass_fields__)
-        for line in report.as_lines():
-            key, value = line.split("=", 1)
-            print(f"{key:<{width}}  {value}")
+    report = dataclasses.asdict(qds.storage_report(args.qds))
+    width = max(map(len, report))
+    for key, value in report.items():
+        print(f"{key}={value}" if emit.porcelain else f"{key:<{width}}  {value}")
     return EXIT_OK
 
 
@@ -127,16 +120,6 @@ def _train_config(args) -> trainer.TrainConfig:
         weight_decay=args.weight_decay, seed=args.seed,
         normalize=not args.no_normalize,
     )
-
-
-def _cmd_train(args, emit: _Emitter) -> int:
-    dset = ds.read_dataset_file(args.dataset)
-    config = _train_config(args)
-    train_idx, test_idx = trainer.stratified_split(dset, 0.2, config.seed)
-    model = trainer.train(dset, config, rows=train_idx)
-    emit.kv("train_accuracy", f"{trainer.evaluate(model, dset.subset(train_idx)):.9g}")
-    emit.kv("test_accuracy", f"{trainer.evaluate(model, dset.subset(test_idx)):.9g}")
-    return EXIT_OK
 
 
 def _cmd_compare(args, emit: _Emitter) -> int:
@@ -211,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="storage accounting for a QDS file")
     p.add_argument("--qds", required=True)
     p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("train", help="train/evaluate on a dataset file")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    _add_train_flags(p)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compare", help="original vs dequantized training")
     p.add_argument("--dataset", required=True)

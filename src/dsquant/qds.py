@@ -84,11 +84,6 @@ class StorageReport:
     nominal_ratio: float
     realized_ratio: float
 
-    def as_lines(self):
-        return [f"{k}={getattr(self, k)}" for k in (
-            "payload_bits", "scale_bits", "metadata_bits", "total_bytes",
-            "nominal_ratio", "realized_ratio")]
-
 
 def _build_report(shape: SampleShape, assignments) -> StorageReport:
     assignments = np.asarray(assignments, dtype=np.int64)

@@ -64,11 +64,6 @@ class PackedCodes:
     bit_width: int
 
 
-def compute_scale(values, bit_width: int) -> np.float32:
-    """Scale factor (m + eps) / Q, computed in float64, stored float32."""
-    return quantize_rows(np.reshape(values, (1, -1)), bit_width)[1][0]
-
-
 def quantize_rows(values, bit_width: int):
     """Quantize each row of an (N, D) array; returns (int32 codes, float32 scales)."""
     q = max_code(bit_width)
@@ -117,13 +112,6 @@ def quantize_sample(values, bit_width: int, label: int = 0) -> QuantizedSample:
     """Quantize one flattened sample at the given bit-width."""
     codes, scales = quantize_rows(np.reshape(values, (1, -1)), bit_width)
     return QuantizedSample(codes[0], scales[0], bit_width, label)
-
-
-def dequantize_sample(q: QuantizedSample) -> np.ndarray:
-    """Reconstruct float32 values as scale * code."""
-    if q.bit_width == 0:
-        raise ValueError("cannot dequantize a dropped (0-bit) sample")
-    return dequantize_rows(np.reshape(q.codes, (1, -1)), [q.scale])[0]
 
 
 def pack_codes(q: QuantizedSample) -> PackedCodes:

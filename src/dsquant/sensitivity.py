@@ -50,10 +50,6 @@ class LogisticModel:
         self.bias = bias
 
     @classmethod
-    def zeros(cls, num_classes: int, input_dim: int) -> "LogisticModel":
-        return cls(np.zeros((num_classes, input_dim)), np.zeros(num_classes))
-
-    @classmethod
     def seeded(cls, num_classes: int, input_dim: int, seed: int,
                init_scale: float = 0.01) -> "LogisticModel":
         rng = np.random.default_rng(seed)
@@ -67,10 +63,6 @@ class LogisticModel:
     @property
     def input_dim(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def parameter_count(self) -> int:
-        return self.weights.size + self.bias.size
 
     def logits(self, values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) @ self.weights.T + self.bias

@@ -7,6 +7,7 @@ otherwise).
 
 import numpy as np
 import pytest
+from reference import reference_unpack, synth_half_noise
 
 from dsquant.allocator import (
     AllocationConfig,
@@ -14,17 +15,15 @@ from dsquant.allocator import (
     allocate,
     compression_ratio,
     largest_remainder_sizes,
-    solve_budget,
 )
-from dsquant.dataset import Dataset, SampleShape, synth_blobs, synth_half_noise
+from dsquant.dataset import Dataset, SampleShape, synth_blobs
 from dsquant.qds import HEADER_BYTES, read_qds, write_qds
 from dsquant.quantizer import (
-    QuantizedSample,
-    dequantize_sample,
+    dequantize_rows,
     max_code,
-    pack_codes,
-    quantize_sample,
-    unpack_codes,
+    pack_code_rows,
+    quantize_rows,
+    unpack_code_rows,
 )
 from dsquant.sensitivity import (
     LogisticModel,
@@ -44,7 +43,7 @@ def test_criterion_1_budget_arithmetic():
     ok = True
     for bits, b_avg, ratio in [((16, 16), 16.0, 0.50), ((10, 6), 8.0, 0.75),
                                ((8, 0), 4.0, 0.875), ((4, 0), 2.0, 0.9375)]:
-        ok &= solve_budget([50, 50], bits) == b_avg
+        ok &= AllocationPlan.from_assignments(np.repeat(bits, 50)).b_avg == b_avg
         ok &= compression_ratio(b_avg) == ratio
     # prune 90% of 100 samples, keep the rest at 16 bits (nominal 50%)
     plan = allocate(np.random.default_rng(0).random(100),
@@ -60,26 +59,13 @@ def test_criterion_2_quantizer_error_bound():
         values = rng.standard_normal((250, 512)).astype(np.float32)
         values *= (10.0 ** rng.uniform(-3, 3, size=(250, 1))).astype(np.float32)
         assert values.size >= 10**5
-        for row in values:
-            sample = quantize_sample(row, bits)
-            recon = dequantize_sample(sample).astype(np.float64)
-            bound = (float(sample.scale) / 2
-                     + 4 * np.spacing(np.abs(row).max()))
-            violations += int(np.abs(recon - row.astype(np.float64)).max() > bound)
+        codes, scales = quantize_rows(values, bits)
+        recon = dequantize_rows(codes, scales).astype(np.float64)
+        bound = (scales.astype(np.float64) / 2
+                 + 4 * np.spacing(np.abs(values).max(axis=1)))
+        violations += int(np.sum(
+            np.abs(recon - values.astype(np.float64)).max(axis=1) > bound))
     _verdict(2, "quantizer error bound", violations == 0)
-
-
-def _reference_unpack(payload: bytes, bits: int, count: int) -> np.ndarray:
-    """Independent MSB-first decoder built on Python big integers."""
-    data = int.from_bytes(payload, "big")
-    total_bits = len(payload) * 8
-    offset = max_code(bits)
-    mask = (1 << bits) - 1
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        shift = total_bits - (i + 1) * bits
-        out[i] = ((data >> shift) & mask) - offset
-    return out
 
 
 def test_criterion_3_pack_unpack_bijection():
@@ -89,13 +75,12 @@ def test_criterion_3_pack_unpack_bijection():
         q = max_code(bits)
         for _ in range(10**4):
             n = int(rng.integers(1, 33))
-            codes = rng.integers(-q, q + 1, size=n, dtype=np.int32)
-            sample = QuantizedSample(codes, np.float32(1.0), bits, 0)
-            packed = pack_codes(sample)
-            if not np.array_equal(unpack_codes(packed), codes):
+            codes = rng.integers(-q, q + 1, size=(1, n), dtype=np.int32)
+            payload = pack_code_rows(codes, bits)
+            if not np.array_equal(unpack_code_rows(payload, n, bits), codes):
                 mismatches += 1
             elif not np.array_equal(
-                    _reference_unpack(packed.payload, bits, n), codes):
+                    reference_unpack(payload[0].tobytes(), n, bits), codes[0]):
                 mismatches += 1
     _verdict(3, "pack/unpack bijection", mismatches == 0)
 
@@ -151,7 +136,6 @@ def test_criterion_6_allocation_invariants():
         # budget exactness down to the integer bit total
         total = sum(s * b for s, b in zip(sizes, config.bit_levels))
         ok &= plan.b_avg == total / n
-        ok &= plan.b_avg == solve_budget(sizes, config.bit_levels)
         # partition completeness: group sizes realize the fractions exactly
         for size, bits in zip(sizes, config.bit_levels):
             matching = int(np.sum(plan.assignments == bits))
@@ -197,12 +181,12 @@ def test_criterion_7_format_round_trip(tmp_path):
             if b == 0:
                 ok &= records[i] is None
                 continue
-            values, label = dset.sample(i)
-            expected = quantize_sample(values, int(b), label)
-            ok &= bool(np.array_equal(records[i].codes, expected.codes))
-            ok &= records[i].scale.tobytes() == expected.scale.tobytes()
-            ok &= bool(np.array_equal(dequantize_sample(records[i]),
-                                      dequantize_sample(expected)))
+            codes, scales = quantize_rows(dset.values[i:i + 1], int(b))
+            ok &= bool(np.array_equal(records[i].codes, codes[0]))
+            ok &= records[i].scale.tobytes() == scales[0].tobytes()
+            ok &= bool(np.array_equal(
+                dequantize_rows(records[i].codes[None], [records[i].scale]),
+                dequantize_rows(codes, scales)))
     _verdict(7, "format round trip", ok)
 
 

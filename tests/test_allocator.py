@@ -3,12 +3,12 @@ import pytest
 
 from dsquant.allocator import (
     AllocationConfig,
+    AllocationPlan,
     allocate,
     compression_ratio,
     largest_remainder_sizes,
     read_keep_list,
     read_plan,
-    solve_budget,
     split_by_score,
     write_plan,
 )
@@ -112,7 +112,7 @@ class TestBudget:
         ((4, 0), 2.0, 0.9375),
     ])
     def test_equal_split_pairs(self, bits, b_avg, ratio):
-        assert solve_budget([50, 50], bits) == b_avg
+        assert AllocationPlan.from_assignments(np.repeat(bits, 50)).b_avg == b_avg
         assert compression_ratio(b_avg) == ratio
 
     def test_ratio_endpoints(self):
@@ -120,8 +120,8 @@ class TestBudget:
         assert compression_ratio(0.0) == 1.0
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            solve_budget([], [])
+        with pytest.raises(ValueError, match="empty"):
+            AllocationPlan.from_assignments([])
         with pytest.raises(ValueError):
             compression_ratio(33.0)
 
@@ -139,6 +139,14 @@ class TestAllocationConfig:
             AllocationConfig((8, 1))
         with pytest.raises(ValueError):
             AllocationConfig((17, 8))
+
+    @pytest.mark.parametrize("fractions", [
+        (0.5, float("nan")), (float("nan"), float("nan")),
+        (float("inf"), 0.5), (1.5, float("-inf")),
+    ])
+    def test_fractions_must_be_finite(self, fractions):
+        with pytest.raises(ValueError, match="group fractions must be finite, got "):
+            AllocationConfig((8, 4), group_fractions=fractions)
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
@@ -219,8 +227,8 @@ class TestAllocate:
         fractions = (0.4, 0.6)
         cfg = AllocationConfig((10, 6), group_fractions=fractions)
         plan = allocate(scores, cfg)
-        sizes = [np.sum(plan.assignments == b) for b in (10, 6)]
-        assert plan.b_avg == solve_budget(sizes, (10, 6))
+        sizes = [int(np.sum(plan.assignments == b)) for b in (10, 6)]
+        assert plan.b_avg == (sizes[0] * 10 + sizes[1] * 6) / sum(sizes)
 
 
 def test_plan_file_round_trip(tmp_path):

@@ -1,9 +1,10 @@
+import argparse
 import warnings
 
 import numpy as np
 import pytest
 
-from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
 def run(capsys, *argv):
@@ -157,6 +158,16 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert err == "error: empty score list\n"
 
+    @pytest.mark.parametrize("fractions", ["0.5,nan", "nan,nan", "inf,0.5"])
+    def test_allocate_rejects_non_finite_fraction(self, tmp_path, capsys, fractions):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("0\t0.5\n1\t0.25\n")
+        code, _, err = run(capsys, "allocate", "--scores", str(scores), "--bits", "8,4",
+                           "--fractions", fractions, "--out", str(tmp_path / "plan.tsv"))
+        assert code == EXIT_VALIDATION
+        named = ", ".join(str(float(f)) for f in fractions.split(","))
+        assert err == f"error: group fractions must be finite, got {named}\n"
+
     @staticmethod
     def _write_partial_then_fail(_, path):
         with open(path, "wb") as fh:
@@ -249,6 +260,26 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert "record 0: quantized file has label 2, dataset has 0" in err
 
+    def test_quantize_and_stats_print_the_storage_report(self, tmp_path, capsys,
+                                                         synth_file):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,0")
+        qds = tmp_path / "data.qds"
+        quantize = ("quantize", "--dataset", str(synth_file),
+                    "--plan", str(tmp_path / "plan.tsv"), "--out", str(qds))
+        stats = ("stats", "--qds", str(qds))
+        out = {}
+        for args in (quantize, stats):
+            for flags in ((), ("--porcelain",)):
+                code, out[args[0], bool(flags)], _ = run(capsys, *flags, *args)
+                assert code == EXIT_OK
+        kv = porcelain(out["stats", True])
+        assert list(kv) == ["payload_bits", "scale_bits", "metadata_bits",
+                            "total_bytes", "nominal_ratio", "realized_ratio"]
+        assert kv["total_bytes"] == str(qds.stat().st_size)
+        assert out["quantize", True] == out["stats", True]
+        assert out["quantize", False] == "".join(f"{k}: {v}\n" for k, v in kv.items())
+        assert out["stats", False] == "".join(f"{k:<14}  {v}\n" for k, v in kv.items())
+
     def test_stats_porcelain_keys(self, tmp_path, capsys, synth_file):
         self._score_allocate_quantize(tmp_path, capsys, synth_file, "16,16")
         code, out, _ = run(capsys, "--porcelain", "stats",
@@ -283,13 +314,6 @@ class TestPipelineStages:
         assert code == EXIT_OK
         assert abs(float(porcelain(out)["accuracy_delta"])) <= 0.01
 
-    def test_train_subcommand(self, capsys, synth_file):
-        code, out, _ = run(capsys, "--porcelain", "train",
-                           "--dataset", str(synth_file), "--epochs", "5")
-        assert code == EXIT_OK
-        kv = porcelain(out)
-        assert 0.0 <= float(kv["test_accuracy"]) <= 1.0
-
     def test_compare_loss_csv(self, tmp_path, capsys, synth_file):
         self._score_allocate_quantize(tmp_path, capsys, synth_file, "16,16")
         csv = tmp_path / "loss.csv"
@@ -300,6 +324,16 @@ class TestPipelineStages:
         lines = csv.read_text().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 4
+
+
+def test_commands_are_the_pipeline_stages(capsys):
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == ["ingest", "score", "allocate", "quantize", "stats", "compare"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--dataset", "data.dsr"])
+    assert exit_info.value.code == 2  # argparse rejects an unknown command
+    assert "invalid choice: 'train'" in capsys.readouterr().err
 
 
 def test_raw_ingest_round_trip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import synth_half_noise
 
 from dsquant.dataset import (
     Dataset,
@@ -8,7 +9,6 @@ from dsquant.dataset import (
     ingest_raw,
     read_dataset_file,
     synth_blobs,
-    synth_half_noise,
     write_dataset_file,
     write_raw,
 )

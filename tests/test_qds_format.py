@@ -13,7 +13,7 @@ from dsquant.qds import (
     storage_report,
     write_qds,
 )
-from dsquant.quantizer import dequantize_sample, pack_codes, quantize_sample
+from dsquant.quantizer import dequantize_rows, pack_codes, quantize_rows, quantize_sample
 
 
 def small_dataset(n=3, dim=4, seed=0, num_classes=3):
@@ -88,7 +88,7 @@ class TestWriteQds:
         write_qds(dset, plan_of(bits), path)
         expected = [struct.pack("<4sHQIIIII", b"QDS1", 1, len(dset), 1, 1, 700, 5, 1)]
         for i, b in enumerate(bits):
-            values, label = dset.sample(i)
+            values, label = dset.values[i], int(dset.labels[i])
             expected.append(struct.pack("<BI", b, label))
             if b:
                 q = quantize_sample(values, int(b), label)
@@ -105,7 +105,7 @@ class TestReadQds:
         assert header.sample_count == 3
         assert records[1] is None
         for i, bits in ((0, 8), (2, 4)):
-            values, label = dset.sample(i)
+            values, label = dset.values[i], int(dset.labels[i])
             expected = quantize_sample(values, bits, label)
             np.testing.assert_array_equal(records[i].codes, expected.codes)
             assert records[i].scale.tobytes() == expected.scale.tobytes()
@@ -154,7 +154,7 @@ class TestReadQds:
                 if bits == 0:
                     assert records[i] is None
                     continue
-                values, label = dset.sample(i)
+                values, label = dset.values[i], int(dset.labels[i])
                 expected = quantize_sample(values, bits, label)
                 np.testing.assert_array_equal(records[i].codes, expected.codes)
                 assert records[i].scale.tobytes() == expected.scale.tobytes()
@@ -242,8 +242,8 @@ class TestMaterialize:
         for i, b in enumerate(bits):
             if b == 0:
                 continue
-            values, label = dset.sample(i)
-            expected = dequantize_sample(quantize_sample(values, b, label))
+            values, label = dset.values[i], int(dset.labels[i])
+            expected = dequantize_rows(*quantize_rows(values[None], b))[0]
             np.testing.assert_array_equal(out.values[j], expected)
             j += 1
 

@@ -4,36 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_unpack
 
 from dsquant import _bitpack_py
 from dsquant.quantizer import (
     EPSILON,
     PackedCodes,
-    compute_scale,
-    dequantize_sample,
+    dequantize_rows,
     max_code,
     pack_codes,
+    quantize_rows,
     quantize_sample,
     unpack_codes,
 )
 
 
-def reference_unpack(payload, count, bit_width):
-    """Independent bit-by-bit decoder: walk the payload as a bit string."""
-    bits = "".join(f"{byte:08b}" for byte in payload)
-    q = (1 << (bit_width - 1)) - 1
-    return [int(bits[i * bit_width:(i + 1) * bit_width], 2) - q
-            for i in range(count)]
+def scale_of(values, bit_width):
+    """The scale quantize_rows gives one sample."""
+    return quantize_rows(np.asarray(values)[None], bit_width)[1][0]
 
 
 class TestComputeScale:
     def test_zero_sample(self):
-        s = compute_scale(np.zeros(5), 8)
+        s = scale_of(np.zeros(5), 8)
         assert s == np.float32(1e-12 / 127)
         assert s > 0
 
     def test_unit_max_8bit_against_exact_arithmetic(self):
-        s = compute_scale([1.0, -0.5], 8)
+        s = scale_of([1.0, -0.5], 8)
         exact = (Fraction(1) + Fraction(1e-12)) / 127
         assert s == np.float32(float(exact))
         assert abs(float(s) - float(exact)) / float(exact) < 1e-7
@@ -41,21 +39,21 @@ class TestComputeScale:
 
     def test_two_bit_range(self):
         assert max_code(2) == 1
-        s = compute_scale([1.0], 2)
+        s = scale_of([1.0], 2)
         assert abs(float(s) - 1.0) < 1e-6
 
     def test_scale_always_positive(self):
         for b in (2, 8, 16):
-            assert compute_scale(np.zeros(3), b) > 0
+            assert scale_of(np.zeros(3), b) > 0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            compute_scale([np.inf], 8)
+            scale_of([np.inf], 8)
 
     def test_rejects_bad_bit_width(self):
         for b in (0, 1, 17):
             with pytest.raises(ValueError):
-                compute_scale([1.0], b)
+                scale_of([1.0], b)
 
 
 class TestQuantizeDequantize:
@@ -82,19 +80,11 @@ class TestQuantizeDequantize:
         assert q.label == 3 and q.bit_width == 8
 
     def test_dequantize_zeros(self):
-        q = quantize_sample(np.zeros(4), 8)
-        assert not dequantize_sample(q).any()
+        assert not dequantize_rows(*quantize_rows(np.zeros((1, 4)), 8)).any()
 
     def test_dequantize_endpoints_multiply_back(self):
-        q = quantize_sample([-1.0, 1.0], 8)
-        restored = dequantize_sample(q)
-        np.testing.assert_allclose(restored, [-1.0, 1.0], rtol=1e-6)
-
-    def test_dequantize_dropped_sample_rejected(self):
-        from dsquant.quantizer import QuantizedSample
-        dropped = QuantizedSample(np.zeros(0, np.int32), np.float32(1), 0, 0)
-        with pytest.raises(ValueError, match="dropped"):
-            dequantize_sample(dropped)
+        restored = dequantize_rows(*quantize_rows([[-1.0, 1.0]], 8))
+        np.testing.assert_allclose(restored, [[-1.0, 1.0]], rtol=1e-6)
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from([2, 4, 8, 16]))
@@ -104,10 +94,10 @@ class TestQuantizeDequantize:
         scale_exp = rng.uniform(-6, 6)
         values = (10.0 ** scale_exp) * rng.standard_normal(64)
         values = values.astype(np.float32)
-        q = quantize_sample(values, bit_width)
-        restored = dequantize_sample(q).astype(np.float64)
+        codes, scales = quantize_rows(values[None], bit_width)
+        restored = dequantize_rows(codes, scales)[0].astype(np.float64)
         m = np.abs(values.astype(np.float64)).max()
-        bound = float(q.scale) / 2 + 4 * np.spacing(np.float32(m))
+        bound = float(scales[0]) / 2 + 4 * np.spacing(np.float32(m))
         assert np.abs(values.astype(np.float64) - restored).max() <= bound
 
     @given(st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=32),

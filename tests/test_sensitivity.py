@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsquant.dataset import Dataset, SampleShape, synth_blobs
-from dsquant.quantizer import dequantize_sample, quantize_sample
+from dsquant.quantizer import dequantize_rows, quantize_rows
 from dsquant.sensitivity import (
     NORM_FLOOR,
     LogisticModel,
@@ -92,8 +92,8 @@ class TestScoreDataset:
         scores = score_dataset(dset, model, 4)
         reference = np.zeros(len(dset))
         for i in range(len(dset)):
-            x, y = dset.sample(i)
-            probed = dequantize_sample(quantize_sample(x, 4))
+            x, y = dset.values[i], int(dset.labels[i])
+            probed = dequantize_rows(*quantize_rows(x[None], 4))[0]
             g, g_probed = model.gradient(x, y), model.gradient(probed, y)
             if i == 1:
                 assert np.linalg.norm(g) < NORM_FLOOR
@@ -117,7 +117,7 @@ class TestGradientCheck:
         assert gradient_check(model, d, 1, step=1e-5) < 1e-4
 
     def test_zero_model_bias_gradient_is_uniform_minus_onehot(self):
-        model = LogisticModel.zeros(4, 6)
+        model = LogisticModel(np.zeros((4, 6)), np.zeros(4))
         grad = model.gradient(np.zeros(6), 2)
         bias_grad = grad[-4:]
         expected = np.full(4, 0.25)
@@ -146,7 +146,7 @@ class TestLogisticModel:
         rng = np.random.default_rng(2)
         lengths = {model.gradient(rng.standard_normal(8), 0).size
                    for _ in range(5)}
-        assert lengths == {model.parameter_count}
+        assert lengths == {model.weights.size + model.bias.size}
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

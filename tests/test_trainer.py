@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import synth_half_noise
 
 from dsquant import trainer
 from dsquant.allocator import AllocationConfig, allocate
-from dsquant.dataset import Dataset, SampleShape, synth_blobs, synth_half_noise
+from dsquant.dataset import Dataset, SampleShape, synth_blobs
 from dsquant.qds import write_qds
 from dsquant.sensitivity import LogisticModel, _softmax, score_dataset
 from dsquant.trainer import (
@@ -183,7 +184,7 @@ class TestEvaluate:
         dset = Dataset(SampleShape(1, 1, 4), 2,
                        rng.standard_normal((10, 4)).astype(np.float32),
                        np.array([0] * 5 + [1] * 5))
-        model = LogisticModel.zeros(2, 4)
+        model = LogisticModel(np.zeros((2, 4)), np.zeros(2))
         # argmax ties break to class 0, so accuracy is the class-0 share
         assert evaluate(model, dset) == 0.5
 
@@ -199,7 +200,7 @@ class TestEvaluate:
     def test_dimension_mismatch(self, blobs):
         from dsquant.sensitivity import LogisticModel
         with pytest.raises(ValueError, match="dimension"):
-            evaluate(LogisticModel.zeros(3, 7), blobs)
+            evaluate(LogisticModel(np.zeros((3, 7)), np.zeros(3)), blobs)
 
 
 class TestStratifiedSplit:
