@@ -14,7 +14,6 @@ from .dataset import (
     ingest_cifar_binary,
     ingest_raw,
     synth_blobs,
-    write_raw,
 )
 from .qds import (
     QdsFormatError,

@@ -2,17 +2,19 @@
 -> compare.
 
 Each stage reads the previous stage's file and writes its own output
-atomically (temp file + rename), so a failing stage never leaves a
-truncated artifact. Exit codes: 0 success, 1 I/O failure, 2 validation
-failure. --porcelain switches output to machine-readable key=value
-lines.
+atomically (temp file + rename), so a failing or interrupted stage
+leaves neither a truncated artifact nor its temp file. Exit codes: 0
+success, 1 I/O failure, 2 validation failure, 128 + signal number on
+SIGINT or SIGTERM. --porcelain prints machine-readable key=value lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import allocator, dataset as ds, qds, sensitivity, trainer
@@ -113,18 +115,9 @@ def _cmd_stats(args, emit: _Emitter) -> int:
     return EXIT_OK
 
 
-def _train_config(args) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, momentum=args.momentum,
-        weight_decay=args.weight_decay, seed=args.seed,
-        normalize=not args.no_normalize,
-    )
-
-
 def _cmd_compare(args, emit: _Emitter) -> int:
     dset = ds.read_dataset_file(args.dataset)
-    report = trainer.compare(dset, args.qds, _train_config(args))
+    report = trainer.compare(dset, args.qds, trainer.TrainConfig(args.epochs, args.seed))
     emit.kv("train_accuracy", f"{report.train_accuracy:.9g}")
     emit.kv("test_accuracy", f"{report.test_accuracy:.9g}")
     emit.kv("baseline_test_accuracy", f"{report.baseline_test_accuracy:.9g}")
@@ -134,15 +127,6 @@ def _cmd_compare(args, emit: _Emitter) -> int:
         lines += [f"{i},{loss:.9g}\n" for i, loss in enumerate(report.loss_curve)]
         ds.write_atomically(args.loss_csv, lambda tmp: Path(tmp).write_text("".join(lines)))
     return EXIT_OK
-
-
-def _add_train_flags(parser):
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--learning-rate", type=float, default=0.1)
-    parser.add_argument("--momentum", type=float, default=0.9)
-    parser.add_argument("--weight-decay", type=float, default=2e-4)
-    parser.add_argument("--no-normalize", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,19 +182,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="original vs dequantized training")
     p.add_argument("--dataset", required=True)
     p.add_argument("--qds", required=True)
+    p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--loss-csv", help="write the quantized arm's loss curve")
-    _add_train_flags(p)
     p.set_defaults(func=_cmd_compare)
     return parser
+
+
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(signum)  # unwinds like SIGINT, removing temp files
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     emit = _Emitter(args.porcelain)
+    # only the main thread may set handlers; restore for in-process callers
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         return args.func(args, emit)
+    except KeyboardInterrupt as exc:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + (exc.args[0] if exc.args else signal.SIGINT)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_IO
@@ -220,6 +214,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -140,13 +140,6 @@ def ingest_raw(values_data: bytes, labels_data: bytes,
     return Dataset(shape, num_classes, values, labels)
 
 
-def write_raw(dataset: Dataset) -> tuple[bytes, bytes]:
-    """Inverse of ingest_raw: byte-exact (.f32le, .u32le) pair."""
-    values = np.ascontiguousarray(dataset.values, dtype="<f4")
-    labels = np.ascontiguousarray(dataset.labels, dtype="<u4")
-    return values.tobytes(), labels.tobytes()
-
-
 def synth_blobs(num_classes: int, dim: int, per_class: int,
                 spread: float, seed: int) -> Dataset:
     """Gaussian class blobs with pairwise-distinct means, shape 1x1xdim.
@@ -221,17 +214,16 @@ def read_indexed(path, dtype, header_fields: int = 0):
 
 
 def write_dataset_file(dataset: Dataset, path) -> None:
-    """Write the single-file DSR1 stage container."""
+    """Write the DSR1 stage container straight from the arrays."""
     header = _DATASET_HEADER.pack(
         DATASET_MAGIC, DATASET_VERSION, len(dataset),
         dataset.shape.height, dataset.shape.width, dataset.shape.channels,
         dataset.num_classes,
     )
-    values_data, labels_data = write_raw(dataset)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(values_data)
-        fh.write(labels_data)
+        fh.write(np.ascontiguousarray(dataset.values, "<f4"))
+        fh.write(np.ascontiguousarray(dataset.labels, "<u4"))
 
 
 def read_dataset_file(path) -> Dataset:

@@ -41,13 +41,13 @@ from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
 from .dataset import Dataset, SampleShape, write_atomically
 from .quantizer import (
-    CHUNK_ELEMENTS,
     MAX_BIT_WIDTH,
     QuantizedSample,
     dequantize_rows,
     is_valid_bit_width,
     pack_code_rows,
     quantize_rows,
+    row_chunks,
     unpack_code_rows,
 )
 
@@ -125,18 +125,16 @@ def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
     )
     elems = dataset.shape.element_count
     sizes = np.where(widths > 0, _PAYLOAD_AT + (elems * widths + 7) // 8, PREFIX_BYTES)
-    step = max(1, CHUNK_ELEMENTS // elems)
 
     def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for start in range(0, len(dataset), step):
-                w, size = widths[start:start + step], sizes[start:start + step]
-                values = dataset.values[start:start + step]
+            for chunk in row_chunks(len(dataset), elems):
+                w, size, values = widths[chunk], sizes[chunk], dataset.values[chunk]
                 at = np.cumsum(size) - size  # record starts within this chunk
                 out = np.zeros(int(size.sum()), dtype=np.uint8)
                 out[at] = w
-                _scatter(out, at + 1, dataset.labels[start:start + step].astype("<u4"))
+                _scatter(out, at + 1, dataset.labels[chunk].astype("<u4"))
                 for bits in np.unique(w[w > 0]).tolist():
                     rows = np.flatnonzero(w == bits)
                     codes, scales = quantize_rows(values[rows], bits)
@@ -202,11 +200,11 @@ class QdsRecords:
         rows = np.asarray(rows, dtype=np.int64)
         count = self.header.shape.element_count
         widths = self.widths[rows]
-        step = max(1, CHUNK_ELEMENTS // count)
         for bits in np.unique(widths[widths > 0]).tolist():
             group = np.flatnonzero(widths == bits)
             payload = sliding_window_view(self.data, payload_bytes(count, bits))
-            for positions in np.split(group, range(step, group.size, step)):
+            for chunk in row_chunks(group.size, count):
+                positions = group[chunk]
                 at = self.offsets[rows[positions]]
                 try:
                     codes = unpack_code_rows(payload[at + _PAYLOAD_AT], count, bits)

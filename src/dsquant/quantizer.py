@@ -36,6 +36,12 @@ MAX_BIT_WIDTH = 16
 CHUNK_ELEMENTS = 1 << 20
 
 
+def row_chunks(n: int, dim: int) -> list:
+    """Slices of CHUNK_ELEMENTS // dim rows (at least one) covering n rows."""
+    step = max(1, CHUNK_ELEMENTS // dim)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def is_valid_bit_width(b):
     """True for widths a sample may be stored at (0 = dropped); an array
     of widths gives a boolean array."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import read_indexed, write_indexed
-from .quantizer import CHUNK_ELEMENTS, dequantize_rows, quantize_rows
+from .quantizer import dequantize_rows, quantize_rows, row_chunks
 
 NORM_FLOOR = 1e-12
 
@@ -50,10 +50,9 @@ class LogisticModel:
         self.bias = bias
 
     @classmethod
-    def seeded(cls, num_classes: int, input_dim: int, seed: int,
-               init_scale: float = 0.01) -> "LogisticModel":
+    def seeded(cls, num_classes: int, input_dim: int, seed: int) -> "LogisticModel":
         rng = np.random.default_rng(seed)
-        weights = init_scale * rng.standard_normal((num_classes, input_dim))
+        weights = 0.01 * rng.standard_normal((num_classes, input_dim))
         return cls(weights, np.zeros(num_classes))
 
     @property
@@ -109,12 +108,11 @@ def score_dataset(dataset, model: LogisticModel,
                   probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
     """Score every sample; output index i corresponds to sample i."""
     scores = np.zeros(len(dataset), dtype=np.float64)
-    step = max(1, CHUNK_ELEMENTS // dataset.shape.element_count)
-    for start in range(0, len(dataset), step):
-        values = dataset.values[start:start + step]
+    for chunk in row_chunks(len(dataset), dataset.shape.element_count):
+        values = dataset.values[chunk]
         probed = dequantize_rows(*quantize_rows(values, probe_bit_width))
         x, x_tilde = values.astype(np.float64), probed.astype(np.float64)
-        onehot = np.eye(model.num_classes)[dataset.labels[start:start + step]]
+        onehot = np.eye(model.num_classes)[dataset.labels[chunk]]
         r, r_tilde = model.probabilities(x) - onehot, model.probabilities(x_tilde) - onehot
         dot = _row_dot(r, r_tilde) * (_row_dot(x, x_tilde) + 1.0)
         norm = np.sqrt(_row_dot(r, r) * (_row_dot(x, x) + 1.0))
@@ -123,8 +121,7 @@ def score_dataset(dataset, model: LogisticModel,
         insensitive = ((values == probed).all(axis=1)
                        | (norm < NORM_FLOOR) | (norm_tilde < NORM_FLOOR))
         cosine = dot / np.where(insensitive, 1.0, norm * norm_tilde)
-        scores[start:start + step] = np.where(insensitive, 0.0,
-                                              1.0 - np.clip(cosine, -1.0, 1.0))
+        scores[chunk] = np.where(insensitive, 0.0, 1.0 - np.clip(cosine, -1.0, 1.0))
     return scores
 
 

@@ -1,12 +1,12 @@
 """Desk-scale training harness: does training on the dequantized data
 match training on the originals?
 
-The model is multinomial logistic regression fit by mini-batch SGD with
-momentum and weight decay. Runs are bitwise deterministic in
-(dataset, config): the seed fixes the initialization and every epoch's
-shuffle. Optional per-feature normalization is fit on the training
-arm's own data and folded into the returned model's weights, so the
-model always consumes raw inputs.
+The model is multinomial logistic regression fit by one constant recipe:
+mini-batch SGD with momentum and weight decay on standardized features.
+TrainConfig sets only the epoch count and the seed, and a run is bitwise
+deterministic in (dataset, config). The normalization is always on; it
+is fit on the training arm's own data and folded into the returned
+model's weights, so the model always consumes raw inputs.
 
 compare() trains two models from the same seeded initialization, one on
 the original samples and one on their dequantized counterparts (index
@@ -14,11 +14,11 @@ alignment through drop tombstones), and evaluates both on the same
 held-out split of the original data.
 
 Memory: a fit holds one float64 copy of its training rows, gathered and
-standardized in place a row chunk (quantizer.CHUNK_ELEMENTS elements) at
-a time, so it peaks at 8 bytes per trained element plus one chunk. At
-its peak, compare() holds the original float32 data, its float32 test
-split, the QDS file's bytes, the dequantized float32 train set and that
-one float64 matrix plus one chunk. evaluate() casts the set it scores to
+standardized in place a row chunk (quantizer.row_chunks) at a time, so
+it peaks at 8 bytes per trained element plus one chunk. At its peak,
+compare() holds the original float32 data, its float32 test split, the
+QDS file's bytes, the dequantized float32 train set and that one
+float64 matrix plus one chunk. evaluate() casts the set it scores to
 float64 in one piece, after the fit has freed its matrix: in row chunks,
 BLAS can round a logit of a short final chunk differently.
 """
@@ -31,8 +31,14 @@ import numpy as np
 
 from .dataset import Dataset
 from .qds import QdsRecords
-from .quantizer import CHUNK_ELEMENTS
+from .quantizer import row_chunks
 from .sensitivity import LogisticModel, _softmax
+
+BATCH_SIZE = 64
+LEARNING_RATE = 0.1
+MOMENTUM = 0.9
+WEIGHT_DECAY = 2e-4
+TEST_FRACTION = 0.2  # held out of each class by compare()
 
 _STD_FLOOR = 1e-8
 
@@ -40,15 +46,10 @@ _STD_FLOOR = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 2e-4
     seed: int = 42
-    normalize: bool = True
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
+        if self.epochs < 0:
             raise ValueError("invalid training configuration")
 
 
@@ -61,9 +62,9 @@ class EvalReport:
     baseline_test_accuracy: float
 
 
-def _training_matrix(dataset: Dataset, rows: np.ndarray, normalize: bool):
+def _training_matrix(dataset: Dataset, rows: np.ndarray):
     """dataset.values[rows] as one float64 matrix, standardized in place
-    per feature when normalize is set; returns (x, mean, std).
+    per feature; returns (x, mean, std).
 
     Bit for bit this is astype(float64), mean(axis=0), std(axis=0) and
     (x - mean) / std, without their full-size temporaries: an axis-0 sum
@@ -71,13 +72,10 @@ def _training_matrix(dataset: Dataset, rows: np.ndarray, normalize: bool):
     at a time with the running total folded into each chunk's first row.
     """
     n, dim = len(rows), dataset.shape.element_count
-    step = max(1, CHUNK_ELEMENTS // dim)
-    chunks = [slice(start, start + step) for start in range(0, n, step)]
+    chunks = row_chunks(n, dim)
     x = np.empty((n, dim), dtype=np.float64)
     for chunk in chunks:
         x[chunk] = dataset.values[rows[chunk]]
-    if not normalize:
-        return x, None, None
     mean = x.mean(axis=0)
     x -= mean
     total = np.zeros(dim)
@@ -98,7 +96,7 @@ def _fit(dataset: Dataset, config: TrainConfig, rows=None):
     y = dataset.labels[rows]
     if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
-    x, mean, std = _training_matrix(dataset, rows, config.normalize)
+    x, mean, std = _training_matrix(dataset, rows)
     n, dim = x.shape
     classes = dataset.num_classes
 
@@ -112,18 +110,18 @@ def _fit(dataset: Dataset, config: TrainConfig, rows=None):
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = perm[start:start + config.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            batch = perm[start:start + BATCH_SIZE]
             xb, tb = x[batch], onehot[batch]
             probs = _softmax(xb @ weights.T + bias)
             epoch_loss += -np.log(
                 np.maximum(probs[np.arange(len(batch)), y[batch]], 1e-300)
             ).sum()
             residual = (probs - tb) / len(batch)
-            grad_w = residual.T @ xb + config.weight_decay * weights
+            grad_w = residual.T @ xb + WEIGHT_DECAY * weights
             grad_b = residual.sum(axis=0)
-            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+            vel_w = MOMENTUM * vel_w - LEARNING_RATE * grad_w
+            vel_b = MOMENTUM * vel_b - LEARNING_RATE * grad_b
             weights = weights + vel_w
             bias = bias + vel_b
         mean_loss = epoch_loss / n
@@ -131,16 +129,15 @@ def _fit(dataset: Dataset, config: TrainConfig, rows=None):
             raise RuntimeError("training diverged (non-finite loss)")
         losses.append(mean_loss)
 
-    if config.normalize:
-        # fold (x - mean)/std into the weights so the model takes raw inputs
-        weights = weights / std
-        bias = bias - weights @ mean
+    # fold (x - mean)/std into the weights so the model takes raw inputs
+    weights = weights / std
+    bias = bias - weights @ mean
     return LogisticModel(weights, bias), tuple(losses)
 
 
 def train(dataset: Dataset, config: TrainConfig, rows=None) -> LogisticModel:
-    """Fit the classifier on dataset, or on its rows; with epochs=0 (and
-    normalize off) this is exactly the seeded initialization."""
+    """Fit the constant recipe on dataset, or on its rows; with epochs=0
+    this is the seeded initialization folded through the normalization."""
     model, _ = _fit(dataset, config, rows)
     return model
 
@@ -153,16 +150,14 @@ def evaluate(model: LogisticModel, dataset: Dataset) -> float:
     return float(np.mean(predictions == dataset.labels)) if len(dataset) else 0.0
 
 
-def stratified_split(dataset: Dataset, test_fraction: float, seed: int):
-    """Seeded per-class split; returns (train_indices, test_indices)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+def stratified_split(dataset: Dataset, seed: int):
+    """Seeded per-class TEST_FRACTION split; returns (train_indices, test_indices)."""
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for c in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == c)
         members = members[rng.permutation(members.size)]
-        n_test = int(round(test_fraction * members.size))
+        n_test = int(round(TEST_FRACTION * members.size))
         test_idx.append(members[:n_test])
         train_idx.append(members[n_test:])
     return (np.sort(np.concatenate(train_idx)),
@@ -193,12 +188,11 @@ def _check_same_dataset(stored: QdsRecords, original: Dataset) -> None:
                          f"dataset has {original.labels[i]}")
 
 
-def compare(original: Dataset, quantized_path, config: TrainConfig,
-            test_fraction: float = 0.2) -> EvalReport:
+def compare(original: Dataset, quantized_path, config: TrainConfig) -> EvalReport:
     """Train on original vs dequantized data and report the accuracy gap."""
     stored = QdsRecords(quantized_path)
     _check_same_dataset(stored, original)
-    train_idx, test_idx = stratified_split(original, test_fraction, config.seed)
+    train_idx, test_idx = stratified_split(original, config.seed)
     test_set = original.subset(test_idx)
 
     baseline = train(original, config, rows=train_idx)

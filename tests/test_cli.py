@@ -1,4 +1,5 @@
 import argparse
+import signal
 import warnings
 
 import numpy as np
@@ -204,6 +205,33 @@ class TestPipelineStages:
         assert err.startswith("error:")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+    def test_interrupted_writer_leaves_no_temp_file(self, tmp_path, capsys, synth_file,
+                                                    monkeypatch, signum):
+        def write_then_interrupt(_, path):
+            with open(path, "w") as fh:
+                fh.write("0\t0.5\n")
+            # a default handler here would end the test run, not fail a test
+            assert signal.getsignal(signum) not in (signal.SIG_DFL, signal.SIG_IGN)
+            signal.raise_signal(signum)
+
+        monkeypatch.setattr("dsquant.sensitivity.write_scores", write_then_interrupt)
+        sigterm_handler = signal.getsignal(signal.SIGTERM)
+        sigint_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        try:
+            code, out, err = run(capsys, "score", "--dataset", str(synth_file),
+                                 "--out", str(out_dir / "scores.tsv"))
+        except KeyboardInterrupt:  # would stop the test run, not fail a test
+            pytest.fail("the interrupt escaped main")
+        finally:
+            signal.signal(signal.SIGINT, sigint_handler)
+        assert code == 128 + signum
+        assert (out, err) == ("", "error: interrupted\n")
+        assert list(out_dir.iterdir()) == []
+        assert signal.getsignal(signal.SIGTERM) is sigterm_handler
+
     def test_stats_rejects_out_of_range_label(self, tmp_path, capsys, synth_file):
         self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
         qds_path = tmp_path / "data.qds"
@@ -224,6 +252,16 @@ class TestPipelineStages:
             code, _, err = run(capsys, *argv, "--qds", str(qds_path))
             assert code == EXIT_VALIDATION
             assert err == "error: unsupported flags 0xffff, expected 1\n"
+
+    @pytest.mark.parametrize("flag", [["--batch-size", "32"], ["--learning-rate", "1"],
+                                      ["--momentum", "0"], ["--weight-decay", "0"],
+                                      ["--no-normalize"]], ids=lambda flag: flag[0])
+    def test_compare_has_no_recipe_flags(self, capsys, synth_file, flag):
+        # the SGD recipe is constant: compare takes only --epochs and --seed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--dataset", str(synth_file), "--qds", "data.qds", *flag])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @staticmethod
     def _no_training(*args, **kwargs):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from reference import synth_half_noise
@@ -10,7 +12,6 @@ from dsquant.dataset import (
     read_dataset_file,
     synth_blobs,
     write_dataset_file,
-    write_raw,
 )
 
 
@@ -82,7 +83,8 @@ class TestRawIngestion:
             rng.standard_normal((3, 4)).astype(np.float32),
             np.array([0, 2, 1]),
         )
-        vdata, ldata = write_raw(original)
+        vdata = original.values.astype("<f4").tobytes()
+        ldata = original.labels.astype("<u4").tobytes()
         again = ingest_raw(vdata, ldata, original.shape, 3)
         np.testing.assert_array_equal(again.values, original.values)
         np.testing.assert_array_equal(again.labels, original.labels)
@@ -160,6 +162,25 @@ def test_dataset_file_round_trip(tmp_path):
     np.testing.assert_array_equal(again.labels, dset.labels)
     assert again.shape == dset.shape
     assert again.num_classes == dset.num_classes
+
+
+def test_dataset_file_is_written_from_the_arrays(tmp_path):
+    rng = np.random.default_rng(5)
+    dset = Dataset(SampleShape(32, 32, 3), 10,
+                   rng.standard_normal((2000, 3072), dtype=np.float32),
+                   rng.integers(0, 10, 2000))
+    path = tmp_path / "data.bin"
+    tracemalloc.start()
+    try:
+        write_dataset_file(dset, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no bytes copy of the 24 MiB of values, only the 8 KiB of u32 labels
+    assert peak < dset.values.nbytes // 8
+    body = path.read_bytes()[30:]
+    assert body == (dset.values.astype("<f4").tobytes()
+                    + dset.labels.astype("<u4").tobytes())
 
 
 def test_dataset_validation():

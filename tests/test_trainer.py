@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from reference import synth_half_noise
 
-from dsquant import trainer
+from dsquant import quantizer, trainer
 from dsquant.allocator import AllocationConfig, allocate
 from dsquant.dataset import Dataset, SampleShape, synth_blobs
 from dsquant.qds import write_qds
@@ -32,11 +33,16 @@ class TestTrain:
         assert evaluate(model, blobs) >= 0.99
 
     def test_zero_epochs_returns_initialization(self, blobs):
-        config = TrainConfig(epochs=0, normalize=False)
+        config = TrainConfig(epochs=0)
         model = train(blobs, config)
         init = LogisticModel.seeded(3, 16, config.seed)
-        np.testing.assert_array_equal(model.weights, init.weights)
-        np.testing.assert_array_equal(model.bias, init.bias)
+        x = blobs.values.astype(np.float64)
+        mean, std = x.mean(axis=0), x.std(axis=0)
+        std[std < 1e-8] = 1.0
+        # the initialization, folded through the normalization
+        weights = init.weights / std
+        np.testing.assert_array_equal(model.weights, weights)
+        np.testing.assert_array_equal(model.bias, init.bias - weights @ mean)
 
     def test_bitwise_deterministic(self, blobs):
         a = train(blobs, TrainConfig(epochs=3))
@@ -51,11 +57,11 @@ class TestTrain:
             train(empty, TrainConfig())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_reported(self, blobs):
-        config = TrainConfig(epochs=3, learning_rate=1e200, weight_decay=1.0,
-                             normalize=False)
+    def test_divergence_reported(self, blobs, monkeypatch):
+        monkeypatch.setattr(trainer, "LEARNING_RATE", 1e200)
+        monkeypatch.setattr(trainer, "WEIGHT_DECAY", 1.0)
         with pytest.raises(RuntimeError, match="diverged"):
-            train(blobs, config)
+            train(blobs, TrainConfig(epochs=3))
 
     def test_loss_mostly_non_increasing(self, blobs):
         _, curve = _fit(blobs, TrainConfig(epochs=15))
@@ -65,22 +71,27 @@ class TestTrain:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+
+    def test_config_is_epochs_and_seed(self):
+        # the SGD recipe is constant; only the run length and seed vary
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["epochs", "seed"]
 
 
 def reference_fit(dataset, config):
     """The fit as first written, with full-size float64 temporaries:
-    astype, np.std and (x - mean) / std."""
+    astype, np.std and (x - mean) / std. The hyper-parameters are the
+    literal defaults TrainConfig had when they were still fields (batch
+    64, learning rate 0.1, momentum 0.9, weight decay 2e-4, normalized),
+    so this also checks that the constant recipe is that configuration."""
+    batch_size, learning_rate, momentum, weight_decay = 64, 0.1, 0.9, 2e-4
     x = dataset.values.astype(np.float64)
     y = dataset.labels
     n, dim = x.shape
     classes = dataset.num_classes
-    if config.normalize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std[std < 1e-8] = 1.0
-        x = (x - mean) / std
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std < 1e-8] = 1.0
+    x = (x - mean) / std
     model = LogisticModel.seeded(classes, dim, config.seed)
     weights, bias = model.weights, model.bias
     vel_w = np.zeros_like(weights)
@@ -91,24 +102,23 @@ def reference_fit(dataset, config):
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = perm[start:start + config.batch_size]
+        for start in range(0, n, batch_size):
+            batch = perm[start:start + batch_size]
             xb, tb = x[batch], onehot[batch]
             probs = _softmax(xb @ weights.T + bias)
             epoch_loss += -np.log(
                 np.maximum(probs[np.arange(len(batch)), y[batch]], 1e-300)
             ).sum()
             residual = (probs - tb) / len(batch)
-            grad_w = residual.T @ xb + config.weight_decay * weights
+            grad_w = residual.T @ xb + weight_decay * weights
             grad_b = residual.sum(axis=0)
-            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+            vel_w = momentum * vel_w - learning_rate * grad_w
+            vel_b = momentum * vel_b - learning_rate * grad_b
             weights = weights + vel_w
             bias = bias + vel_b
         losses.append(epoch_loss / n)
-    if config.normalize:
-        weights = weights / std
-        bias = bias - weights @ mean
+    weights = weights / std
+    bias = bias - weights @ mean
     return LogisticModel(weights, bias), tuple(losses)
 
 
@@ -135,13 +145,12 @@ class TestFitOracle:
         (1, 16, False),
         (1, 16, True),
     ])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_bitwise_equal_to_reference(self, n, dim, subset, normalize):
+    def test_bitwise_equal_to_reference(self, n, dim, subset):
         dset = _varied(n, dim)
         rows = None
         if subset:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
-        config = TrainConfig(epochs=2, batch_size=32, normalize=normalize, seed=3)
+        config = TrainConfig(epochs=2, seed=3)
         model, curve = _fit(dset, config, rows=rows)
         ref_model, ref_curve = reference_fit(
             dset if rows is None else dset.subset(rows), config)
@@ -163,7 +172,7 @@ class TestFitOracle:
 
     def test_peak_memory_is_one_float64_matrix(self, monkeypatch):
         chunk = 1 << 14
-        monkeypatch.setattr(trainer, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
         n, dim = 4096, 64  # 16 row chunks
         dset = _varied(n, dim)
         tracemalloc.start()
@@ -205,18 +214,18 @@ class TestEvaluate:
 
 class TestStratifiedSplit:
     def test_disjoint_and_covering(self, blobs):
-        train_idx, test_idx = stratified_split(blobs, 0.2, seed=1)
+        train_idx, test_idx = stratified_split(blobs, seed=1)
         merged = np.sort(np.concatenate([train_idx, test_idx]))
         np.testing.assert_array_equal(merged, np.arange(len(blobs)))
 
     def test_per_class_proportions(self, blobs):
-        _, test_idx = stratified_split(blobs, 0.2, seed=1)
+        _, test_idx = stratified_split(blobs, seed=1)
         for c in range(3):
             assert np.sum(blobs.labels[test_idx] == c) == 20
 
     def test_seeded(self, blobs):
-        a = stratified_split(blobs, 0.2, seed=5)
-        b = stratified_split(blobs, 0.2, seed=5)
+        a = stratified_split(blobs, seed=5)
+        b = stratified_split(blobs, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
 
 
