@@ -116,8 +116,8 @@ def _cmd_stats(args, emit: _Emitter) -> int:
 
 
 def _cmd_compare(args, emit: _Emitter) -> int:
-    dset = ds.read_dataset_file(args.dataset)
-    report = trainer.compare(dset, args.qds, trainer.TrainConfig(args.epochs, args.seed))
+    report = trainer.compare(args.dataset, args.qds,
+                             trainer.TrainConfig(args.epochs, args.seed))
     emit.kv("train_accuracy", f"{report.train_accuracy:.9g}")
     emit.kv("test_accuracy", f"{report.test_accuracy:.9g}")
     emit.kv("baseline_test_accuracy", f"{report.baseline_test_accuracy:.9g}")

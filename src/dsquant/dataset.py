@@ -151,10 +151,14 @@ def synth_blobs(num_classes: int, dim: int, per_class: int,
         raise ValueError("invalid synthetic dataset sizes")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-4.0, 4.0, size=(num_classes, dim))
-    blocks = []
-    for c in range(num_classes):
-        blocks.append(means[c] + spread * rng.standard_normal((per_class, dim)))
-    values = np.clip(np.concatenate(blocks), -8.0, 8.0).astype(np.float32)
+    values = np.empty((num_classes * per_class, dim), dtype=np.float32)
+    # one float64 class block at a time: the same draws and arithmetic as
+    # means[c] + spread * normals, clipped, then cast on assignment
+    for c, block in enumerate(np.split(values, num_classes)):
+        draws = rng.standard_normal((per_class, dim))
+        draws *= spread
+        draws += means[c]
+        block[...] = np.clip(draws, -8.0, 8.0, out=draws)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(SampleShape(1, 1, dim), num_classes, values, labels)
 

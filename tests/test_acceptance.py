@@ -16,7 +16,7 @@ from dsquant.allocator import (
     compression_ratio,
     largest_remainder_sizes,
 )
-from dsquant.dataset import Dataset, SampleShape, synth_blobs
+from dsquant.dataset import Dataset, SampleShape, synth_blobs, write_dataset_file
 from dsquant.qds import HEADER_BYTES, read_qds, write_qds
 from dsquant.quantizer import (
     dequantize_rows,
@@ -195,12 +195,14 @@ def test_criterion_8_end_to_end_comparability(tmp_path):
     adaptive_deltas = []
     for seed in range(5):
         dset = synth_blobs(3, 64, 1000, 0.5, seed=seed)
+        dsr = tmp_path / f"data-{seed}.dsr"
+        write_dataset_file(dset, dsr)
         config = TrainConfig(epochs=10, seed=100 + seed)
 
         uniform = allocate(np.zeros(len(dset)), AllocationConfig((16,)))
         path = tmp_path / f"u16-{seed}.qds"
         write_qds(dset, uniform, path)
-        ok &= abs(compare(dset, path, config).accuracy_delta) <= 0.01
+        ok &= abs(compare(dsr, path, config).accuracy_delta) <= 0.01
 
         model = fit_scoring_model(dset, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
@@ -208,7 +210,7 @@ def test_criterion_8_end_to_end_comparability(tmp_path):
         ok &= adaptive.compression_ratio == 0.875
         path = tmp_path / f"a80-{seed}.qds"
         write_qds(dset, adaptive, path)
-        adaptive_deltas.append(compare(dset, path, config).accuracy_delta)
+        adaptive_deltas.append(compare(dsr, path, config).accuracy_delta)
     ok &= float(np.mean(adaptive_deltas)) >= -0.05
     _verdict(8, "end-to-end comparability", ok)
 
@@ -217,6 +219,8 @@ def test_criterion_9_adaptive_beats_fixed(tmp_path):
     margins = []
     for seed in range(5):
         dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
+        dsr = tmp_path / f"half-noise-{seed}.dsr"
+        write_dataset_file(dset, dsr)
         model = fit_scoring_model(dset, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
         adaptive = allocate(scores, AllocationConfig((8, 0)))
@@ -227,7 +231,7 @@ def test_criterion_9_adaptive_beats_fixed(tmp_path):
         for name, plan in (("adaptive", adaptive), ("fixed", fixed)):
             path = tmp_path / f"{name}-{seed}.qds"
             write_qds(dset, plan, path)
-            deltas[name] = compare(dset, path, config).accuracy_delta
+            deltas[name] = compare(dsr, path, config).accuracy_delta
         margins.append(deltas["adaptive"] - deltas["fixed"])
     _verdict(9, "adaptive beats fixed at equal budget",
              float(np.mean(margins)) > 0.0)

@@ -1,10 +1,13 @@
 import argparse
+import os
 import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from dsquant import trainer
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
@@ -278,7 +281,7 @@ class TestPipelineStages:
         code, _, _ = run(capsys, "ingest", "--synth", other, "--out", str(other_file))
         assert code == EXIT_OK
         self._score_allocate_quantize(tmp_path, capsys, other_file, "8,4")
-        monkeypatch.setattr("dsquant.trainer._fit", self._no_training)
+        monkeypatch.setattr("dsquant.trainer._descend", self._no_training)
         code, _, err = run(capsys, "compare", "--dataset", str(synth_file),
                            "--qds", str(tmp_path / "data.qds"), "--epochs", "1")
         assert code == EXIT_VALIDATION
@@ -292,11 +295,60 @@ class TestPipelineStages:
         data = bytearray(qds_path.read_bytes())
         data[35:39] = (2).to_bytes(4, "little")  # record 0 is class 0
         qds_path.write_bytes(bytes(data))
-        monkeypatch.setattr("dsquant.trainer._fit", self._no_training)
+        monkeypatch.setattr("dsquant.trainer._descend", self._no_training)
         code, _, err = run(capsys, "compare", "--dataset", str(synth_file),
                            "--qds", str(qds_path), "--epochs", "1")
         assert code == EXIT_VALIDATION
         assert "record 0: quantized file has label 2, dataset has 0" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_compare_reports_divergence_in_the_child(self, tmp_path, capsys, synth_file,
+                                                     monkeypatch):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        parent, descend = os.getpid(), trainer._descend
+
+        def diverge_in_child(*args):
+            if os.getpid() != parent:  # the baseline arm's process
+                trainer.LEARNING_RATE = 1e200
+            return descend(*args)
+
+        monkeypatch.setattr(trainer, "_descend", diverge_in_child)
+        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: True)
+        code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
+                             "--qds", str(tmp_path / "data.qds"), "--epochs", "3")
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: training diverged (non-finite loss)\n")
+
+    @pytest.mark.parametrize("when", ["mid-fit", "at-fork"])
+    def test_sigterm_kills_and_reaps_the_child(self, tmp_path, capsys, synth_file,
+                                               monkeypatch, forks, when):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        parent, fork = os.getpid(), os.fork
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:  # before the parent holds the child's pid
+                signal.raise_signal(signal.SIGTERM)
+            return pid
+
+        def interrupted_fit(*args):
+            if os.getpid() != parent:
+                time.sleep(60)  # the baseline arm, still training when the parent stops
+            signal.raise_signal(signal.SIGTERM)
+
+        if when == "at-fork":
+            monkeypatch.setattr(os, "fork", interrupted_fork)
+        else:
+            monkeypatch.setattr(trainer, "_descend", interrupted_fit)
+        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: True)
+        start = time.monotonic()
+        code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
+                             "--qds", str(tmp_path / "data.qds"), "--epochs", "50")
+        assert code == 128 + signal.SIGTERM
+        assert (out, err) == ("", "error: interrupted\n")
+        assert len(forks) == 1 and time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):  # killed and reaped, not left running
+            os.waitpid(forks[0], os.WNOHANG)
 
     def test_quantize_and_stats_print_the_storage_report(self, tmp_path, capsys,
                                                          synth_file):

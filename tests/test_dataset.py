@@ -140,6 +140,40 @@ class TestSyntheticBlobs:
             synth_blobs(2, 4, 10, 0.0, seed=0)
 
 
+def reference_synth_blobs(num_classes, dim, per_class, spread, seed):
+    """synth_blobs' values as first written: all float64 blocks at once."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(-4.0, 4.0, size=(num_classes, dim))
+    blocks = [means[c] + spread * rng.standard_normal((per_class, dim))
+              for c in range(num_classes)]
+    return np.clip(np.concatenate(blocks), -8.0, 8.0).astype(np.float32)
+
+
+class TestSyntheticBlobsMemory:
+    @pytest.mark.parametrize("args", [(3, 8, 10, 0.5, 99), (2, 4, 50, 10.0, 5),
+                                      (10, 64, 37, 2.5, 1), (4, 3072, 5, 3.0, 7)])
+    def test_same_dataset_file_bytes_as_the_reference(self, tmp_path, args):
+        num_classes, dim, per_class, _, _ = args
+        path = tmp_path / "data.dsr"
+        write_dataset_file(synth_blobs(*args), path)
+        labels = np.repeat(np.arange(num_classes), per_class).astype("<u4")
+        body = path.read_bytes()[30:]
+        assert body == reference_synth_blobs(*args).tobytes() + labels.tobytes()
+
+    def test_peak_memory_is_the_output_plus_one_class_block(self):
+        classes, dim, per_class = 8, 256, 512
+        n = classes * per_class
+        tracemalloc.start()
+        try:
+            synth_blobs(classes, dim, per_class, 1.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # float32 output, one float64 block, int64 labels, Dataset's isfinite
+        # mask and 64 KiB to spare; the reference peaks at about six outputs
+        assert peak <= n * dim * 4 + per_class * dim * 8 + n * 8 + n * dim + (1 << 16)
+
+
 class TestHalfNoise:
     def test_composition(self):
         dset = synth_half_noise(3, 8, 50, 0.5, seed=4)

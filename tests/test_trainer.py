@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,14 @@ from reference import synth_half_noise
 
 from dsquant import quantizer, trainer
 from dsquant.allocator import AllocationConfig, allocate
-from dsquant.dataset import Dataset, SampleShape, synth_blobs
-from dsquant.qds import write_qds
+from dsquant.dataset import (
+    Dataset,
+    SampleShape,
+    read_dataset_file,
+    synth_blobs,
+    write_dataset_file,
+)
+from dsquant.qds import QdsRecords, write_qds
 from dsquant.sensitivity import LogisticModel, _softmax, score_dataset
 from dsquant.trainer import (
     EvalReport,
@@ -229,6 +238,37 @@ class TestStratifiedSplit:
         np.testing.assert_array_equal(a[0], b[0])
 
 
+def _dataset_file(tmp_path, dset, name="data.dsr"):
+    path = tmp_path / name
+    write_dataset_file(dset, path)
+    return path
+
+
+def reference_compare(dataset_path, quantized_path, config):
+    """compare as first written: one process, the baseline arm first,
+    a float32 dequantized training set, and evaluate() throughout."""
+    original = read_dataset_file(dataset_path)
+    stored = QdsRecords(quantized_path)
+    train_idx, test_idx = stratified_split(original, config.seed)
+    test_set = original.subset(test_idx)
+    baseline_acc = evaluate(train(original, config, rows=train_idx), test_set)
+    quant_train = stored.training_set(train_idx)
+    quant_model, curve = _fit(quant_train, config)
+    quant_acc = evaluate(quant_model, test_set)
+    return EvalReport(evaluate(quant_model, quant_train), quant_acc, curve,
+                      quant_acc - baseline_acc, baseline_acc)
+
+
+@pytest.fixture(scope="module")
+def pruned(tmp_path_factory):
+    """A dataset file and a QDS file of it at widths 8, 4 and 0."""
+    tmp_path = tmp_path_factory.mktemp("pruned")
+    dset = synth_blobs(4, 48, 150, 2.0, seed=3)
+    scores = score_dataset(dset, fit_scoring_model(dset), 4)
+    write_qds(dset, allocate(scores, AllocationConfig((8, 4, 0))), tmp_path / "data.qds")
+    return _dataset_file(tmp_path, dset), tmp_path / "data.qds"
+
+
 class TestCompare:
     def test_16bit_uniform_preserves_accuracy(self, tmp_path):
         dset = synth_blobs(3, 64, 1000, 0.5, seed=0)
@@ -236,21 +276,106 @@ class TestCompare:
         plan = allocate(np.zeros(len(dset)), cfg)
         path = tmp_path / "u16.qds"
         write_qds(dset, plan, path)
-        report = compare(dset, path, TrainConfig(epochs=10))
+        report = compare(_dataset_file(tmp_path, dset), path, TrainConfig(epochs=10))
         assert isinstance(report, EvalReport)
         assert abs(report.accuracy_delta) <= 0.01
         assert len(report.loss_curve) == 10
 
-    def test_everything_dropped_is_an_error(self, tmp_path):
+    def test_everything_dropped_is_an_error(self, tmp_path, forks):
         dset = synth_blobs(3, 8, 20, 0.5, seed=0)
-        plan = allocate(np.zeros(len(dset)), AllocationConfig((8,), prune_ratio=0.0))
-        assignments = np.zeros(len(dset), np.int32)
         from dsquant.allocator import AllocationPlan
-        plan = AllocationPlan.from_assignments(assignments)
+        plan = AllocationPlan.from_assignments(np.zeros(len(dset), np.int32))
         path = tmp_path / "all0.qds"
         write_qds(dset, plan, path)
         with pytest.raises(ValueError, match="empty training set"):
-            compare(dset, path, TrainConfig(epochs=1))
+            compare(_dataset_file(tmp_path, dset), path, TrainConfig(epochs=1))
+        assert forks == []  # rejected before any training
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["concurrent", "inline"])
+    def test_both_paths_match_the_reference(self, pruned, forks, monkeypatch, fork):
+        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: fork)
+        config = TrainConfig(epochs=4, seed=5)
+        report = compare(*pruned, config)
+        assert len(forks) == int(fork)
+        # EvalReport equality compares every float and the loss curve exactly
+        assert report == reference_compare(*pruned, config)
+        assert len(report.loss_curve) == 4
+
+    def test_arms_run_concurrently_on_two_cores(self, pruned, forks):
+        if len(os.sched_getaffinity(0)) < 2 or trainer._openblas_threads() is None:
+            pytest.skip("needs two usable cores and a settable OpenBLAS")
+        compare(*pruned, TrainConfig(epochs=1))
+        assert len(forks) == 1
+
+    def test_fits_run_on_one_blas_thread_and_restore_the_count(self, pruned,
+                                                                monkeypatch):
+        controls = trainer._openblas_threads()
+        if controls is None:
+            pytest.skip("NumPy's BLAS is not a settable OpenBLAS")
+        get, set_ = controls
+        descend, seen = trainer._descend, []
+
+        def recording(*args):
+            seen.append(get())
+            return descend(*args)
+
+        monkeypatch.setattr(trainer, "_descend", recording)
+        before = get()
+        set_(3)
+        try:
+            compare(*pruned, TrainConfig(epochs=1))
+            assert get() == 3
+        finally:
+            set_(before)
+        # inline both fits record here; forked, the child's record stays there
+        assert seen and set(seen) == {1}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_child_divergence_is_raised_in_the_parent(self, pruned, monkeypatch):
+        parent, descend = os.getpid(), trainer._descend
+
+        def diverge_in_child(*args):
+            if os.getpid() != parent:
+                trainer.LEARNING_RATE = 1e200
+            return descend(*args)
+
+        monkeypatch.setattr(trainer, "_descend", diverge_in_child)
+        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: True)
+        with pytest.raises(RuntimeError, match=r"^training diverged \(non-finite loss\)$"):
+            compare(*pruned, TrainConfig(epochs=2))
+
+    def test_child_killed_by_a_signal_is_an_error(self):
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with trainer._Started(killed, fork=True) as started:
+            with pytest.raises(RuntimeError, match="exited with code -9"):
+                started.result()
+
+    def test_leaving_the_block_kills_and_reaps_a_running_child(self, forks):
+        with pytest.raises(KeyError):
+            with trainer._Started(lambda: time.sleep(60), fork=True):
+                raise KeyError("the parent's arm failed")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_child_takes_the_default_stop_signal_handlers(self):
+        def defaults() -> float:
+            return float(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+                         and signal.getsignal(signal.SIGINT) is signal.SIG_DFL)
+
+        previous = signal.signal(signal.SIGTERM, lambda *args: None)  # as cli.main sets
+        try:
+            with trainer._Started(defaults, fork=True) as started:
+                assert started.result() == 1.0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_child_result_is_sent_bitwise(self):
+        value = 1 / 3 + 2 ** -52
+        with trainer._Started(lambda: value, fork=True) as started:
+            assert started.result() == value
 
     def test_adaptive_beats_fixed_on_half_noise(self, tmp_path):
         # half the samples are label-free lattice noise: the adaptive
@@ -259,6 +384,7 @@ class TestCompare:
         margins = []
         for seed in range(2):
             dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
+            dsr = _dataset_file(tmp_path, dset, f"half-noise{seed}.dsr")
             model = fit_scoring_model(dset, seed=42 + seed)
             scores = score_dataset(dset, model, 4)
             adaptive = allocate(scores, AllocationConfig((8, 0)))
@@ -269,6 +395,6 @@ class TestCompare:
             for name, plan in (("adaptive", adaptive), ("fixed", fixed)):
                 path = tmp_path / f"{name}{seed}.qds"
                 write_qds(dset, plan, path)
-                deltas[name] = compare(dset, path, config).accuracy_delta
+                deltas[name] = compare(dsr, path, config).accuracy_delta
             margins.append(deltas["adaptive"] - deltas["fixed"])
         assert np.mean(margins) > 0
