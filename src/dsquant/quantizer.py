@@ -3,7 +3,8 @@
 A sample is quantized with a single positive scale s derived from its
 maximum absolute value m: s = (m + 1e-12) / (2^(b-1) - 1). Codes are
 signed integers in [-Q, Q] with Q = 2^(b-1) - 1; reconstruction is
-s * code. Rounding is half-away-from-zero. Bit-width 0 means the sample
+s * code. Rounding is half-away-from-zero (one routine, _rounded, for
+the codes and for score's probe). Bit-width 0 means the sample
 is dropped; bit-width 1 is rejected (its code range would collapse to
 {0}).
 
@@ -70,27 +71,52 @@ class PackedCodes:
     bit_width: int
 
 
+def _scales(values: np.ndarray, q: int) -> np.ndarray:
+    """Each row's float32 scale (m + EPSILON) / q, m its max |value|."""
+    # the max of |values| before the float64 cast: the cast keeps order
+    m = np.abs(values).max(axis=1, initial=0).astype(np.float64)
+    if not np.isfinite(m).all():  # a NaN or inf anywhere in a row reaches its max
+        raise ValueError("sample values must be finite")
+    return ((m + EPSILON) / q).astype(np.float32)
+
+
+def _rounded(scaled: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
+    """Round scaled half away from zero and clip it to [-q, q], in place.
+    signs is any array with scaled's signs, such as the values before
+    their (positive) scales divided them, so no sign mask is needed."""
+    np.abs(scaled, out=scaled)
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    np.minimum(scaled, q, out=scaled)
+    return np.copysign(scaled, signs, out=scaled)
+
+
 def quantize_rows(values, bit_width: int):
     """Quantize each row of an (N, D) array; returns (int32 codes, float32 scales)."""
     q = max_code(bit_width)
-    rows = np.asarray(values, dtype=np.float64)
-    m = np.abs(rows).max(axis=1, initial=0.0)
-    if not np.isfinite(m).all():  # a NaN or inf anywhere in a row reaches its max
-        raise ValueError("sample values must be finite")
-    scales = ((m + EPSILON) / q).astype(np.float32)
-    scaled = rows / scales.astype(np.float64)[:, None]
-    # round half away from zero, symmetric about 0
-    rounded = np.abs(scaled)
-    rounded += 0.5
-    np.floor(rounded, out=rounded)
-    np.copysign(rounded, scaled, out=rounded)
-    return np.clip(rounded, -q, q, out=rounded).astype(np.int32), scales
+    values = np.asarray(values)
+    scales = _scales(values, q)
+    scaled = values.astype(np.float64)
+    scaled /= scales.astype(np.float64)[:, None]
+    return _rounded(scaled, values, q).astype(np.int32), scales
 
 
 def dequantize_rows(codes, scales) -> np.ndarray:
     """Reconstruct float32 rows as scale * code."""
     return (np.asarray(scales, dtype=np.float64)[:, None]
             * np.asarray(codes, dtype=np.float64)).astype(np.float32)
+
+
+def round_trip_rows(values: np.ndarray, x: np.ndarray, bit_width: int) -> np.ndarray:
+    """dequantize_rows(*quantize_rows(values, bit_width)) without the
+    int32 codes, from x, values' float64 copy, which it only reads. The
+    two agree bit for bit except that a zero may keep the sign of the
+    value it came from (the int32 codes have no -0)."""
+    q = max_code(bit_width)
+    scales = _scales(values, q).astype(np.float64)[:, None]
+    scaled = _rounded(x / scales, x, q)
+    scaled *= scales
+    return scaled.astype(np.float32)
 
 
 def pack_code_rows(codes, bit_width: int) -> np.ndarray:

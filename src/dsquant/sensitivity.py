@@ -14,14 +14,31 @@ insensitive (S = 0).
 score_dataset uses the closed form of LogisticModel's gradient
 g = [r (x) x, r], r = p - onehot(y): <g1, g2> = (r1.r2)(x1.x2 + 1) and
 ||g||^2 = ||r||^2 (||x||^2 + 1), so it never builds the C x D gradients.
+Its probe is quantizer.round_trip_rows, the quantize/dequantize round
+trip taken straight from the float64 rows the closed form needs anyway.
+
+The scoring pass is elementwise work plus two small GEMMs per row chunk
+(quantizer.row_chunks), so it splits by rows: with two chunks or more,
+on two usable cores, a forked child scores the second half of the
+chunks while the caller scores the first, each with OpenBLAS on one
+thread (see dsquant.parallel), and the child sends its float64 scores
+back as bytes. The scores are the same bit for bit either way.
+
+Memory: the child shares the caller's float32 rows rather than copying
+them. Beyond those rows and the model, each process holds its half of
+the scores and one chunk's temporaries: at most two float64 arrays and
+one float32 array of the chunk at once, 20 bytes per chunk element
+(20 MiB at quantizer.CHUNK_ELEMENTS, where the probe through int32
+codes and dequantize_rows took 48 MiB).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import parallel
 from .dataset import read_indexed, write_indexed
-from .quantizer import dequantize_rows, quantize_rows, row_chunks
+from .quantizer import round_trip_rows, row_chunks
 
 NORM_FLOOR = 1e-12
 
@@ -104,25 +121,44 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _chunk_scores(dataset, model: LogisticModel, chunk: slice,
+                  probe_bit_width: int) -> np.ndarray:
+    values = dataset.values[chunk]
+    x = values.astype(np.float64)
+    x_tilde = round_trip_rows(values, x, probe_bit_width).astype(np.float64)
+    onehot = np.eye(model.num_classes)[dataset.labels[chunk]]
+    r, r_tilde = model.probabilities(x) - onehot, model.probabilities(x_tilde) - onehot
+    dot = _row_dot(r, r_tilde) * (_row_dot(x, x_tilde) + 1.0)
+    norm = np.sqrt(_row_dot(r, r) * (_row_dot(x, x) + 1.0))
+    norm_tilde = np.sqrt(_row_dot(r_tilde, r_tilde) * (_row_dot(x_tilde, x_tilde) + 1.0))
+    # exact fidelity must score exactly zero; near-zero gradients are insensitive
+    insensitive = ((x == x_tilde).all(axis=1)
+                   | (norm < NORM_FLOOR) | (norm_tilde < NORM_FLOOR))
+    cosine = dot / np.where(insensitive, 1.0, norm * norm_tilde)
+    return np.where(insensitive, 0.0, 1.0 - np.clip(cosine, -1.0, 1.0))
+
+
+def _scores(dataset, model: LogisticModel, chunks, probe_bit_width: int) -> np.ndarray:
+    """The scores of the rows that chunks, consecutive slices, cover."""
+    scores = [_chunk_scores(dataset, model, chunk, probe_bit_width) for chunk in chunks]
+    return np.concatenate(scores) if scores else np.zeros(0)
+
+
 def score_dataset(dataset, model: LogisticModel,
                   probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
-    """Score every sample; output index i corresponds to sample i."""
-    scores = np.zeros(len(dataset), dtype=np.float64)
-    for chunk in row_chunks(len(dataset), dataset.shape.element_count):
-        values = dataset.values[chunk]
-        probed = dequantize_rows(*quantize_rows(values, probe_bit_width))
-        x, x_tilde = values.astype(np.float64), probed.astype(np.float64)
-        onehot = np.eye(model.num_classes)[dataset.labels[chunk]]
-        r, r_tilde = model.probabilities(x) - onehot, model.probabilities(x_tilde) - onehot
-        dot = _row_dot(r, r_tilde) * (_row_dot(x, x_tilde) + 1.0)
-        norm = np.sqrt(_row_dot(r, r) * (_row_dot(x, x) + 1.0))
-        norm_tilde = np.sqrt(_row_dot(r_tilde, r_tilde) * (_row_dot(x_tilde, x_tilde) + 1.0))
-        # exact fidelity must score exactly zero; near-zero gradients are insensitive
-        insensitive = ((values == probed).all(axis=1)
-                       | (norm < NORM_FLOOR) | (norm_tilde < NORM_FLOOR))
-        cosine = dot / np.where(insensitive, 1.0, norm * norm_tilde)
-        scores[chunk] = np.where(insensitive, 0.0, 1.0 - np.clip(cosine, -1.0, 1.0))
-    return scores
+    """Score every sample; output index i corresponds to sample i. With
+    two row chunks or more, a forked child scores the second half of
+    them where parallel.use_fork allows (see the module docstring)."""
+    chunks = row_chunks(len(dataset), dataset.shape.element_count)
+    half = len(chunks) // 2
+
+    def second_half() -> bytes:
+        return _scores(dataset, model, chunks[half:], probe_bit_width).tobytes()
+
+    with (parallel.one_blas_thread() as pinned,
+          parallel.Started(second_half, parallel.use_fork(pinned) and half > 0) as started):
+        first = _scores(dataset, model, chunks[:half], probe_bit_width)
+        return np.concatenate([first, np.frombuffer(started.result())])
 
 
 def gradient_check(model: LogisticModel, values, label: int, step: float) -> float:

@@ -14,14 +14,21 @@ alignment through drop tombstones), and evaluates both on the same
 held-out split of the original data. The two fits are independent, so
 where it can compare() runs them at once: the baseline arm in a forked
 child, the quantized arm in the caller's process, each with OpenBLAS on
-one thread. The child sends back only its test accuracy, as the 8 bytes
-of a "<d", so the report is the same bit for bit whether the arms run at
-once or one after the other.
+one thread (see dsquant.parallel). The child sends back only its test
+accuracy, as the 8 bytes of a "<d", so the report is the same bit for
+bit whether the arms run at once or one after the other.
 
-Memory: a fit holds one float64 copy of its training rows, standardized
-in place a row chunk (quantizer.row_chunks) at a time, so it peaks at 8
-bytes per trained element plus one chunk. compare() orders its work to
-keep the sum over its two processes near a single process's peak:
+Memory: train() holds no float64 copy of its training rows. It sums the
+per-feature mean and variance a row chunk (quantizer.row_chunks) at a
+time in row order, then standardizes each batch as it gathers it from
+the float32 rows, bit for bit as on a standardized matrix. So it peaks
+at one float64 chunk (8 MiB) plus the model, whatever the row count;
+fit_scoring_model(), score's one-epoch fit, is this path. compare()'s
+30-epoch fits gather each batch from one float64 matrix instead, which
+is cheaper per step: a fit holds that matrix, standardized in place a
+row chunk at a time, so it peaks at 8 bytes per trained element plus
+one chunk. compare() orders its work to keep the sum over its two
+processes near a single process's peak:
   1. It reads the original float32 data, keeps its float32 test split
      and the QDS file's bytes, builds and standardizes the baseline
      matrix and frees the original. Peak: original + test split + QDS
@@ -40,29 +47,16 @@ keep the sum over its two processes near a single process's peak:
      differently), one at a time.
 The sequential fallback runs the same steps with the baseline arm
 finished, and its matrix freed, before the quantized one is built.
-
-Forking: on Python >= 3.12, os.fork() warns when the process has more
-than one thread. compare() forks only when no other Python thread runs,
-and OpenBLAS stops its worker threads in its own fork handler, so the
-child holds only the forking thread; that one warning is silenced for
-the fork call alone.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
-import pickle
-import signal
 import struct
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .dataset import Dataset, read_dataset_file
 from .qds import QdsRecords
 from .quantizer import dequantize_rows, row_chunks
@@ -75,15 +69,6 @@ WEIGHT_DECAY = 2e-4
 TEST_FRACTION = 0.2  # held out of each class by compare()
 
 _STD_FLOOR = 1e-8
-
-# (get, set) thread-count symbols of the OpenBLAS builds NumPy ships:
-# NumPy 2 wheels, NumPy 1 wheels, a system OpenBLAS
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 @dataclass(frozen=True)
@@ -122,31 +107,77 @@ def _dequantized(stored: QdsRecords, rows: np.ndarray) -> np.ndarray:
     return x
 
 
+def _row_sum(blocks) -> np.ndarray:
+    """The axis-0 sum of the float64 row blocks that blocks yields, bit
+    for bit as one sum over their concatenation: an axis-0 sum adds rows
+    in order, so the running total is folded into each later block's
+    first row (which changes the block)."""
+    total = None
+    for block in blocks:
+        if total is not None:
+            block[0] += total
+        total = block.sum(axis=0)
+        del block  # before blocks makes the next one
+    return total
+
+
+def _std(squares_total: np.ndarray, n: int) -> np.ndarray:
+    std = np.sqrt(squares_total / n)
+    std[std < _STD_FLOOR] = 1.0
+    return std
+
+
 def _standardized(x: np.ndarray):
     """Standardize x in place per feature; returns (x, mean, std).
 
     Bit for bit this is mean(axis=0), std(axis=0) and (x - mean) / std,
-    without their full-size temporaries: an axis-0 sum adds rows in
-    order, so the squared deviations are summed a row chunk at a time
-    with the running total folded into each chunk's first row.
+    without their full-size temporaries: the squared deviations are
+    summed a row chunk at a time.
     """
     n, dim = x.shape
     mean = x.mean(axis=0)
     x -= mean
-    total = np.zeros(dim)
-    for chunk in row_chunks(n, dim):
-        squares = np.square(x[chunk])
-        squares[0] += total
-        total = squares.sum(axis=0)
-    std = np.sqrt(total / n)
-    std[std < _STD_FLOOR] = 1.0
+    std = _std(_row_sum(np.square(x[chunk]) for chunk in row_chunks(n, dim)), n)
     x /= std
     return x, mean, std
 
 
+class _StandardizedRows:
+    """The rows of values (all of them, or rows in that order),
+    standardized on the fly: self[batch] gathers the batch from values
+    and equals x[batch] of _standardized's matrix bit for bit. The mean
+    and variance are summed a row chunk at a time in row order, so no
+    float64 copy of the rows is ever held."""
+
+    def __init__(self, values: np.ndarray, rows=None):
+        self._values, self._rows = values, rows
+        self.shape = (len(values) if rows is None else len(rows), values.shape[1])
+        chunks = row_chunks(*self.shape)
+        self.mean = _row_sum(map(self._float64, chunks)) / self.shape[0]
+        self.std = _std(_row_sum(map(self._squared_deviations, chunks)), self.shape[0])
+
+    def _float64(self, index) -> np.ndarray:
+        return self._values[index if self._rows is None else self._rows[index]].astype(np.float64)
+
+    def _centred(self, index) -> np.ndarray:
+        x = self._float64(index)
+        x -= self.mean
+        return x
+
+    def _squared_deviations(self, index) -> np.ndarray:
+        x = self._centred(index)
+        return np.square(x, out=x)
+
+    def __getitem__(self, batch) -> np.ndarray:
+        x = self._centred(batch)
+        x /= self.std
+        return x
+
+
 def _descend(x, mean, std, y, classes: int, config: TrainConfig):
-    """Fit the recipe on the standardized matrix x, whose rows are
-    labelled y; x is only read. Returns the model on raw inputs and the
+    """Fit the recipe on the standardized rows x, labelled y: a matrix
+    from _standardized, or a _StandardizedRows, either only read through
+    x.shape and x[batch]. Returns the model on raw inputs and the
     per-epoch mean loss curve."""
     n, dim = x.shape
     model = LogisticModel.seeded(classes, dim, config.seed)
@@ -187,12 +218,13 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
 def _fit(dataset: Dataset, config: TrainConfig, rows=None):
     """Train on dataset (or on its rows, in that order); returns the
     model and the per-epoch mean loss curve."""
-    rows = np.arange(len(dataset)) if rows is None else np.asarray(rows, dtype=np.int64)
-    y = dataset.labels[rows]
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+    y = dataset.labels if rows is None else dataset.labels[rows]
     if len(y) == 0:
         raise ValueError("cannot train on an empty dataset")
-    return _descend(*_standardized(_gathered(dataset.values, rows)),
-                    y, dataset.num_classes, config)
+    x = _StandardizedRows(dataset.values, rows)
+    return _descend(x, x.mean, x.std, y, dataset.num_classes, config)
 
 
 def train(dataset: Dataset, config: TrainConfig, rows=None) -> LogisticModel:
@@ -252,142 +284,17 @@ def _check_same_dataset(stored: QdsRecords, original: Dataset) -> None:
                          f"dataset has {original.labels[i]}")
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS that NumPy
-    loaded, found by symbol; None without one."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-        for path in paths:
-            lib = ctypes.CDLL(path)
-            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-                get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    except OSError:  # no /proc, or a library that will not load
-        pass
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread and restore the caller's
-    count after it; yields whether the count could be set."""
-    controls = _openblas_threads()
-    if controls is None:
-        yield False
-        return
-    get, set_ = controls
-    previous = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(previous)
-
-
-def _fork_arms(one_blas_thread: bool) -> bool:
-    """Whether to train the arms at once: two usable cores, one BLAS
-    thread per process (else the processes' BLAS threads oversubscribe
-    the cores), and no other Python thread that a fork could strand."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (one_blas_thread and affinity is not None and len(affinity(0)) >= 2
-            and threading.active_count() == 1)
-
-
-def _run_child(arm, reader: int, writer: int, mask):
-    """The forked child: run arm, send back its result as "<d" or its
-    exception pickled, and leave without the parent's cleanup."""
-    status = 1
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(reader)
-        try:
-            message, status = struct.pack("<d", arm()), 0
-        except Exception as exc:  # anything else exits with status 1
-            message = pickle.dumps(exc)
-        with open(writer, "wb") as fh:
-            fh.write(message)
-    finally:
-        os._exit(status)
-
-
-class _Started:
-    """arm(), which returns a float, started on entering the with block:
-    in a forked child with fork, else run here and then. Once it starts
-    no reference to arm is kept here, so with fork the child's copy of
-    its data is the only one left. result() returns its value or raises
-    its exception; leaving the block kills and reaps a child still there."""
-
-    def __init__(self, arm, fork: bool):
-        self._arm, self._fork = arm, fork
-        self._pid = self._pipe = None
-
-    def __enter__(self):
-        arm, self._arm = self._arm, None
-        if not self._fork:
-            self._value = arm()
-            return self
-        reader, writer = os.pipe()
-        self._pipe = open(reader, "rb")
-        # SIGINT and SIGTERM wait until the child has reset its handlers and
-        # the parent holds the child's pid, so neither runs the other's cleanup
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
-        try:
-            try:
-                with warnings.catch_warnings():  # see "Forking" in the module docstring
-                    warnings.filterwarnings(
-                        "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
-                    self._pid = os.fork()
-                if self._pid == 0:
-                    _run_child(arm, reader, writer, mask)
-            finally:
-                os.close(writer)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a pending signal raises here
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._pid:
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-        if self._pipe is not None:
-            self._pipe.close()
-
-    def _reap(self) -> int:
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        return os.waitstatus_to_exitcode(status)
-
-    def result(self) -> float:
-        if not self._fork:
-            return self._value
-        message = self._pipe.read()
-        code = self._reap()
-        if code == 0:
-            return struct.unpack("<d", message)[0]
-        if message:
-            raise pickle.loads(message)
-        raise RuntimeError(f"baseline training process exited with code {code}")
-
-
 def _baseline_arm(original: Dataset, rows: np.ndarray, test_set: Dataset,
                   config: TrainConfig):
     """Build the baseline arm's standardized matrix now; the returned
-    function fits on it, frees it, and returns the test accuracy."""
+    function fits on it, frees it, and returns the test accuracy as the
+    8 bytes of a "<d"."""
     y, classes = original.labels[rows], original.num_classes
     matrix = [_standardized(_gathered(original.values, rows))]
 
-    def run() -> float:
+    def run() -> bytes:
         model, _ = _descend(*matrix.pop(), y, classes, config)
-        return evaluate(model, test_set)
+        return struct.pack("<d", evaluate(model, test_set))
     return run
 
 
@@ -406,11 +313,12 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
     baseline = _baseline_arm(original, train_idx, test_set, config)
     del original  # its float32 values must not outlive the fork
     labels, classes = stored.labels[kept], stored.header.num_classes
-    with _one_blas_thread() as pinned, _Started(baseline, _fork_arms(pinned)) as started:
+    with (parallel.one_blas_thread() as pinned,
+          parallel.Started(baseline, parallel.use_fork(pinned)) as started):
         del baseline  # the baseline matrix now lives only where the arm ran or runs
         quant_model, curve = _descend(*_standardized(_dequantized(stored, kept)),
                                       labels, classes, config)
-        baseline_acc = started.result()
+        baseline_acc, = struct.unpack("<d", started.result())
     quant_acc = evaluate(quant_model, test_set)
     return EvalReport(
         train_accuracy=_accuracy(quant_model, _dequantized(stored, kept), labels),

@@ -1,6 +1,7 @@
-"""Reference code shared by the tests: an independent bit decoder and the
-half-noise fixture of the acceptance gate. No pipeline stage uses either,
-so they live here rather than in the dsquant package."""
+"""Reference code shared by the tests: an independent bit decoder, the
+row quantizer as first written, and the half-noise fixture of the
+acceptance gate. No pipeline stage uses them, so they live here rather
+than in the dsquant package."""
 
 import numpy as np
 
@@ -15,6 +16,20 @@ def reference_unpack(payload: bytes, count: int, bit_width: int) -> np.ndarray:
     mask, q = (1 << bit_width) - 1, (1 << (bit_width - 1)) - 1
     return np.array([((data >> (end - (i + 1) * bit_width)) & mask) - q
                      for i in range(count)], dtype=np.int64)
+
+
+def reference_quantize_rows(values, bit_width: int):
+    """quantize_rows as first written, with full-size float64
+    temporaries: the float64 cast first, then the abs-max, the scaled
+    rows, copysign(floor(|scaled| + 0.5), scaled) and a clip. The QDS
+    payloads and scales it gives are the format's reference."""
+    q = (1 << (bit_width - 1)) - 1
+    rows = np.asarray(values, dtype=np.float64)
+    m = np.abs(rows).max(axis=1, initial=0.0)
+    scales = ((m + 1e-12) / q).astype(np.float32)
+    scaled = rows / scales.astype(np.float64)[:, None]
+    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    return np.clip(rounded, -q, q).astype(np.int32), scales
 
 
 def synth_half_noise(num_classes: int, dim: int, per_class: int,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dsquant import trainer
+from dsquant import parallel, sensitivity, trainer
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
@@ -313,7 +313,7 @@ class TestPipelineStages:
             return descend(*args)
 
         monkeypatch.setattr(trainer, "_descend", diverge_in_child)
-        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: True)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
                              "--qds", str(tmp_path / "data.qds"), "--epochs", "3")
         assert code == EXIT_VALIDATION
@@ -340,7 +340,7 @@ class TestPipelineStages:
             monkeypatch.setattr(os, "fork", interrupted_fork)
         else:
             monkeypatch.setattr(trainer, "_descend", interrupted_fit)
-        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: True)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         start = time.monotonic()
         code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
                              "--qds", str(tmp_path / "data.qds"), "--epochs", "50")
@@ -349,6 +349,59 @@ class TestPipelineStages:
         assert len(forks) == 1 and time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):  # killed and reaped, not left running
             os.waitpid(forks[0], os.WNOHANG)
+
+    @staticmethod
+    def _fork_score(monkeypatch, child_half):
+        """Score in five row chunks, the last three in a forked child
+        that runs child_half(*args) in place of each chunk's scoring."""
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        parent, chunk_scores = os.getpid(), sensitivity._chunk_scores
+
+        def scores(*args):
+            return chunk_scores(*args) if os.getpid() == parent else child_half(*args)
+
+        monkeypatch.setattr(sensitivity, "_chunk_scores", scores)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+
+    def test_score_reports_an_error_in_the_child(self, tmp_path, capsys, synth_file,
+                                                 monkeypatch, forks):
+        def fail(*args):
+            raise ValueError("the child's half failed")
+
+        self._fork_score(monkeypatch, fail)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "score", "--dataset", str(synth_file),
+                             "--out", str(out_dir / "scores.tsv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: the child's half failed\n")
+        assert len(forks) == 1 and list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+    def test_signal_kills_and_reaps_the_scoring_child(self, tmp_path, capsys, synth_file,
+                                                      monkeypatch, forks, signum):
+        def stop_parent(*args):
+            signal.raise_signal(signum)
+
+        self._fork_score(monkeypatch, lambda *args: time.sleep(60))  # still scoring
+        monkeypatch.setattr(sensitivity, "round_trip_rows", stop_parent)  # the parent's half
+        sigint_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        start = time.monotonic()
+        try:
+            code, out, err = run(capsys, "score", "--dataset", str(synth_file),
+                                 "--out", str(out_dir / "scores.tsv"))
+        except KeyboardInterrupt:  # would stop the test run, not fail a test
+            pytest.fail("the interrupt escaped main")
+        finally:
+            signal.signal(signal.SIGINT, sigint_handler)
+        assert code == 128 + signum
+        assert (out, err) == ("", "error: interrupted\n")
+        assert len(forks) == 1 and time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):  # killed and reaped, not left running
+            os.waitpid(forks[0], os.WNOHANG)
+        assert list(out_dir.iterdir()) == []
 
     def test_quantize_and_stats_print_the_storage_report(self, tmp_path, capsys,
                                                          synth_file):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_unpack
+from hypothesis.extra.numpy import arrays
+from reference import reference_quantize_rows, reference_unpack
 
 from dsquant import _bitpack_py
 from dsquant.quantizer import (
@@ -15,6 +16,7 @@ from dsquant.quantizer import (
     pack_codes,
     quantize_rows,
     quantize_sample,
+    round_trip_rows,
     unpack_codes,
 )
 
@@ -123,6 +125,55 @@ class TestQuantizeDequantize:
         a, b = quantize_sample(values, 6), quantize_sample(values, 6)
         np.testing.assert_array_equal(a.codes, b.codes)
         assert a.scale == b.scale
+
+
+@st.composite
+def rows_with_ties(draw):
+    """(values, bit_width, tie): random float32 rows, an all-zero row and
+    a row of exact .5 ties. The tie row's max is q * 2^e, so its scale is
+    2^e and every other element (k + 0.5) * 2^e scales to k + 0.5."""
+    bit_width = draw(st.integers(2, 16))
+    q = max_code(bit_width)
+    dim = draw(st.integers(2, 12))
+    random = draw(arrays(np.float32, st.tuples(st.integers(0, 4), st.just(dim)),
+                         elements=st.floats(-1e6, 1e6, width=32)))
+    halves = [q] + [k + 0.5 for k in draw(st.lists(st.integers(0, q - 1),
+                                                   min_size=dim - 1, max_size=dim - 1))]
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+    tie = np.array(halves) * signs * 2.0 ** draw(st.integers(-12, 12))
+    values = np.vstack([random, np.zeros((1, dim)), tie]).astype(np.float32)
+    return values, bit_width, tie
+
+
+class TestRoundingRoutine:
+    """quantize_rows and score's probe share one rounding routine."""
+
+    @given(rows_with_ties())
+    @settings(max_examples=200, deadline=None)
+    def test_quantize_rows_equals_the_reference(self, case):
+        values, bit_width, tie = case
+        codes, scales = quantize_rows(values, bit_width)
+        ref_codes, ref_scales = reference_quantize_rows(values, bit_width)
+        assert np.array_equal(codes, ref_codes) and np.array_equal(scales, ref_scales)
+        # the ties really are ties, and round away from zero
+        assert scales[-1] == abs(tie[0]) / max_code(bit_width)
+        halves = np.abs(tie[1:]) / scales[-1]
+        assert np.array_equal(halves % 1, np.full(halves.size, 0.5))
+        assert np.array_equal(codes[-1, 1:], np.sign(tie[1:]) * (halves + 0.5))
+
+    @given(rows_with_ties())
+    @settings(max_examples=200, deadline=None)
+    def test_probe_equals_the_quantize_dequantize_round_trip(self, case):
+        values, bit_width, _ = case
+        x = values.astype(np.float64)
+        probed = round_trip_rows(values, x, bit_width)
+        expected = dequantize_rows(*quantize_rows(values, bit_width))
+        assert probed.dtype == np.float32 and np.array_equal(x, values)
+        # array_equal holds -0.0 == 0.0; the sign of a zero is the one
+        # difference allowed, since the int32 codes cannot carry it
+        assert np.array_equal(probed, expected)
+        nonzero = expected != 0
+        assert np.array_equal(np.signbit(probed)[nonzero], np.signbit(expected)[nonzero])
 
 
 class TestPacking:

@@ -1,6 +1,10 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dsquant import parallel, sensitivity
 from dsquant.dataset import Dataset, SampleShape, synth_blobs
 from dsquant.quantizer import dequantize_rows, quantize_rows
 from dsquant.sensitivity import (
@@ -107,6 +111,88 @@ class TestScoreDataset:
         dset = synth_blobs(2, 8, 5, 0.5, seed=6)
         scores = score_dataset(dset, random_model(2, 8), 4)
         assert scores.shape == (len(dset),)
+
+
+@pytest.fixture(scope="module")
+def chunked():
+    """A dataset of three row chunks (341, 341 and 218 rows of 3072) and
+    a model that leaves every sample a nonzero score."""
+    return synth_blobs(3, 3072, 300, 0.5, seed=4), LogisticModel.seeded(3, 3072, 1)
+
+
+class TestForkedScoring:
+    def test_forked_and_inline_scores_are_equal(self, chunked, forks, monkeypatch):
+        dset, model = chunked
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        inline = score_dataset(dset, model, 4)
+        assert forks == []
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        forked = score_dataset(dset, model, 4)
+        assert len(forks) == 1
+        assert np.array_equal(forked, inline)
+        assert inline.shape == (len(dset),) and inline.min() > 0
+
+    def test_two_cores_fork_once(self, chunked, forks):
+        if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
+            pytest.skip("needs two usable cores and a settable OpenBLAS")
+        score_dataset(*chunked, 4)
+        assert len(forks) == 1
+
+    def test_one_core_or_one_chunk_scores_inline(self, chunked, forks, monkeypatch):
+        dset, model = chunked
+        score_dataset(dset.subset(np.arange(341)), model, 4)  # one row chunk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        score_dataset(dset, model, 4)
+        assert forks == []
+
+    def test_scoring_runs_on_one_blas_thread_and_restores_the_count(self, chunked,
+                                                                    monkeypatch):
+        controls = parallel.openblas_threads()
+        if controls is None:
+            pytest.skip("NumPy's BLAS is not a settable OpenBLAS")
+        get, set_ = controls
+        chunk_scores, seen = sensitivity._chunk_scores, []
+
+        def recording(*args):
+            seen.append(get())
+            return chunk_scores(*args)
+
+        monkeypatch.setattr(sensitivity, "_chunk_scores", recording)
+        before = get()
+        set_(3)
+        try:
+            score_dataset(*chunked, 4)
+            assert get() == 3
+        finally:
+            set_(before)
+        # inline every chunk records here; forked, the child's records stay there
+        assert seen and set(seen) == {1}
+
+    def test_a_chunk_holds_two_float64_arrays_and_one_float32(self, chunked, monkeypatch):
+        dset, model = chunked
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        tracemalloc.start()
+        try:
+            score_dataset(dset, model, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = 341 * 3072
+        assert peak < (8 + 8 + 4) * chunk + 8 * len(dset) + (1 << 20)
+
+    def test_child_error_is_raised_in_the_parent(self, chunked, forks, monkeypatch):
+        parent, chunk_scores = os.getpid(), sensitivity._chunk_scores
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise ValueError("the child's half failed")
+            return chunk_scores(*args)
+
+        monkeypatch.setattr(sensitivity, "_chunk_scores", fail_in_child)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        with pytest.raises(ValueError, match="^the child's half failed$"):
+            score_dataset(*chunked, 4)
+        assert len(forks) == 1
 
 
 class TestGradientCheck:

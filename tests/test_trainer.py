@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from reference import synth_half_noise
 
-from dsquant import quantizer, trainer
+from dsquant import parallel, quantizer, trainer
 from dsquant.allocator import AllocationConfig, allocate
 from dsquant.dataset import (
     Dataset,
@@ -27,7 +27,10 @@ from dsquant.trainer import (
     fit_scoring_model,
     stratified_split,
     train,
+    _descend,
     _fit,
+    _gathered,
+    _standardized,
 )
 
 
@@ -143,8 +146,9 @@ def _varied(n, dim, seed=0):
 
 
 class TestFitOracle:
-    """_fit standardizes one float64 matrix in place, in row chunks; its
-    result must equal the full-temporary reference bit for bit."""
+    """_fit sums the mean and variance in row chunks and standardizes
+    each batch as it gathers it; its result must equal the full-temporary
+    reference bit for bit."""
 
     @pytest.mark.parametrize("n, dim, subset", [
         (200, 16, False),
@@ -190,9 +194,45 @@ class TestFitOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the matrix plus a few chunk-sized buffers; the full-size
+        # at most one matrix plus a few chunk-sized buffers (the fit now
+        # holds no matrix at all, see TestStreamingFit); the full-size
         # temporaries of the reference peak at about three matrices
         assert peak <= 8 * n * dim + 4 * 8 * chunk
+
+
+class TestStreamingFit:
+    """train() standardizes each batch from the float32 rows as it
+    gathers it; compare()'s arms descend on one standardized float64
+    matrix. Both must give the same fit bit for bit."""
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "row-subset"])
+    def test_equals_the_matrix_fit(self, epochs, subset):
+        dset = _varied(1000, 3072)  # three row chunks
+        rows = (np.random.default_rng(2).permutation(1000)[:700] if subset
+                else np.arange(1000))
+        config = TrainConfig(epochs=epochs, seed=7)
+        model, curve = _fit(dset, config, rows=rows if subset else None)
+        ref_model, ref_curve = _descend(*_standardized(_gathered(dset.values, rows)),
+                                        dset.labels[rows], dset.num_classes, config)
+        assert np.array_equal(model.weights, ref_model.weights)
+        assert np.array_equal(model.bias, ref_model.bias)
+        assert np.array_equal(np.array(curve), np.array(ref_curve))
+        trained = train(dset, config, rows=rows if subset else None)
+        assert np.array_equal(trained.weights, model.weights)
+
+    def test_scoring_fit_holds_no_float64_matrix(self):
+        n, dim = 2000, 3072
+        dset = _varied(n, dim)
+        tracemalloc.start()
+        try:
+            fit_scoring_model(dset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 row chunk (8 MiB) and the model; the matrix alone
+        # would be 8 * n * dim
+        assert peak < 8 * n * dim / 4
 
 
 class TestEvaluate:
@@ -293,7 +333,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("fork", [True, False], ids=["concurrent", "inline"])
     def test_both_paths_match_the_reference(self, pruned, forks, monkeypatch, fork):
-        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: fork)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
         config = TrainConfig(epochs=4, seed=5)
         report = compare(*pruned, config)
         assert len(forks) == int(fork)
@@ -302,14 +342,14 @@ class TestCompare:
         assert len(report.loss_curve) == 4
 
     def test_arms_run_concurrently_on_two_cores(self, pruned, forks):
-        if len(os.sched_getaffinity(0)) < 2 or trainer._openblas_threads() is None:
+        if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
             pytest.skip("needs two usable cores and a settable OpenBLAS")
         compare(*pruned, TrainConfig(epochs=1))
         assert len(forks) == 1
 
     def test_fits_run_on_one_blas_thread_and_restore_the_count(self, pruned,
                                                                 monkeypatch):
-        controls = trainer._openblas_threads()
+        controls = parallel.openblas_threads()
         if controls is None:
             pytest.skip("NumPy's BLAS is not a settable OpenBLAS")
         get, set_ = controls
@@ -340,7 +380,7 @@ class TestCompare:
             return descend(*args)
 
         monkeypatch.setattr(trainer, "_descend", diverge_in_child)
-        monkeypatch.setattr(trainer, "_fork_arms", lambda one_blas_thread: True)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         with pytest.raises(RuntimeError, match=r"^training diverged \(non-finite loss\)$"):
             compare(*pruned, TrainConfig(epochs=2))
 
@@ -348,34 +388,34 @@ class TestCompare:
         def killed():
             os.kill(os.getpid(), signal.SIGKILL)
 
-        with trainer._Started(killed, fork=True) as started:
+        with parallel.Started(killed, fork=True) as started:
             with pytest.raises(RuntimeError, match="exited with code -9"):
                 started.result()
 
     def test_leaving_the_block_kills_and_reaps_a_running_child(self, forks):
         with pytest.raises(KeyError):
-            with trainer._Started(lambda: time.sleep(60), fork=True):
+            with parallel.Started(lambda: time.sleep(60), fork=True):
                 raise KeyError("the parent's arm failed")
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
 
     def test_child_takes_the_default_stop_signal_handlers(self):
-        def defaults() -> float:
-            return float(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-                         and signal.getsignal(signal.SIGINT) is signal.SIG_DFL)
+        def defaults() -> bytes:
+            return bytes([signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+                          and signal.getsignal(signal.SIGINT) is signal.SIG_DFL])
 
         previous = signal.signal(signal.SIGTERM, lambda *args: None)  # as cli.main sets
         try:
-            with trainer._Started(defaults, fork=True) as started:
-                assert started.result() == 1.0
+            with parallel.Started(defaults, fork=True) as started:
+                assert started.result() == b"\x01"
         finally:
             signal.signal(signal.SIGTERM, previous)
 
     def test_child_result_is_sent_bitwise(self):
-        value = 1 / 3 + 2 ** -52
-        with trainer._Started(lambda: value, fork=True) as started:
-            assert started.result() == value
+        payload = np.array([1 / 3 + 2 ** -52, -0.0]).tobytes() + bytes(range(256))
+        with parallel.Started(lambda: payload, fork=True) as started:
+            assert started.result() == payload
 
     def test_adaptive_beats_fixed_on_half_noise(self, tmp_path):
         # half the samples are label-free lattice noise: the adaptive
