@@ -96,17 +96,14 @@ def largest_remainder_sizes(fractions, total: int) -> list:
     return sizes
 
 
-def split_by_score(scores, fractions, indices=None) -> list:
-    """Partition sample indices into score-ordered groups.
+def split_by_score(scores, fractions, indices) -> list:
+    """Partition the sample indices into score-ordered groups.
 
     Samples sort by descending score, ties by ascending index; group g
     takes the next largest-remainder share. Highest-score group first.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if indices is None:
-        indices = np.arange(scores.size, dtype=np.int64)
-    else:
-        indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("empty score list")
     # lexsort: primary key -score, secondary key index

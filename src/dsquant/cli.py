@@ -4,8 +4,8 @@
 Each stage reads the previous stage's file and writes its own output
 atomically (temp file + rename), so a failing or interrupted stage
 leaves neither a truncated artifact nor its temp file. Exit codes: 0
-success, 1 I/O failure, 2 validation failure, 128 + signal number on
-SIGINT or SIGTERM. --porcelain prints machine-readable key=value lines.
+success, 1 I/O failure or out of memory, 2 validation failure, 128 +
+signal number on SIGINT or SIGTERM. --porcelain prints key=value lines.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ Layout (all little-endian):
     record, one per sample in dataset order:
         bit_width    u8   0 (dropped) or 2..16
         label        u32
-        scale        f32  present iff bit_width >= 2
+        scale        f32  present iff bit_width >= 2; finite and positive
         payload      ceil(n*b/8) bytes, iff bit_width >= 2
                      (offset-binary codes, MSB-first; see quantizer)
 
@@ -25,8 +25,9 @@ produce byte-identical files.
 
 Records are encoded and decoded one width group at a time, in fixed row
 chunks, as array operations. The reader finds every record's offset in
-one walk over the record prefixes. The bit layout itself lives in
-dsquant._bitpack_py; this module only slices byte rows.
+one walk over the record prefixes, decoding checks each record's scale
+and payload, and QdsRecords.dequantized is the one dequantizing loop.
+The bit layout lives in dsquant._bitpack_py; this module slices bytes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .quantizer import (
     QuantizedSample,
     dequantize_rows,
     is_valid_bit_width,
+    max_code,
     pack_code_rows,
     quantize_rows,
     row_chunks,
@@ -61,6 +63,7 @@ HEADER_BYTES = _HEADER.size  # 34
 PREFIX_BYTES = 5  # bit_width u8, label u32
 _SCALE_AT = PREFIX_BYTES
 _PAYLOAD_AT = PREFIX_BYTES + 4
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class QdsFormatError(ValueError):
@@ -72,7 +75,6 @@ class QdsHeader:
     sample_count: int
     shape: SampleShape
     num_classes: int
-    flags: int = FLAG_LABELS
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
 class QdsRecords:
     """A container read into memory with its structure checked: magic,
     version, flags, a sample count the file can hold, every record's width,
-    extent and label, and no trailing bytes. Payloads decode on demand."""
+    extent and label, and no trailing bytes. decode() checks the rest."""
 
     def __init__(self, path):
         with open(path, "rb") as fh:
@@ -166,7 +168,7 @@ class QdsRecords:
         if count > (len(raw) - HEADER_BYTES) // PREFIX_BYTES:
             raise QdsFormatError(f"header claims {count} records, more than "
                                  f"a {len(raw)}-byte file holds")
-        self.header = QdsHeader(count, SampleShape(h, w, c), num_classes, flags)
+        self.header = QdsHeader(count, SampleShape(h, w, c), num_classes)
         elems = self.header.shape.element_count
         sizes = {b: _PAYLOAD_AT + payload_bytes(elems, b) if b else PREFIX_BYTES
                  for b in range(MAX_BIT_WIDTH + 1) if is_valid_bit_width(b)}
@@ -211,17 +213,26 @@ class QdsRecords:
                 except ValueError as exc:
                     raise QdsFormatError(f"{bits}-bit record payload: {exc}") from exc
                 scales = sliding_window_view(self.data, 4)[at + _SCALE_AT].view("<f4")[:, 0]
+                with np.errstate(invalid="ignore"):  # casting a signaling NaN
+                    largest = scales.astype(np.float64) * max_code(bits)
+                bad = np.flatnonzero(~((scales > 0) & (largest <= _F32_MAX)))
+                if bad.size:  # the writer's scales are positive, Q * scale a float32
+                    raise QdsFormatError(f"record {rows[positions[bad[0]]]}: scale "
+                                         f"{scales[bad[0]]} is out of range for {bits}-bit codes")
                 yield positions, bits, codes, scales
 
-    def training_set(self, rows) -> Dataset:
-        """Dequantize the stored records among rows, in order, skipping
-        tombstones."""
+    def dequantized(self, rows, dtype) -> np.ndarray:
+        """The stored records at rows, in that order, dequantized into one
+        (len(rows), D) array of dtype, a width group and row chunk at a
+        time. A tombstone among rows is an error."""
         rows = np.asarray(rows, dtype=np.int64)
-        kept = rows[self.widths[rows] > 0]
-        values = np.empty((kept.size, self.header.shape.element_count), np.float32)
-        for positions, _, codes, scales in self.decode(kept):
-            values[positions] = dequantize_rows(codes, scales)
-        return Dataset(self.header.shape, self.header.num_classes, values, self.labels[kept])
+        dropped = rows[self.widths[rows] == 0]
+        if dropped.size:
+            raise ValueError(f"record {dropped[0]} was dropped, it has no values")
+        out = np.empty((rows.size, self.header.shape.element_count), dtype)
+        for positions, _, codes, scales in self.decode(rows):
+            out[positions] = dequantize_rows(codes, scales)
+        return out
 
 
 def read_qds(path):
@@ -248,4 +259,6 @@ def storage_report(path) -> StorageReport:
 def materialize_training_set(path) -> Dataset:
     """Dequantize all surviving records into an in-memory Dataset."""
     stored = QdsRecords(path)
-    return stored.training_set(np.arange(stored.header.sample_count))
+    kept = np.flatnonzero(stored.widths > 0)
+    return Dataset(stored.header.shape, stored.header.num_classes,
+                   stored.dequantized(kept, np.float32), stored.labels[kept])

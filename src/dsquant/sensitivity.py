@@ -73,10 +73,6 @@ class LogisticModel:
         return cls(weights, np.zeros(num_classes))
 
     @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.weights.shape[1]
 
@@ -126,8 +122,10 @@ def _chunk_scores(dataset, model: LogisticModel, chunk: slice,
     values = dataset.values[chunk]
     x = values.astype(np.float64)
     x_tilde = round_trip_rows(values, x, probe_bit_width).astype(np.float64)
-    onehot = np.eye(model.num_classes)[dataset.labels[chunk]]
-    r, r_tilde = model.probabilities(x) - onehot, model.probabilities(x_tilde) - onehot
+    picked = (np.arange(len(x)), dataset.labels[chunk])
+    r, r_tilde = model.probabilities(x), model.probabilities(x_tilde)
+    r[picked] -= 1.0  # r = p - onehot(y)
+    r_tilde[picked] -= 1.0
     dot = _row_dot(r, r_tilde) * (_row_dot(x, x_tilde) + 1.0)
     norm = np.sqrt(_row_dot(r, r) * (_row_dot(x, x) + 1.0))
     norm_tilde = np.sqrt(_row_dot(r_tilde, r_tilde) * (_row_dot(x_tilde, x_tilde) + 1.0))

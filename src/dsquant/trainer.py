@@ -27,8 +27,11 @@ fit_scoring_model(), score's one-epoch fit, is this path. compare()'s
 30-epoch fits gather each batch from one float64 matrix instead, which
 is cheaper per step: a fit holds that matrix, standardized in place a
 row chunk at a time, so it peaks at 8 bytes per trained element plus
-one chunk. compare() orders its work to keep the sum over its two
-processes near a single process's peak:
+one chunk. No one-hot label rows: a step subtracts 1 from each row's
+own class probability in place, p - onehot(y) bit for bit, so beyond
+the model the class count sizes only per-row logits and probabilities.
+compare() orders its work to keep the sum over its two processes near
+a single process's peak:
   1. It reads the original float32 data, keeps its float32 test split
      and the QDS file's bytes, builds and standardizes the baseline
      matrix and frees the original. Peak: original + test split + QDS
@@ -59,7 +62,7 @@ import numpy as np
 from . import parallel
 from .dataset import Dataset, read_dataset_file
 from .qds import QdsRecords
-from .quantizer import dequantize_rows, row_chunks
+from .quantizer import row_chunks
 from .sensitivity import LogisticModel, _softmax
 
 BATCH_SIZE = 64
@@ -95,15 +98,6 @@ def _gathered(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     x = np.empty((len(rows), values.shape[1]))
     for chunk in row_chunks(*x.shape):
         x[chunk] = values[rows[chunk]]
-    return x
-
-
-def _dequantized(stored: QdsRecords, rows: np.ndarray) -> np.ndarray:
-    """The stored records at rows (none a tombstone) dequantized into one
-    float64 matrix, a width group and row chunk at a time."""
-    x = np.empty((len(rows), stored.header.shape.element_count))
-    for positions, _, codes, scales in stored.decode(rows):
-        x[positions] = dequantize_rows(codes, scales)
     return x
 
 
@@ -143,21 +137,19 @@ def _standardized(x: np.ndarray):
 
 
 class _StandardizedRows:
-    """The rows of values (all of them, or rows in that order),
-    standardized on the fly: self[batch] gathers the batch from values
-    and equals x[batch] of _standardized's matrix bit for bit. The mean
-    and variance are summed a row chunk at a time in row order, so no
-    float64 copy of the rows is ever held."""
+    """The rows of values standardized on the fly: self[batch] gathers the
+    batch from values and equals x[batch] of _standardized's matrix bit
+    for bit. The mean and variance are summed a row chunk at a time in
+    row order, so no float64 copy of the rows is ever held."""
 
-    def __init__(self, values: np.ndarray, rows=None):
-        self._values, self._rows = values, rows
-        self.shape = (len(values) if rows is None else len(rows), values.shape[1])
+    def __init__(self, values: np.ndarray):
+        self._values, self.shape = values, values.shape
         chunks = row_chunks(*self.shape)
         self.mean = _row_sum(map(self._float64, chunks)) / self.shape[0]
         self.std = _std(_row_sum(map(self._squared_deviations, chunks)), self.shape[0])
 
     def _float64(self, index) -> np.ndarray:
-        return self._values[index if self._rows is None else self._rows[index]].astype(np.float64)
+        return self._values[index].astype(np.float64)
 
     def _centred(self, index) -> np.ndarray:
         x = self._float64(index)
@@ -184,7 +176,6 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     weights, bias = model.weights, model.bias
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(bias)
-    onehot = np.eye(classes)[y]
     rng = np.random.default_rng(config.seed)
     losses = []
     for _ in range(config.epochs):
@@ -192,12 +183,11 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = perm[start:start + BATCH_SIZE]
-            xb, tb = x[batch], onehot[batch]
+            xb, picked = x[batch], (np.arange(len(batch)), y[batch])
             probs = _softmax(xb @ weights.T + bias)
-            epoch_loss += -np.log(
-                np.maximum(probs[np.arange(len(batch)), y[batch]], 1e-300)
-            ).sum()
-            residual = (probs - tb) / len(batch)
+            epoch_loss += -np.log(np.maximum(probs[picked], 1e-300)).sum()
+            probs[picked] -= 1.0  # probs - onehot(y)
+            residual = probs / len(batch)
             grad_w = residual.T @ xb + WEIGHT_DECAY * weights
             grad_b = residual.sum(axis=0)
             vel_w = MOMENTUM * vel_w - LEARNING_RATE * grad_w
@@ -215,22 +205,18 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     return LogisticModel(weights, bias), tuple(losses)
 
 
-def _fit(dataset: Dataset, config: TrainConfig, rows=None):
-    """Train on dataset (or on its rows, in that order); returns the
-    model and the per-epoch mean loss curve."""
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-    y = dataset.labels if rows is None else dataset.labels[rows]
-    if len(y) == 0:
+def _fit(dataset: Dataset, config: TrainConfig):
+    """Train on dataset; returns the model and its per-epoch mean losses."""
+    if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    x = _StandardizedRows(dataset.values, rows)
-    return _descend(x, x.mean, x.std, y, dataset.num_classes, config)
+    x = _StandardizedRows(dataset.values)
+    return _descend(x, x.mean, x.std, dataset.labels, dataset.num_classes, config)
 
 
-def train(dataset: Dataset, config: TrainConfig, rows=None) -> LogisticModel:
-    """Fit the constant recipe on dataset, or on its rows; with epochs=0
-    this is the seeded initialization folded through the normalization."""
-    model, _ = _fit(dataset, config, rows)
+def train(dataset: Dataset, config: TrainConfig) -> LogisticModel:
+    """Fit the constant recipe on dataset; with epochs=0 this is the
+    seeded initialization folded through the normalization."""
+    model, _ = _fit(dataset, config)
     return model
 
 
@@ -247,17 +233,17 @@ def evaluate(model: LogisticModel, dataset: Dataset) -> float:
 
 
 def stratified_split(dataset: Dataset, seed: int):
-    """Seeded per-class TEST_FRACTION split; returns (train_indices, test_indices)."""
+    """Seeded per-class TEST_FRACTION split; returns (train_indices, test_indices).
+    Only the classes present are visited (ascending, members in index
+    order), so the work follows the sample count, not the class count."""
     rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for c in range(dataset.num_classes):
-        members = np.flatnonzero(dataset.labels == c)
+    labels = dataset.labels
+    by_class = np.argsort(labels, kind="stable")
+    test = np.zeros(len(labels), dtype=bool)
+    for members in np.split(by_class, np.flatnonzero(np.diff(labels[by_class])) + 1):
         members = members[rng.permutation(members.size)]
-        n_test = int(round(TEST_FRACTION * members.size))
-        test_idx.append(members[:n_test])
-        train_idx.append(members[n_test:])
-    return (np.sort(np.concatenate(train_idx)),
-            np.sort(np.concatenate(test_idx)))
+        test[members[:int(round(TEST_FRACTION * members.size))]] = True
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def fit_scoring_model(dataset: Dataset, seed: int = 42) -> LogisticModel:
@@ -316,12 +302,12 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
     with (parallel.one_blas_thread() as pinned,
           parallel.Started(baseline, parallel.use_fork(pinned)) as started):
         del baseline  # the baseline matrix now lives only where the arm ran or runs
-        quant_model, curve = _descend(*_standardized(_dequantized(stored, kept)),
+        quant_model, curve = _descend(*_standardized(stored.dequantized(kept, np.float64)),
                                       labels, classes, config)
         baseline_acc, = struct.unpack("<d", started.result())
     quant_acc = evaluate(quant_model, test_set)
     return EvalReport(
-        train_accuracy=_accuracy(quant_model, _dequantized(stored, kept), labels),
+        train_accuracy=_accuracy(quant_model, stored.dequantized(kept, np.float64), labels),
         test_accuracy=quant_acc,
         loss_curve=curve,
         accuracy_delta=quant_acc - baseline_acc,

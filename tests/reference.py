@@ -1,9 +1,11 @@
 """Reference code shared by the tests: an independent bit decoder, the
-row quantizer as first written, and the half-noise fixture of the
-acceptance gate. No pipeline stage uses them, so they live here rather
-than in the dsquant package."""
+row quantizer as first written, the half-noise fixture of the
+acceptance gate, and the hostile copies of valid stage files that the
+file property tests read. No pipeline stage uses them, so they live
+here rather than in the dsquant package."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dsquant.dataset import Dataset, SampleShape
 
@@ -63,3 +65,34 @@ def synth_half_noise(num_classes: int, dim: int, per_class: int,
     values = np.concatenate([signal, noise]).astype(np.float32)
     labels = np.concatenate([labels_signal, labels_noise])
     return Dataset(SampleShape(1, 1, dim), num_classes, values, labels)
+
+
+def mutate(data: bytes, other: bytes, how: str, at: int, to: int, bit: int) -> bytes:
+    at, to = at % (len(data) + 1), to % (len(other) + 1)
+    if how == "truncate":
+        return data[:at]
+    if how == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1:]
+    return data[:at] + other[to:]  # splice
+
+
+def hostile_files(kinds) -> dict:
+    """Strategies for hostile_copy's arguments: which of the valid files
+    named kinds to truncate, bit-flip or splice, and where."""
+    return dict(
+        kind=st.sampled_from(kinds),
+        other=st.sampled_from(kinds),
+        how=st.sampled_from(("truncate", "flip", "splice")),
+        at=st.integers(0, 1 << 16),
+        to=st.integers(0, 1 << 16),
+        bit=st.integers(0, 7),
+    )
+
+
+def hostile_copy(valid, kind, other, how, at, to, bit):
+    """A mutated copy of the file valid / kind, written next to it."""
+    data = mutate((valid / kind).read_bytes(), (valid / other).read_bytes(), how, at, to, bit)
+    path = valid / f"hostile-{kind}"
+    path.write_bytes(data)
+    return path

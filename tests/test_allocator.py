@@ -73,27 +73,27 @@ def test_one_rule_matches_the_strategy_allocator(levels, strategies):
 
 class TestSplitByScore:
     def test_two_group_example(self):
-        groups = split_by_score([0.9, 0.1, 0.5, 0.5], [0.5, 0.5])
+        groups = split_by_score([0.9, 0.1, 0.5, 0.5], [0.5, 0.5], np.arange(4))
         assert sorted(groups[0].tolist()) == [0, 2]
         assert groups[1].tolist() == [3, 1]
 
     def test_single_group_gets_everything(self):
-        groups = split_by_score([0.3, 0.1, 0.2], [1.0])
+        groups = split_by_score([0.3, 0.1, 0.2], [1.0], np.arange(3))
         assert sorted(groups[0].tolist()) == [0, 1, 2]
 
     def test_all_equal_scores_split_by_index(self):
-        groups = split_by_score(np.zeros(6), [0.5, 0.5])
+        groups = split_by_score(np.zeros(6), [0.5, 0.5], np.arange(6))
         assert groups[0].tolist() == [0, 1, 2]
         assert groups[1].tolist() == [3, 4, 5]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            split_by_score([], [1.0])
+            split_by_score([], [1.0], [])
 
     def test_groups_partition_indices(self):
         rng = np.random.default_rng(5)
         scores = rng.random(97)
-        groups = split_by_score(scores, [0.2, 0.3, 0.5])
+        groups = split_by_score(scores, [0.2, 0.3, 0.5], np.arange(97))
         merged = np.sort(np.concatenate(groups))
         np.testing.assert_array_equal(merged, np.arange(97))
 

@@ -1,14 +1,20 @@
 import argparse
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import dsquant
 from dsquant import parallel, sensitivity, trainer
+from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from dsquant.dataset import Dataset, SampleShape, write_dataset_file
+from dsquant.qds import write_qds
 
 
 def run(capsys, *argv):
@@ -495,3 +501,37 @@ def test_raw_ingest_round_trip(tmp_path, capsys):
     from dsquant.dataset import read_dataset_file
     dset = read_dataset_file(tmp_path / "d.bin")
     np.testing.assert_array_equal(dset.values, values)
+
+
+@pytest.fixture(scope="module")
+def unbounded_classes(tmp_path_factory):
+    """A valid dataset file and its QDS file whose header claims 2^32 - 1
+    classes for 65,536-element samples: the model alone would take
+    2^51 bytes, beyond any 47-bit address space, so the refusal does not
+    depend on the host's overcommit setting."""
+    root = tmp_path_factory.mktemp("classes")
+    rng = np.random.default_rng(0)
+    dset = Dataset(SampleShape(256, 256, 1), 2 ** 32 - 1,
+                   rng.standard_normal((10, 1 << 16)).astype(np.float32),
+                   np.repeat([0, 7], 5))
+    write_dataset_file(dset, root / "data.dsr")
+    write_qds(dset, AllocationPlan.from_assignments(np.full(10, 8)), root / "data.qds")
+    return root
+
+
+@pytest.mark.parametrize("argv", [["score", "--out", "scores.tsv"],
+                                  ["compare", "--qds", "data.qds", "--epochs", "1"]],
+                         ids=lambda argv: argv[0])
+def test_a_class_count_beyond_memory_is_one_error_line(unbounded_classes, argv):
+    # a subprocess with a timeout, so a per-class loop over 2^32 classes
+    # fails the test instead of stalling the suite
+    package_root = os.path.dirname(os.path.dirname(dsquant.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dsquant.cli", argv[0], "--dataset", "data.dsr", *argv[1:]],
+        cwd=unbounded_classes, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
+    assert not (unbounded_classes / "scores.tsv").exists()

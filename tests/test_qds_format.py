@@ -1,19 +1,24 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from dsquant.allocator import AllocationPlan
-from dsquant.dataset import Dataset, SampleShape, synth_blobs
+from dsquant.cli import EXIT_VALIDATION, main
+from dsquant.dataset import Dataset, SampleShape, synth_blobs, write_dataset_file
 from dsquant.qds import (
     HEADER_BYTES,
+    PREFIX_BYTES,
     QdsFormatError,
+    QdsRecords,
     materialize_training_set,
     read_qds,
     storage_report,
     write_qds,
 )
 from dsquant.quantizer import dequantize_rows, pack_codes, quantize_rows, quantize_sample
+from dsquant.trainer import stratified_split
 
 
 def small_dataset(n=3, dim=4, seed=0, num_classes=3):
@@ -198,6 +203,27 @@ class TestHostileInput:
             with pytest.raises(QdsFormatError, match="unsupported flags 0xffff"):
                 reader(path)
 
+    # the last one is finite, but 127 times it overflows a float32
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, 3e38])
+    def test_scale_the_writer_cannot_produce(self, tmp_path, capsys, scale):
+        dset = small_dataset(n=10, dim=6)
+        record = stratified_split(dset, 42)[0][0]  # one compare trains on
+        dsr, path = tmp_path / "h.dsr", tmp_path / "h.qds"
+        write_dataset_file(dset, dsr)
+        write_qds(dset, plan_of([8] * 10), path)
+        data = bytearray(path.read_bytes())
+        record_bytes = PREFIX_BYTES + 4 + 6  # prefix, scale, 6 one-byte codes
+        struct.pack_into("<f", data, HEADER_BYTES + record * record_bytes + PREFIX_BYTES,
+                         scale)
+        path.write_bytes(bytes(data))
+        message = f"record {record}: scale {np.float32(scale)} is out of range for 8-bit codes"
+        for reader in (read_qds, storage_report, materialize_training_set):
+            with pytest.raises(QdsFormatError, match=re.escape(message)):
+                reader(path)
+        for argv in (["stats"], ["compare", "--dataset", str(dsr), "--epochs", "2"]):
+            assert main([*argv, "--qds", str(path)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_invalid_width_names_record(self, tmp_path):
         path, data = self._written(tmp_path)
         data[HEADER_BYTES + 15] = 1  # record 1's width byte
@@ -246,6 +272,16 @@ class TestMaterialize:
             expected = dequantize_rows(*quantize_rows(values[None], b))[0]
             np.testing.assert_array_equal(out.values[j], expected)
             j += 1
+
+
+    def test_dequantized_takes_rows_in_order_and_rejects_a_tombstone(self, tmp_path):
+        path = tmp_path / "rows.qds"
+        write_qds(small_dataset(n=3), plan_of([8, 0, 4]), path)
+        stored = QdsRecords(path)
+        np.testing.assert_array_equal(stored.dequantized([2, 0], np.float64),
+                                      materialize_training_set(path).values[::-1])
+        with pytest.raises(ValueError, match="record 1 was dropped"):
+            stored.dequantized([0, 1], np.float64)
 
 
 class TestStorageReport:

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from reference import hostile_copy, hostile_files
 
 from dsquant.allocator import (
     AllocationConfig,
@@ -143,34 +143,8 @@ def valid(tmp_path_factory):
 
 
 KINDS = ("scores.tsv", "plan.tsv", "keep.txt")
-
-
-def mutate(data: bytes, other: bytes, how: str, at: int, to: int, bit: int) -> bytes:
-    at, to = at % (len(data) + 1), to % (len(other) + 1)
-    if how == "truncate":
-        return data[:at]
-    if how == "flip":
-        at = min(at, len(data) - 1)
-        return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1:]
-    return data[:at] + other[to:]  # splice
-
-
-hostile = dict(
-    kind=st.sampled_from(KINDS),
-    other=st.sampled_from(KINDS),
-    how=st.sampled_from(("truncate", "flip", "splice")),
-    at=st.integers(0, 1 << 16),
-    to=st.integers(0, 1 << 16),
-    bit=st.integers(0, 7),
-)
+hostile = hostile_files(KINDS)
 fuzz = settings(max_examples=150, deadline=None)
-
-
-def hostile_copy(valid, kind, other, how, at, to, bit):
-    data = mutate((valid / kind).read_bytes(), (valid / other).read_bytes(), how, at, to, bit)
-    path = valid / f"hostile-{kind}"
-    path.write_bytes(data)
-    return path
 
 
 @fuzz

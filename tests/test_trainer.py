@@ -164,24 +164,12 @@ class TestFitOracle:
         if subset:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
         config = TrainConfig(epochs=2, seed=3)
-        model, curve = _fit(dset, config, rows=rows)
-        ref_model, ref_curve = reference_fit(
-            dset if rows is None else dset.subset(rows), config)
+        trained = dset if rows is None else dset.subset(rows)
+        model, curve = _fit(trained, config)
+        ref_model, ref_curve = reference_fit(trained, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
-
-    def test_unsorted_rows_train_in_given_order(self, blobs):
-        rows = np.random.default_rng(4).permutation(len(blobs))[:150]
-        config = TrainConfig(epochs=2)
-        a = train(blobs, config, rows=rows)
-        b = train(blobs.subset(rows), config)
-        assert a.weights.tobytes() == b.weights.tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes()
-
-    def test_empty_rows_rejected(self, blobs):
-        with pytest.raises(ValueError, match="empty"):
-            train(blobs, TrainConfig(), rows=[])
 
     def test_peak_memory_is_one_float64_matrix(self, monkeypatch):
         chunk = 1 << 14
@@ -212,13 +200,13 @@ class TestStreamingFit:
         rows = (np.random.default_rng(2).permutation(1000)[:700] if subset
                 else np.arange(1000))
         config = TrainConfig(epochs=epochs, seed=7)
-        model, curve = _fit(dset, config, rows=rows if subset else None)
+        model, curve = _fit(dset.subset(rows) if subset else dset, config)
         ref_model, ref_curve = _descend(*_standardized(_gathered(dset.values, rows)),
                                         dset.labels[rows], dset.num_classes, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
-        trained = train(dset, config, rows=rows if subset else None)
+        trained = train(dset.subset(rows) if subset else dset, config)
         assert np.array_equal(trained.weights, model.weights)
 
     def test_scoring_fit_holds_no_float64_matrix(self):
@@ -277,6 +265,25 @@ class TestStratifiedSplit:
         b = stratified_split(blobs, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_loop_over_every_class(self, seed):
+        # classes 0, 2, 3, 5 and 8 have no samples; the loop over
+        # range(num_classes) draws an empty permutation for each of them
+        rng = np.random.default_rng(seed)
+        labels = rng.choice([1, 4, 6, 7, 9], size=203)
+        dset = Dataset(SampleShape(1, 1, 2), 10,
+                       np.zeros((203, 2), np.float32), labels)
+        rng, train_idx, test_idx = np.random.default_rng(seed), [], []
+        for c in range(dset.num_classes):
+            members = np.flatnonzero(labels == c)
+            members = members[rng.permutation(members.size)]
+            n_test = int(round(trainer.TEST_FRACTION * members.size))
+            test_idx.append(members[:n_test])
+            train_idx.append(members[n_test:])
+        ours = stratified_split(dset, seed)
+        np.testing.assert_array_equal(ours[0], np.sort(np.concatenate(train_idx)))
+        np.testing.assert_array_equal(ours[1], np.sort(np.concatenate(test_idx)))
+
 
 def _dataset_file(tmp_path, dset, name="data.dsr"):
     path = tmp_path / name
@@ -291,8 +298,10 @@ def reference_compare(dataset_path, quantized_path, config):
     stored = QdsRecords(quantized_path)
     train_idx, test_idx = stratified_split(original, config.seed)
     test_set = original.subset(test_idx)
-    baseline_acc = evaluate(train(original, config, rows=train_idx), test_set)
-    quant_train = stored.training_set(train_idx)
+    baseline_acc = evaluate(train(original.subset(train_idx), config), test_set)
+    kept = train_idx[stored.widths[train_idx] > 0]
+    quant_train = Dataset(original.shape, original.num_classes,
+                          stored.dequantized(kept, np.float32), stored.labels[kept])
     quant_model, curve = _fit(quant_train, config)
     quant_acc = evaluate(quant_model, test_set)
     return EvalReport(evaluate(quant_model, quant_train), quant_acc, curve,
