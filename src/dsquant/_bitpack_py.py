@@ -2,17 +2,21 @@
 
 Row i of offsets becomes byte row i: b bits per offset, MSB-first, final
 byte zero-padded, exactly a QDS record payload. Eight offsets fill b
-bytes: one 64-bit lane for b <= 8, else two 4-offset lanes joined into a
-128-bit big-endian word pair (after Lemire & Boytsov, "Decoding billions
-of integers per second through vectorization", SPE 2015).
+bytes (after Lemire & Boytsov, SPE 2015), so every width packs a group
+of eight at a time by one rule: offset j holds bits [j*b, (j+1)*b) of
+its group, and byte k is the OR of the offsets that reach it, shifted.
 """
 
 import numpy as np
 
-_BE64 = np.dtype(">u8")
-# Shift of each offset within its lane: 8 offsets a lane for b <= 8, 4 above.
-_LANE_SHIFTS = {b: np.arange(7 if b <= 8 else 3, -1, -1, dtype=np.uint64) * np.uint64(b)
-                for b in range(1, 17)}
+# (k, j, s) for each byte k of a group and offset j that reaches it: bit i
+# of the offset is bit i + s of the byte (s < 0 shifts right). 8 to 22 a width.
+_TERMS = {b: [(k, j, 8 * (k + 1) - b * (j + 1)) for k in range(b) for j in range(8)
+              if j * b < 8 * (k + 1) and (j + 1) * b > 8 * k] for b in range(1, 17)}
+
+
+def _shifted(a, s):
+    return a << s if s >= 0 else a >> -s
 
 
 def payload_bytes(count, bit_width):
@@ -25,46 +29,30 @@ def pack_rows(offsets, bit_width):
     offsets = np.asarray(offsets)
     n, d = offsets.shape
     groups = -(-d // 8)
-    padded = np.zeros((n, groups * 8), dtype=np.uint64)
-    padded[:, :d] = offsets
-    if bit_width <= 8:
-        lanes = padded.reshape(n, groups, 8) << _LANE_SHIFTS[bit_width]
-        words = np.bitwise_or.reduce(lanes, axis=2).astype(_BE64)[..., None]
-        raw = words.view(np.uint8)[..., 8 - bit_width:]
-    else:
-        lanes = padded.reshape(n, groups, 2, 4) << _LANE_SHIFTS[bit_width]
-        halves = np.bitwise_or.reduce(lanes, axis=3)
-        hi, lo = halves[..., 0], halves[..., 1]
-        words = np.empty((n, groups, 2), dtype=_BE64)  # hi then lo, left-aligned
-        words[..., 0] = (hi << np.uint64(64 - 4 * bit_width)) | (lo >> np.uint64(8 * bit_width - 64))
-        words[..., 1] = lo << np.uint64(128 - 8 * bit_width)
-        raw = words.view(np.uint8)[..., :bit_width]
-    return np.ascontiguousarray(
-        raw.reshape(n, groups * bit_width)[:, :payload_bytes(d, bit_width)])
+    padded = np.zeros((n, groups, 8), dtype=np.uint8 if bit_width <= 8 else np.uint16)
+    padded.reshape(n, groups * 8)[:, :d] = offsets
+    out = np.zeros((n, groups, bit_width), dtype=np.uint8)
+    for k, j, s in _TERMS[bit_width]:
+        out[..., k] |= _shifted(padded[..., j], s)  # uint16 terms are cut to 8 bits
+    return np.ascontiguousarray(out.reshape(n, groups * bit_width)[:, :payload_bytes(d, bit_width)])
 
 
 def unpack_rows(payload, count, bit_width):
-    """Inverse of pack_rows; returns an (N, count) uint32 array."""
+    """Inverse of pack_rows; returns an (N, count) array of offsets, uint8
+    for b <= 8 and uint16 above."""
     payload = np.asarray(payload, dtype=np.uint8)
     n, nbytes = payload.shape
     if nbytes != payload_bytes(count, bit_width):
         raise ValueError(f"payload is {nbytes} bytes, expected {payload_bytes(count, bit_width)} "
                          f"for {count} codes at {bit_width} bits")
     groups = -(-count // 8)
-    padded = np.zeros((n, groups * bit_width), dtype=np.uint8)
-    padded[:, :nbytes] = payload
-    raw = np.zeros((n, groups, 8 if bit_width <= 8 else 16), dtype=np.uint8)
-    start = max(8 - bit_width, 0)
-    raw[..., start:start + bit_width] = padded.reshape(n, groups, bit_width)
-    words = raw.view(_BE64).astype(np.uint64)
-    if bit_width > 8:  # split each 128-bit word pair back into its two lanes
-        hi_bits = 64 - 4 * bit_width
-        lo = (((words[..., 0] & np.uint64((1 << hi_bits) - 1)) << np.uint64(8 * bit_width - 64))
-              | (words[..., 1] >> np.uint64(128 - 8 * bit_width)))
-        words[..., 0] >>= np.uint64(hi_bits)
-        words[..., 1] = lo
-    offsets = (words[..., None] >> _LANE_SHIFTS[bit_width]) & np.uint64((1 << bit_width) - 1)
-    return offsets.reshape(n, groups * 8)[:, :count].astype(np.uint32)
+    padded = np.zeros((n, groups, bit_width), dtype=np.uint8 if bit_width <= 8 else np.uint16)
+    padded.reshape(n, groups * bit_width)[:, :nbytes] = payload
+    offsets = np.zeros((n, groups, 8), dtype=padded.dtype)
+    for k, j, s in _TERMS[bit_width]:
+        offsets[..., j] |= _shifted(padded[..., k], -s)
+    offsets &= (1 << bit_width) - 1
+    return offsets.reshape(n, groups * 8)[:, :count]
 
 
 def pack_offsets(offsets, bit_width):
@@ -73,5 +61,5 @@ def pack_offsets(offsets, bit_width):
 
 
 def unpack_offsets(payload, count, bit_width):
-    """Inverse of pack_offsets; returns a uint32 array of length count."""
+    """Inverse of pack_offsets; returns an array of count offsets."""
     return unpack_rows(np.frombuffer(payload, dtype=np.uint8)[None], count, bit_width)[0]

@@ -17,17 +17,19 @@ Layout (all little-endian):
         label        u32
         scale        f32  present iff bit_width >= 2; finite and positive
         payload      ceil(n*b/8) bytes, iff bit_width >= 2
-                     (offset-binary codes, MSB-first; see quantizer)
+                     (offset-binary codes, MSB-first, each 8 codes
+                     in b bytes; see quantizer)
 
 Dropped samples keep a 5-byte tombstone so the record index stays
 aligned with score and plan files. Identical (dataset, plan) inputs
 produce byte-identical files.
 
 Records are encoded and decoded one width group at a time, in fixed row
-chunks, as array operations. The reader finds every record's offset in
-one walk over the record prefixes, decoding checks each record's scale
-and payload, and QdsRecords.dequantized is the one dequantizing loop.
-The bit layout lives in dsquant._bitpack_py; this module slices bytes.
+chunks, as array operations. One width-to-record-size table serves the
+writer, the reader's walk over the record prefixes that finds every
+record's offset, and the storage report. Decoding checks each record's
+scale and payload, and QdsRecords.dequantized is the one dequantizing
+loop. The bit layout lives in dsquant._bitpack_py; this module slices bytes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
 from .dataset import Dataset, SampleShape, write_atomically
 from .quantizer import (
+    F32_MAX,
     MAX_BIT_WIDTH,
     QuantizedSample,
     dequantize_rows,
@@ -63,7 +66,6 @@ HEADER_BYTES = _HEADER.size  # 34
 PREFIX_BYTES = 5  # bit_width u8, label u32
 _SCALE_AT = PREFIX_BYTES
 _PAYLOAD_AT = PREFIX_BYTES + 4
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class QdsFormatError(ValueError):
@@ -87,20 +89,25 @@ class StorageReport:
     realized_ratio: float
 
 
+def _record_sizes(elems: int) -> list:
+    """Bytes in a record of elems elements, indexed by bit width 0..16;
+    0 at a width no record has."""
+    return [(_PAYLOAD_AT + payload_bytes(elems, b) if b else PREFIX_BYTES)
+            if is_valid_bit_width(b) else 0 for b in range(MAX_BIT_WIDTH + 1)]
+
+
 def _build_report(shape: SampleShape, assignments) -> StorageReport:
     assignments = np.asarray(assignments, dtype=np.int64)
     n = assignments.size
-    elems = shape.element_count
-    widths, counts = np.unique(assignments[assignments > 0], return_counts=True)
-    payload_bits = 8 * sum(int(k) * payload_bytes(elems, int(b))
-                           for b, k in zip(widths, counts))
-    scale_bits = 32 * int(counts.sum())
+    counts = np.bincount(assignments, minlength=MAX_BIT_WIDTH + 1).tolist()
+    total_bytes = HEADER_BYTES + sum(
+        k * size for k, size in zip(counts, _record_sizes(shape.element_count)))
+    scale_bits = 32 * (n - counts[0])
     metadata_bits = (8 + 32) * n
-    total_bits = HEADER_BYTES * 8 + payload_bits + scale_bits + metadata_bits
-    total_bytes = (total_bits + 7) // 8
+    payload_bits = 8 * (total_bytes - HEADER_BYTES) - scale_bits - metadata_bits
     b_avg = int(assignments.sum()) / n if n else 0.0
-    original_bits = n * elems * ORIGINAL_BITS
-    realized = 1.0 - total_bits / original_bits if original_bits else 0.0
+    original_bits = n * shape.element_count * ORIGINAL_BITS
+    realized = 1.0 - 8 * total_bytes / original_bits if original_bits else 0.0
     return StorageReport(payload_bits, scale_bits, metadata_bits, total_bytes,
                          compression_ratio(b_avg), realized)
 
@@ -126,7 +133,7 @@ def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
         dataset.num_classes, FLAG_LABELS,
     )
     elems = dataset.shape.element_count
-    sizes = np.where(widths > 0, _PAYLOAD_AT + (elems * widths + 7) // 8, PREFIX_BYTES)
+    sizes = np.array(_record_sizes(elems))[widths]
 
     def write(tmp):
         with open(tmp, "wb") as fh:
@@ -169,15 +176,13 @@ class QdsRecords:
             raise QdsFormatError(f"header claims {count} records, more than "
                                  f"a {len(raw)}-byte file holds")
         self.header = QdsHeader(count, SampleShape(h, w, c), num_classes)
-        elems = self.header.shape.element_count
-        sizes = {b: _PAYLOAD_AT + payload_bytes(elems, b) if b else PREFIX_BYTES
-                 for b in range(MAX_BIT_WIDTH + 1) if is_valid_bit_width(b)}
+        sizes = _record_sizes(self.header.shape.element_count)
         offsets, pos = [], HEADER_BYTES
         for i in range(count):
             if pos >= len(raw):
                 raise QdsFormatError(f"truncated file: record {i}")
-            size = sizes.get(raw[pos])
-            if size is None:
+            size = sizes[raw[pos]] if raw[pos] <= MAX_BIT_WIDTH else 0
+            if not size:
                 raise QdsFormatError(f"record {i}: invalid bit width {raw[pos]}")
             if pos + size > len(raw):
                 raise QdsFormatError(f"truncated file: record {i}")
@@ -215,7 +220,7 @@ class QdsRecords:
                 scales = sliding_window_view(self.data, 4)[at + _SCALE_AT].view("<f4")[:, 0]
                 with np.errstate(invalid="ignore"):  # casting a signaling NaN
                     largest = scales.astype(np.float64) * max_code(bits)
-                bad = np.flatnonzero(~((scales > 0) & (largest <= _F32_MAX)))
+                bad = np.flatnonzero(~((scales > 0) & (largest <= F32_MAX)))
                 if bad.size:  # the writer's scales are positive, Q * scale a float32
                     raise QdsFormatError(f"record {rows[positions[bad[0]]]}: scale "
                                          f"{scales[bad[0]]} is out of range for {bits}-bit codes")

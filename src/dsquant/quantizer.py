@@ -1,12 +1,12 @@
 """Per-sample linear symmetric quantization and variable-width packing.
 
 A sample is quantized with a single positive scale s derived from its
-maximum absolute value m: s = (m + 1e-12) / (2^(b-1) - 1). Codes are
-signed integers in [-Q, Q] with Q = 2^(b-1) - 1; reconstruction is
-s * code. Rounding is half-away-from-zero (one routine, _rounded, for
-the codes and for score's probe). Bit-width 0 means the sample
-is dropped; bit-width 1 is rejected (its code range would collapse to
-{0}).
+maximum absolute value m: s = (m + 1e-12) / Q, stepped down one float32
+where rounding puts s * Q past float32 max. Codes are signed integers in
+[-Q, Q] with Q = 2^(b-1) - 1; reconstruction is s * code. Rounding is
+half-away-from-zero (one routine, _rounded, for the codes and for
+score's probe). Bit-width 0 means the sample is dropped; bit-width 1 is
+rejected (its code range would collapse to {0}).
 
 Packed layout (normative for the QDS container): each code c is written
 as the unsigned offset c + Q in exactly b bits, MSB-first within each
@@ -29,6 +29,7 @@ from . import _bitpack_py as _kernel
 USING_NATIVE_KERNEL = False  # kept for tools that record the kernel used
 
 EPSILON = 1e-12
+F32_MAX = float(np.finfo(np.float32).max)
 MIN_BIT_WIDTH = 2
 MAX_BIT_WIDTH = 16
 
@@ -77,7 +78,12 @@ def _scales(values: np.ndarray, q: int) -> np.ndarray:
     m = np.abs(values).max(axis=1, initial=0).astype(np.float64)
     if not np.isfinite(m).all():  # a NaN or inf anywhere in a row reaches its max
         raise ValueError("sample values must be finite")
-    return ((m + EPSILON) / q).astype(np.float32)
+    scales = ((m + EPSILON) / q).astype(np.float32)
+    # rounding may lift scale * q past float32 max, so code q reads back as
+    # inf; one step down leaves scale * q in [m - 2^-22 m, m], within scale / 2
+    over = scales.astype(np.float64) * q > F32_MAX
+    scales[over] = np.nextafter(scales[over], np.float32(0))
+    return scales
 
 
 def _rounded(scaled: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
@@ -124,7 +130,8 @@ def pack_code_rows(codes, bit_width: int) -> np.ndarray:
     bound, codes = max_code(bit_width), np.asarray(codes)
     if codes.size and (codes.min() < -bound or codes.max() > bound):
         raise ValueError(f"code outside [-{bound}, {bound}]")
-    return _kernel.pack_rows(codes.astype(np.int64) + bound, bit_width)
+    # |codes| <= bound < 2^15, so the int32 sum cannot overflow
+    return _kernel.pack_rows(codes.astype(np.int32, copy=False) + bound, bit_width)
 
 
 def unpack_code_rows(payload, count: int, bit_width: int) -> np.ndarray:
@@ -137,7 +144,7 @@ def unpack_code_rows(payload, count: int, bit_width: int) -> np.ndarray:
     sentinel = (1 << bit_width) - 1
     if offsets.size and int(offsets.max()) >= sentinel:
         raise ValueError(f"reserved offset {sentinel} in payload")
-    return (offsets.astype(np.int64) - bound).astype(np.int32)
+    return np.subtract(offsets, bound, dtype=np.int32)
 
 
 def quantize_sample(values, bit_width: int, label: int = 0) -> QuantizedSample:

@@ -1,7 +1,7 @@
-"""Reference code shared by the tests: an independent bit decoder, the
-row quantizer as first written, the half-noise fixture of the
-acceptance gate, and the hostile copies of valid stage files that the
-file property tests read. No pipeline stage uses them, so they live
+"""Reference code shared by the tests: an independent bit encoder and
+decoder, the row quantizer as first written, the half-noise fixture of
+the acceptance gate, and the hostile copies of valid stage files that
+the file property tests read. No pipeline stage uses them, so they live
 here rather than in the dsquant package."""
 
 import numpy as np
@@ -20,15 +20,29 @@ def reference_unpack(payload: bytes, count: int, bit_width: int) -> np.ndarray:
                      for i in range(count)], dtype=np.int64)
 
 
+def reference_pack(codes, bit_width: int) -> bytes:
+    """The encoder reference_unpack inverts, on one Python big integer:
+    code i plus Q fills bits [i*b, (i+1)*b), then zero bits pad a byte."""
+    q, data = (1 << (bit_width - 1)) - 1, 0
+    for code in codes:
+        data = (data << bit_width) | (int(code) + q)
+    size = (len(codes) * bit_width + 7) // 8
+    return (data << (size * 8 - len(codes) * bit_width)).to_bytes(size, "big")
+
+
 def reference_quantize_rows(values, bit_width: int):
     """quantize_rows as first written, with full-size float64
     temporaries: the float64 cast first, then the abs-max, the scaled
-    rows, copysign(floor(|scaled| + 0.5), scaled) and a clip. The QDS
-    payloads and scales it gives are the format's reference."""
+    rows, copysign(floor(|scaled| + 0.5), scaled) and a clip. A scale
+    whose scale * q overflows float32 steps down to the float32 below it,
+    one less in its bit pattern. The QDS payloads and scales it gives are
+    the format's reference."""
     q = (1 << (bit_width - 1)) - 1
     rows = np.asarray(values, dtype=np.float64)
     m = np.abs(rows).max(axis=1, initial=0.0)
     scales = ((m + 1e-12) / q).astype(np.float32)
+    over = scales.astype(np.float64) * q > np.finfo(np.float32).max
+    scales[over] = (scales[over].view(np.uint32) - 1).view(np.float32)
     scaled = rows / scales.astype(np.float64)[:, None]
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     return np.clip(rounded, -q, q).astype(np.int32), scales

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -99,6 +100,18 @@ class TestWriteQds:
                 q = quantize_sample(values, int(b), label)
                 expected.append(struct.pack("<f", q.scale) + pack_codes(q).payload)
         assert path.read_bytes() == b"".join(expected)
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # integer arithmetic and one IEEE division give the same float32
+        # values on every NumPy, so the hash pins the format itself
+        widths = [0] + list(range(2, 17))
+        i, j = np.arange(2 * len(widths))[:, None], np.arange(37)[None, :]
+        values = (((i * 7919 + j * 104729) % 2001 - 1000) / 37).astype(np.float32)
+        dset = Dataset(SampleShape(1, 1, 37), 3, values, np.arange(len(values)) % 3)
+        path = tmp_path / "pinned.qds"
+        write_qds(dset, plan_of(widths * 2), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9b59b07380cdc7968c85a4e511445dbd1bd2e6126df83439b991c60b44758845")
 
 
 class TestReadQds:
@@ -273,6 +286,16 @@ class TestMaterialize:
             np.testing.assert_array_equal(out.values[j], expected)
             j += 1
 
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_largest_float32_is_readable(self, tmp_path, bits):
+        top = np.finfo(np.float32).max
+        dset = Dataset(SampleShape(1, 1, 2), 1, np.array([[top, -top]], np.float32),
+                       np.zeros(1, np.int64))
+        path = tmp_path / "top.qds"
+        write_qds(dset, plan_of([bits]), path)
+        scale = float(read_qds(path)[0][0].scale)
+        restored = materialize_training_set(path).values.astype(np.float64)
+        assert (np.abs(restored - dset.values) <= scale / 2).all()
 
     def test_dequantized_takes_rows_in_order_and_rejects_a_tombstone(self, tmp_path):
         path = tmp_path / "rows.qds"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import reference_quantize_rows, reference_unpack
+from reference import reference_pack, reference_quantize_rows, reference_unpack
 
 from dsquant import _bitpack_py
 from dsquant.quantizer import (
@@ -129,9 +129,10 @@ class TestQuantizeDequantize:
 
 @st.composite
 def rows_with_ties(draw):
-    """(values, bit_width, tie): random float32 rows, an all-zero row and
-    a row of exact .5 ties. The tie row's max is q * 2^e, so its scale is
-    2^e and every other element (k + 0.5) * 2^e scales to k + 0.5."""
+    """(values, bit_width, tie): random float32 rows, a row of +-float32
+    max, an all-zero row and a row of exact .5 ties. The tie row's max is
+    q * 2^e, so its scale is 2^e and every other element (k + 0.5) * 2^e
+    scales to k + 0.5."""
     bit_width = draw(st.integers(2, 16))
     q = max_code(bit_width)
     dim = draw(st.integers(2, 12))
@@ -141,7 +142,8 @@ def rows_with_ties(draw):
                                                    min_size=dim - 1, max_size=dim - 1))]
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
     tie = np.array(halves) * signs * 2.0 ** draw(st.integers(-12, 12))
-    values = np.vstack([random, np.zeros((1, dim)), tie]).astype(np.float32)
+    largest = np.finfo(np.float32).max * np.array(signs)
+    values = np.vstack([random, largest, np.zeros((1, dim)), tie]).astype(np.float32)
     return values, bit_width, tie
 
 
@@ -222,19 +224,26 @@ class TestPacking:
     def test_round_trip_random_codes(self, kernel, bit_width):
         rng = np.random.default_rng(bit_width)
         bound = (1 << (bit_width - 1)) - 1
-        for n in (0, 1, 7, 8, 9, 65):
+        for n in (0, 1, 3, 7, 8, 9, 65, 69):
             offsets = rng.integers(0, 2 * bound + 1, (5, n)).astype(np.uint32)
             rows = kernel.pack_rows(offsets, bit_width)
             assert rows.shape == (5, (n * bit_width + 7) // 8)
             np.testing.assert_array_equal(
                 kernel.unpack_rows(rows, n, bit_width), offsets)
-            for payload, row in zip(rows, offsets):
+            # any bytes, even pad bits and sentinels the reader rejects
+            hostile = rng.integers(0, 256, rows.shape, dtype=np.uint8)
+            unpacked = kernel.unpack_rows(hostile, n, bit_width)
+            for payload, row, noise, got in zip(rows, offsets, hostile, unpacked):
+                codes = row.astype(np.int64) - bound
+                assert payload.tobytes() == reference_pack(codes, bit_width)
                 assert kernel.pack_offsets(row, bit_width) == payload.tobytes()
                 np.testing.assert_array_equal(
                     kernel.unpack_offsets(payload.tobytes(), n, bit_width), row)
                 decoded = reference_unpack(payload.tobytes(), n, bit_width)
-                np.testing.assert_array_equal(decoded,
-                                              row.astype(np.int64) - bound)
+                np.testing.assert_array_equal(decoded, codes)
+                np.testing.assert_array_equal(
+                    reference_unpack(noise.tobytes(), n, bit_width),
+                    got.astype(np.int64) - bound)
 
     def test_trailing_pad_bits_are_zero(self):
         q = quantize_sample([1.0, -1.0, 0.5], 3)
