@@ -11,7 +11,9 @@ External formats:
   (little-endian uint32, one per sample).
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
-header over the same raw layout; see write_dataset_file. The text stage
+header over the same raw layout; see write_dataset_file. read_dataset_file
+reads it whole, DatasetRows a row chunk at a time, through one header
+parser. The text stage
 files (scores, plans, keep-lists) share one codec: write_indexed,
 read_indexed and read_table.
 """
@@ -25,6 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quantizer import row_chunks
 
 CIFAR_PIXEL_BYTES = 3072
 CIFAR_HEIGHT = 32
@@ -56,6 +60,18 @@ class SampleShape:
         return f"{self.height}x{self.width}x{self.channels}"
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("sample values must be finite")
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if num_classes < 1:
+        raise ValueError("num_classes must be positive")
+    if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("label out of range")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable ordered collection of flattened samples.
@@ -71,8 +87,6 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
         values = np.ascontiguousarray(self.values, dtype=np.float32)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if values.ndim != 2 or values.shape[1] != self.shape.element_count:
@@ -81,10 +95,8 @@ class Dataset:
             )
         if labels.shape != (values.shape[0],):
             raise ValueError("labels must be a 1-D array matching values")
-        if not np.isfinite(values).all():
-            raise ValueError("sample values must be finite")
-        if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError("label out of range")
+        _check_finite(values)
+        _check_labels(labels, self.num_classes)
         values.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -230,23 +242,66 @@ def write_dataset_file(dataset: Dataset, path) -> None:
         fh.write(np.ascontiguousarray(dataset.labels, "<u4"))
 
 
+def _read_dataset_header(fh, path):
+    """(sample count, shape, class count) of the DSR1 file open at fh,
+    after checking its magic, version, shape and body size; fh is left at
+    the first value."""
+    raw = fh.read(_DATASET_HEADER.size)
+    if len(raw) != _DATASET_HEADER.size:
+        raise ValueError(f"{path}: truncated dataset header")
+    magic, version, n, h, w, c, num_classes = _DATASET_HEADER.unpack(raw)
+    if magic != DATASET_MAGIC:
+        raise ValueError(f"{path}: not a DSR1 dataset file")
+    if version != DATASET_VERSION:
+        raise ValueError(f"{path}: unsupported dataset version {version}")
+    shape = SampleShape(h, w, c)
+    body = os.fstat(fh.fileno()).st_size - _DATASET_HEADER.size
+    expected = n * (shape.element_count + 1) * 4
+    if body != expected:
+        problem = "truncated" if body < expected else "trailing bytes after"
+        raise ValueError(f"{path}: {problem} dataset body")
+    return n, shape, num_classes
+
+
 def read_dataset_file(path) -> Dataset:
     """Read a DSR1 stage container."""
     with open(path, "rb") as fh:
-        raw = fh.read(_DATASET_HEADER.size)
-        if len(raw) != _DATASET_HEADER.size:
-            raise ValueError(f"{path}: truncated dataset header")
-        magic, version, n, h, w, c, num_classes = _DATASET_HEADER.unpack(raw)
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"{path}: not a DSR1 dataset file")
-        if version != DATASET_VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
-        shape = SampleShape(h, w, c)
-        body = os.fstat(fh.fileno()).st_size - _DATASET_HEADER.size
-        expected = n * (shape.element_count + 1) * 4
-        if body != expected:
-            problem = "truncated" if body < expected else "trailing bytes after"
-            raise ValueError(f"{path}: {problem} dataset body")
+        n, shape, num_classes = _read_dataset_header(fh, path)
         values_data = fh.read(n * shape.element_count * 4)
         labels_data = fh.read(n * 4)
     return ingest_raw(values_data, labels_data, shape, num_classes)
+
+
+class DatasetRows:
+    """A DSR1 stage container read by rows. Opening it reads and checks
+    the header, the body size and the labels; chunks() then reads the
+    values a row chunk at a time, so no more than one chunk of them is
+    ever held. The checks and their messages are read_dataset_file's."""
+
+    def __init__(self, path):
+        self._path = path
+        with open(path, "rb") as fh:
+            n, self.shape, self.num_classes = _read_dataset_header(fh, path)
+            fh.seek(n * self.shape.element_count * 4, os.SEEK_CUR)
+            labels = np.frombuffer(fh.read(n * 4), dtype="<u4").astype(np.int64)
+        _check_labels(labels, self.num_classes)
+        labels.setflags(write=False)
+        self.labels = labels
+
+    def chunks(self):
+        """Yield (rows, values) for each quantizer.row_chunks slice of
+        the samples: values is those rows as a float32 array, checked
+        finite and read into one buffer that the next chunk overwrites."""
+        n, dim = self.labels.size, self.shape.element_count
+        chunks = row_chunks(n, dim)
+        if not chunks:
+            return
+        buffer = np.empty((min(chunks[0].stop, n), dim), dtype="<f4")
+        with open(self._path, "rb") as fh:
+            fh.seek(_DATASET_HEADER.size)
+            for rows in chunks:
+                values = buffer[:min(rows.stop, n) - rows.start]
+                if fh.readinto(values) != values.nbytes:
+                    raise ValueError(f"{self._path}: truncated dataset body")
+                _check_finite(values)
+                yield rows, values

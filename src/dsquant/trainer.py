@@ -30,26 +30,29 @@ row chunk at a time, so it peaks at 8 bytes per trained element plus
 one chunk. No one-hot label rows: a step subtracts 1 from each row's
 own class probability in place, p - onehot(y) bit for bit, so beyond
 the model the class count sizes only per-row logits and probabilities.
-compare() orders its work to keep the sum over its two processes near
-a single process's peak:
-  1. It reads the original float32 data, keeps its float32 test split
-     and the QDS file's bytes, builds and standardizes the baseline
-     matrix and frees the original. Peak: original + test split + QDS
-     bytes + the baseline matrix.
+compare() streams the dataset file, so the float32 dataset never exists
+in full, and orders its work so that each process peaks at the baseline
+matrix:
+  1. It reads the dataset file's header and labels (dataset.DatasetRows)
+     and the QDS file's bytes, checks that the two match, and splits on
+     the labels. One pass over the value rows, a row chunk at a time into
+     one reused float32 buffer, then writes each row either into the
+     baseline matrix or into the float32 test split, and the matrix is
+     standardized. Peak: test split + QDS bytes + the baseline matrix +
+     one row chunk.
   2. It forks. The SGD only reads the baseline matrix, so the child and
-     the parent share its pages rather than copy them, and the parent
-     drops its reference. The parent builds the quantized matrix
-     straight from decoded QDS chunks, with no float32 training set.
-     Summed over both processes: test split + QDS bytes + the two
-     matrices. That is below step 1 while at most 5/8 of the train
-     split is kept (the two matrices together then take no more than
-     the original plus the baseline matrix).
-  3. After reaping the child, the parent evaluates: the test split and
-     the dequantized train rows are each cast to float64 in one piece
-     (in row chunks, BLAS can round a logit of a short final chunk
+     the parent share its pages, and the parent drops its reference. The
+     parent builds the quantized matrix straight from decoded QDS chunks,
+     with no float32 training set. Each process stays at or below step
+     1's peak; summed over both, this step adds the quantized matrix to
+     it.
+  3. The parent evaluates its own arm before it joins the child: the test
+     split and the dequantized train rows are each cast to float64 in one
+     piece (in row chunks, BLAS can round a logit of a short final chunk
      differently), one at a time.
 The sequential fallback runs the same steps with the baseline arm
-finished, and its matrix freed, before the quantized one is built.
+finished, and its matrix freed, before the quantized one is built, so
+it peaks at step 1.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .dataset import Dataset, read_dataset_file
+from .dataset import Dataset, DatasetRows
 from .qds import QdsRecords
 from .quantizer import row_chunks
 from .sensitivity import LogisticModel, _softmax
@@ -91,14 +94,6 @@ class EvalReport:
     loss_curve: tuple
     accuracy_delta: float  # quantized minus full-precision test accuracy
     baseline_test_accuracy: float
-
-
-def _gathered(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """values[rows] as one float64 matrix, gathered a row chunk at a time."""
-    x = np.empty((len(rows), values.shape[1]))
-    for chunk in row_chunks(*x.shape):
-        x[chunk] = values[rows[chunk]]
-    return x
 
 
 def _row_sum(blocks) -> np.ndarray:
@@ -232,12 +227,12 @@ def evaluate(model: LogisticModel, dataset: Dataset) -> float:
     return _accuracy(model, dataset.values, dataset.labels)
 
 
-def stratified_split(dataset: Dataset, seed: int):
-    """Seeded per-class TEST_FRACTION split; returns (train_indices, test_indices).
-    Only the classes present are visited (ascending, members in index
-    order), so the work follows the sample count, not the class count."""
+def stratified_split(labels: np.ndarray, seed: int):
+    """Seeded per-class TEST_FRACTION split of the samples labelled
+    labels; returns (train_indices, test_indices), each ascending. Only
+    the classes present are visited (ascending, members in index order),
+    so the work follows the sample count, not the class count."""
     rng = np.random.default_rng(seed)
-    labels = dataset.labels
     by_class = np.argsort(labels, kind="stable")
     test = np.zeros(len(labels), dtype=bool)
     for members in np.split(by_class, np.flatnonzero(np.diff(labels[by_class])) + 1):
@@ -252,62 +247,73 @@ def fit_scoring_model(dataset: Dataset, seed: int = 42) -> LogisticModel:
     return train(dataset, TrainConfig(epochs=1, seed=seed))
 
 
-def _check_same_dataset(stored: QdsRecords, original: Dataset) -> None:
-    """Reject a container that was not quantized from original."""
+def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,
+                        labels: np.ndarray) -> None:
+    """Reject a container that was not quantized from the dataset of this
+    shape, class count and labels."""
     header = stored.header
     for what, theirs, ours in (
-        ("sample count", header.sample_count, len(original)),
-        ("sample shape", header.shape, original.shape),
-        ("class count", header.num_classes, original.num_classes),
+        ("sample count", header.sample_count, len(labels)),
+        ("sample shape", header.shape, shape),
+        ("class count", header.num_classes, num_classes),
     ):
         if theirs != ours:
             raise ValueError(f"quantized file has {what} {theirs}, dataset has {ours}")
     kept = np.flatnonzero(stored.widths > 0)
-    bad = kept[stored.labels[kept] != original.labels[kept]]
+    bad = kept[stored.labels[kept] != labels[kept]]
     if bad.size:
         i = bad[0]
         raise ValueError(f"record {i}: quantized file has label {stored.labels[i]}, "
-                         f"dataset has {original.labels[i]}")
+                         f"dataset has {labels[i]}")
 
 
-def _baseline_arm(original: Dataset, rows: np.ndarray, test_set: Dataset,
-                  config: TrainConfig):
-    """Build the baseline arm's standardized matrix now; the returned
-    function fits on it, frees it, and returns the test accuracy as the
-    8 bytes of a "<d"."""
-    y, classes = original.labels[rows], original.num_classes
-    matrix = [_standardized(_gathered(original.values, rows))]
+def _read_arms(original: DatasetRows, train_idx: np.ndarray, test_idx: np.ndarray,
+               config: TrainConfig):
+    """One pass over the dataset file's value rows, each row written
+    either into the baseline arm's float64 matrix or into the float32
+    test split. Returns the test split, as (values, labels), and the
+    baseline arm: a function that fits on the standardized matrix, frees
+    it, and returns the test accuracy as the 8 bytes of a "<d"."""
+    dim = original.shape.element_count
+    matrix = np.empty((train_idx.size, dim))
+    test_values = np.empty((test_idx.size, dim), dtype=np.float32)
+    for rows, values in original.chunks():
+        for indices, out in ((train_idx, matrix), (test_idx, test_values)):
+            lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
+            out[lo:hi] = values[indices[lo:hi] - rows.start]
+    held = [_standardized(matrix)]  # the one reference once this returns
+    y, classes = original.labels[train_idx], original.num_classes
+    test_split = test_values, original.labels[test_idx]
 
     def run() -> bytes:
-        model, _ = _descend(*matrix.pop(), y, classes, config)
-        return struct.pack("<d", evaluate(model, test_set))
-    return run
+        model, _ = _descend(*held.pop(), y, classes, config)
+        return struct.pack("<d", _accuracy(model, *test_split))
+    return test_split, run
 
 
 def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
     """Train on the dataset file's original samples and on the QDS file's
     dequantized ones, and report the accuracy gap. The two arms train at
     once where they can (see the module docstring)."""
-    original = read_dataset_file(dataset_path)
+    original = DatasetRows(dataset_path)
     stored = QdsRecords(quantized_path)
-    _check_same_dataset(stored, original)
-    train_idx, test_idx = stratified_split(original, config.seed)
+    _check_same_dataset(stored, original.shape, original.num_classes, original.labels)
+    train_idx, test_idx = stratified_split(original.labels, config.seed)
     kept = train_idx[stored.widths[train_idx] > 0]
     if kept.size == 0:
         raise ValueError("empty training set: every sample was dropped")
-    test_set = original.subset(test_idx)
-    baseline = _baseline_arm(original, train_idx, test_set, config)
-    del original  # its float32 values must not outlive the fork
+    test_split, baseline = _read_arms(original, train_idx, test_idx, config)
     labels, classes = stored.labels[kept], stored.header.num_classes
     with (parallel.one_blas_thread() as pinned,
           parallel.Started(baseline, parallel.use_fork(pinned)) as started):
         del baseline  # the baseline matrix now lives only where the arm ran or runs
         quant_model, curve = _descend(*_standardized(stored.dequantized(kept, np.float64)),
                                       labels, classes, config)
+        quant_acc = _accuracy(quant_model, *test_split)
+        train_acc = _accuracy(quant_model, stored.dequantized(kept, np.float64), labels)
         baseline_acc, = struct.unpack("<d", started.result())
-    quant_acc = evaluate(quant_model, test_set)
     return EvalReport(
-        train_accuracy=_accuracy(quant_model, stored.dequantized(kept, np.float64), labels),
+        train_accuracy=train_acc,
         test_accuracy=quant_acc,
         loss_curve=curve,
         accuracy_delta=quant_acc - baseline_acc,

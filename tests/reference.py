@@ -1,13 +1,14 @@
 """Reference code shared by the tests: an independent bit encoder and
 decoder, the row quantizer as first written, the half-noise fixture of
-the acceptance gate, and the hostile copies of valid stage files that
-the file property tests read. No pipeline stage uses them, so they live
-here rather than in the dsquant package."""
+the acceptance gate, the hostile copies of valid stage files that the
+file property tests read, and read_rows, which reads a dataset file by
+rows. No pipeline stage uses them, so they live here rather than in the
+dsquant package."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from dsquant.dataset import Dataset, SampleShape
+from dsquant.dataset import Dataset, DatasetRows, SampleShape
 
 
 def reference_unpack(payload: bytes, count: int, bit_width: int) -> np.ndarray:
@@ -110,3 +111,10 @@ def hostile_copy(valid, kind, other, how, at, to, bit):
     path = valid / f"hostile-{kind}"
     path.write_bytes(data)
     return path
+
+
+def read_rows(path):
+    """Read a dataset file the way compare does: DatasetRows reads the
+    header and labels, then every value row."""
+    for _ in DatasetRows(path).chunks():
+        pass

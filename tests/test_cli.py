@@ -307,6 +307,30 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert "record 0: quantized file has label 2, dataset has 0" in err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan-in-last-row", "sample values must be finite"),
+        ("label-out-of-range", "label out of range"),
+    ])
+    def test_compare_rejects_a_fault_in_the_last_record(self, tmp_path, capsys, synth_file,
+                                                        monkeypatch, fault, message):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        data = bytearray(synth_file.read_bytes())
+        labels_at = len(data) - 300 * 4
+        if fault == "nan-in-last-row":  # the last value of the last chunk
+            data[labels_at - 4:labels_at] = np.float32(np.nan).tobytes()
+        else:  # 3 classes
+            data[-4:] = (3).to_bytes(4, "little")
+        synth_file.write_bytes(bytes(data))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
+                             "--qds", str(tmp_path / "data.qds"), "--epochs", "1",
+                             "--loss-csv", str(out_dir / "loss.csv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {message}\n")
+        assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_compare_reports_divergence_in_the_child(self, tmp_path, capsys, synth_file,
                                                      monkeypatch):

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import synth_half_noise
+from reference import read_rows, synth_half_noise
 
+from dsquant import quantizer
 from dsquant.dataset import (
     Dataset,
+    DatasetRows,
     SampleShape,
     ingest_cifar_binary,
     ingest_raw,
@@ -227,13 +229,79 @@ def test_dataset_validation():
         SampleShape(0, 1, 1)
 
 
+READERS = [read_dataset_file, read_rows]
+
+
 def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
     path = tmp_path / "data.bin"
     write_dataset_file(synth_blobs(2, 4, 3, 0.5, seed=1), path)
     data = path.read_bytes()
-    path.write_bytes(data + b"\x00" * 8)
-    with pytest.raises(ValueError, match="trailing"):
-        read_dataset_file(path)
-    path.write_bytes(data[:-1])
-    with pytest.raises(ValueError, match="truncated"):
-        read_dataset_file(path)
+    for reader in READERS:
+        path.write_bytes(data + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            reader(path)
+        path.write_bytes(data[:-1])
+        with pytest.raises(ValueError, match="truncated"):
+            reader(path)
+
+
+class TestDatasetRows:
+    """The row reader must read what read_dataset_file reads, and refuse
+    what it refuses with the same one-line message."""
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
+    def test_reads_what_was_written(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        rng = np.random.default_rng(n)
+        dset = Dataset(SampleShape(2, 4, 2), 5,
+                       rng.standard_normal((n, 16), dtype=np.float32), rng.integers(0, 5, n))
+        path = tmp_path / "data.bin"
+        write_dataset_file(dset, path)
+        rows = DatasetRows(path)
+        read = [(chunk, values.copy()) for chunk, values in rows.chunks()]
+        assert [chunk for chunk, _ in read] == quantizer.row_chunks(n, 16)
+        values = np.concatenate([np.empty((0, 16), np.float32), *(v for _, v in read)])
+        assert np.array_equal(values, dset.values)
+        assert np.array_equal(rows.labels, dset.labels)
+        assert (rows.shape, rows.num_classes) == (dset.shape, dset.num_classes)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan-in-last-row", "sample values must be finite"),
+        ("label-out-of-range", "label out of range"),
+        ("no-classes", "num_classes must be positive"),
+    ])
+    def test_rejects_what_read_dataset_file_rejects(self, tmp_path, monkeypatch,
+                                                    fault, message):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * 7)  # 7 rows of 8
+        path = tmp_path / "data.bin"
+        write_dataset_file(synth_blobs(3, 8, 10, 0.5, seed=1), path)
+        data = bytearray(path.read_bytes())
+        labels_at = len(data) - 30 * 4
+        if fault == "nan-in-last-row":
+            data[labels_at - 4:labels_at] = np.float32(np.nan).tobytes()
+        elif fault == "label-out-of-range":
+            data[-4:] = (3).to_bytes(4, "little")
+        else:
+            data[26:30] = bytes(4)
+        path.write_bytes(bytes(data))
+        for reader in READERS:
+            with pytest.raises(ValueError, match=message) as info:
+                reader(path)
+            assert "\n" not in str(info.value)
+
+    def test_holds_one_row_chunk_of_values(self, tmp_path):
+        rng = np.random.default_rng(6)
+        dset = Dataset(SampleShape(32, 32, 3), 10,
+                       rng.standard_normal((2000, 3072), dtype=np.float32),
+                       rng.integers(0, 10, 2000))
+        path = tmp_path / "data.bin"
+        write_dataset_file(dset, path)
+        tracemalloc.start()
+        try:
+            read_rows(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4 MiB float32 chunk and its 1 MiB finite mask, against the
+        # file's 23 MiB of values
+        assert peak < dset.values.nbytes // 4

@@ -220,7 +220,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, 3e38])
     def test_scale_the_writer_cannot_produce(self, tmp_path, capsys, scale):
         dset = small_dataset(n=10, dim=6)
-        record = stratified_split(dset, 42)[0][0]  # one compare trains on
+        record = stratified_split(dset.labels, 42)[0][0]  # one compare trains on
         dsr, path = tmp_path / "h.dsr", tmp_path / "h.qds"
         write_dataset_file(dset, dsr)
         write_qds(dset, plan_of([8] * 10), path)

@@ -9,7 +9,7 @@ import pytest
 from reference import synth_half_noise
 
 from dsquant import parallel, quantizer, trainer
-from dsquant.allocator import AllocationConfig, allocate
+from dsquant.allocator import AllocationConfig, AllocationPlan, allocate
 from dsquant.dataset import (
     Dataset,
     SampleShape,
@@ -29,7 +29,6 @@ from dsquant.trainer import (
     train,
     _descend,
     _fit,
-    _gathered,
     _standardized,
 )
 
@@ -201,7 +200,7 @@ class TestStreamingFit:
                 else np.arange(1000))
         config = TrainConfig(epochs=epochs, seed=7)
         model, curve = _fit(dset.subset(rows) if subset else dset, config)
-        ref_model, ref_curve = _descend(*_standardized(_gathered(dset.values, rows)),
+        ref_model, ref_curve = _descend(*_standardized(dset.values[rows].astype(np.float64)),
                                         dset.labels[rows], dset.num_classes, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
@@ -251,18 +250,18 @@ class TestEvaluate:
 
 class TestStratifiedSplit:
     def test_disjoint_and_covering(self, blobs):
-        train_idx, test_idx = stratified_split(blobs, seed=1)
+        train_idx, test_idx = stratified_split(blobs.labels, seed=1)
         merged = np.sort(np.concatenate([train_idx, test_idx]))
         np.testing.assert_array_equal(merged, np.arange(len(blobs)))
 
     def test_per_class_proportions(self, blobs):
-        _, test_idx = stratified_split(blobs, seed=1)
+        _, test_idx = stratified_split(blobs.labels, seed=1)
         for c in range(3):
             assert np.sum(blobs.labels[test_idx] == c) == 20
 
     def test_seeded(self, blobs):
-        a = stratified_split(blobs, seed=5)
-        b = stratified_split(blobs, seed=5)
+        a = stratified_split(blobs.labels, seed=5)
+        b = stratified_split(blobs.labels, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -271,16 +270,14 @@ class TestStratifiedSplit:
         # range(num_classes) draws an empty permutation for each of them
         rng = np.random.default_rng(seed)
         labels = rng.choice([1, 4, 6, 7, 9], size=203)
-        dset = Dataset(SampleShape(1, 1, 2), 10,
-                       np.zeros((203, 2), np.float32), labels)
         rng, train_idx, test_idx = np.random.default_rng(seed), [], []
-        for c in range(dset.num_classes):
+        for c in range(10):
             members = np.flatnonzero(labels == c)
             members = members[rng.permutation(members.size)]
             n_test = int(round(trainer.TEST_FRACTION * members.size))
             test_idx.append(members[:n_test])
             train_idx.append(members[n_test:])
-        ours = stratified_split(dset, seed)
+        ours = stratified_split(labels, seed)
         np.testing.assert_array_equal(ours[0], np.sort(np.concatenate(train_idx)))
         np.testing.assert_array_equal(ours[1], np.sort(np.concatenate(test_idx)))
 
@@ -296,7 +293,7 @@ def reference_compare(dataset_path, quantized_path, config):
     a float32 dequantized training set, and evaluate() throughout."""
     original = read_dataset_file(dataset_path)
     stored = QdsRecords(quantized_path)
-    train_idx, test_idx = stratified_split(original, config.seed)
+    train_idx, test_idx = stratified_split(original.labels, config.seed)
     test_set = original.subset(test_idx)
     baseline_acc = evaluate(train(original.subset(train_idx), config), test_set)
     kept = train_idx[stored.widths[train_idx] > 0]
@@ -349,6 +346,68 @@ class TestCompare:
         # EvalReport equality compares every float and the loss curve exactly
         assert report == reference_compare(*pruned, config)
         assert len(report.loss_curve) == 4
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["concurrent", "inline"])
+    def test_a_stream_of_many_row_chunks_matches_the_reference(self, pruned, forks,
+                                                               monkeypatch, fork):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 48 * 64)  # 10 row chunks
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
+        config = TrainConfig(epochs=2, seed=5)
+        assert compare(*pruned, config) == reference_compare(*pruned, config)
+        assert len(forks) == int(fork)
+
+    def test_the_stream_gives_the_gathered_matrix_and_test_split(self, pruned,
+                                                                 monkeypatch):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 48 * 64)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        descend, accuracy, fits, scored = trainer._descend, trainer._accuracy, [], []
+
+        def recording_descend(x, mean, std, *args):
+            fits.append((x, mean, std))
+            return descend(x, mean, std, *args)
+
+        def recording_accuracy(model, values, labels):
+            scored.append((values, labels))
+            return accuracy(model, values, labels)
+
+        monkeypatch.setattr(trainer, "_descend", recording_descend)
+        monkeypatch.setattr(trainer, "_accuracy", recording_accuracy)
+        compare(*pruned, TrainConfig(epochs=1, seed=5))
+        original = read_dataset_file(pruned[0])
+        train_idx, test_idx = stratified_split(original.labels, 5)
+        # inline, the baseline arm runs first and scores the test split first
+        expected = _standardized(original.values[train_idx].astype(np.float64))
+        for ours, theirs in zip(fits[0], expected):
+            assert np.array_equal(ours, theirs)
+        values, labels = scored[0]
+        assert values.dtype == np.float32
+        assert np.array_equal(values, original.values[test_idx])
+        assert np.array_equal(labels, original.labels[test_idx])
+
+    def test_peak_memory_is_the_baseline_matrix_and_test_split(self, tmp_path,
+                                                                monkeypatch):
+        # inline, the arms run one after the other: the peak is the
+        # baseline matrix next to the float32 test split and the QDS
+        # bytes, with no float32 copy of the dataset beside them
+        chunk = 1 << 14
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        n, dim = 2048, 256  # 32 row chunks
+        dset = _varied(n, dim)
+        dsr, qds = _dataset_file(tmp_path, dset), tmp_path / "data.qds"
+        write_qds(dset, AllocationPlan.from_assignments(np.full(n, 8)), qds)
+        train_idx, test_idx = stratified_split(dset.labels, 42)
+        del dset
+        tracemalloc.start()
+        try:
+            compare(dsr, qds, TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # decoding a QDS chunk takes a few float64 chunks of temporaries;
+        # the float32 dataset would add 4 * n * dim (2 MiB)
+        assert peak <= (8 * train_idx.size * dim + 4 * test_idx.size * dim
+                        + qds.stat().st_size + 8 * 8 * chunk)
 
     def test_arms_run_concurrently_on_two_cores(self, pruned, forks):
         if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
