@@ -6,6 +6,11 @@ atomically (temp file + rename), so a failing or interrupted stage
 leaves neither a truncated artifact nor its temp file. Exit codes: 0
 success, 1 I/O failure or out of memory, 2 validation failure, 128 +
 signal number on SIGINT or SIGTERM. --porcelain prints key=value lines.
+
+score reads the dataset file whole; quantize and compare read it a row
+chunk at a time (dataset.DatasetRows). score, quantize and compare may
+split their work with a forked child (dsquant.parallel), which is
+killed and reaped if the stage fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -99,9 +104,9 @@ def _cmd_allocate(args, emit: _Emitter) -> int:
 
 
 def _cmd_quantize(args, emit: _Emitter) -> int:
-    dset = ds.read_dataset_file(args.dataset)
+    rows = ds.DatasetRows(args.dataset)
     plan = allocator.read_plan(args.plan)
-    report = qds.write_qds(dset, plan, args.out)
+    report = qds.write_qds(rows, plan, args.out)
     for key, value in dataclasses.asdict(report).items():
         emit.kv(key, value)
     return EXIT_OK

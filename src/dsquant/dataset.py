@@ -12,10 +12,10 @@ External formats:
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
 header over the same raw layout; see write_dataset_file. read_dataset_file
-reads it whole, DatasetRows a row chunk at a time, through one header
-parser. The text stage
-files (scores, plans, keep-lists) share one codec: write_indexed,
-read_indexed and read_table.
+reads it whole (for score), DatasetRows a row chunk at a time (for
+compare and quantize), through one header parser. The text stage files
+(scores, plans, keep-lists) share one codec: write_indexed, read_indexed
+and read_table.
 """
 
 from __future__ import annotations
@@ -104,6 +104,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    def chunks(self, slices):
+        """(rows, values) for each row slice, as DatasetRows.chunks gives them."""
+        for rows in slices:
+            yield rows, self.values[rows]
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
@@ -273,10 +278,11 @@ def read_dataset_file(path) -> Dataset:
 
 
 class DatasetRows:
-    """A DSR1 stage container read by rows. Opening it reads and checks
-    the header, the body size and the labels; chunks() then reads the
-    values a row chunk at a time, so no more than one chunk of them is
-    ever held. The checks and their messages are read_dataset_file's."""
+    """A DSR1 stage container read by rows, for compare and quantize.
+    Opening it reads and checks the header, the body size and the labels;
+    chunks() then reads the values a row chunk at a time, so no more than
+    one chunk of them is ever held. The checks and their messages are
+    read_dataset_file's."""
 
     def __init__(self, path):
         self._path = path
@@ -288,18 +294,20 @@ class DatasetRows:
         labels.setflags(write=False)
         self.labels = labels
 
-    def chunks(self):
-        """Yield (rows, values) for each quantizer.row_chunks slice of
-        the samples: values is those rows as a float32 array, checked
-        finite and read into one buffer that the next chunk overwrites."""
+    def chunks(self, slices=None):
+        """Yield (rows, values) for each of slices, consecutive
+        quantizer.row_chunks slices (default: all of them): values is
+        those rows as a float32 array, checked finite and read into one
+        buffer that the next chunk overwrites. Reading starts at the
+        first slice's row."""
         n, dim = self.labels.size, self.shape.element_count
-        chunks = row_chunks(n, dim)
-        if not chunks:
+        slices = row_chunks(n, dim) if slices is None else slices
+        if not slices:
             return
-        buffer = np.empty((min(chunks[0].stop, n), dim), dtype="<f4")
+        buffer = np.empty((min(slices[0].stop, n) - slices[0].start, dim), dtype="<f4")
         with open(self._path, "rb") as fh:
-            fh.seek(_DATASET_HEADER.size)
-            for rows in chunks:
+            fh.seek(_DATASET_HEADER.size + slices[0].start * dim * 4)
+            for rows in slices:
                 values = buffer[:min(rows.stop, n) - rows.start]
                 if fh.readinto(values) != values.nbytes:
                     raise ValueError(f"{self._path}: truncated dataset body")

@@ -2,10 +2,12 @@
 
 compare() trains its baseline arm in a child while the caller trains the
 quantized arm; score_dataset() scores the second half of its row chunks
-in a child while the caller scores the first. Both use Started, which
-runs a function returning bytes in a forked child and hands those bytes
-back (or the child's exception), so a result is the same bit for bit
-whether the work was forked or run in the caller's process.
+in a child while the caller scores the first; write_qds() encodes the
+second half of its row chunks in a child, which writes them into the
+output file itself. All three use Started, which runs a function
+returning bytes in a forked child and hands those bytes back (or the
+child's exception), so a result is the same bit for bit whether the
+work was forked or run in the caller's process.
 
 Forking pays only with two usable cores, and only when each process
 keeps OpenBLAS to one thread: two processes with a BLAS thread per core

@@ -30,16 +30,26 @@ writer, the reader's walk over the record prefixes that finds every
 record's offset, and the storage report. Decoding checks each record's
 scale and payload, and QdsRecords.dequantized is the one dequantizing
 loop. The bit layout lives in dsquant._bitpack_py; this module slices bytes.
+
+The writer takes its rows a chunk at a time from a Dataset or a
+dataset.DatasetRows, so from a file it holds one chunk of values. The
+plan alone gives every record's offset, so with two row chunks or more
+a forked child (see dsquant.parallel) encodes the second half of them
+and writes each chunk at its offset in the temp file, while the caller
+writes the header and the first half; no encoded bytes cross between
+the processes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import parallel
 from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
 from .dataset import Dataset, SampleShape, write_atomically
@@ -118,38 +128,61 @@ def _scatter(out: np.ndarray, at: np.ndarray, rows: np.ndarray) -> None:
     sliding_window_view(out, rows.shape[1], writeable=True)[at] = rows
 
 
-def write_qds(dataset: Dataset, plan: AllocationPlan, path) -> StorageReport:
-    """Quantize per the plan and write the container atomically."""
-    if len(plan) != len(dataset):
-        raise ValueError(
-            f"plan covers {len(plan)} samples, dataset has {len(dataset)}"
-        )
+def _write_at(fd: int, data, offset: int) -> None:
+    """os.pwrite all of data at offset, which may take more than one call."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
+    """Quantize per the plan and write the container atomically. dataset
+    is a Dataset or a dataset.DatasetRows; with two row chunks or more, a
+    forked child encodes the second half of them where parallel.use_fork
+    allows (see the module docstring)."""
+    n = len(dataset.labels)
+    if len(plan) != n:
+        raise ValueError(f"plan covers {len(plan)} samples, dataset has {n}")
     widths = np.asarray(plan.assignments, dtype=np.int64)
     if not is_valid_bit_width(widths).all():
         raise ValueError("plan has an invalid bit width")
     header = _HEADER.pack(
-        QDS_MAGIC, QDS_VERSION, len(dataset),
+        QDS_MAGIC, QDS_VERSION, n,
         dataset.shape.height, dataset.shape.width, dataset.shape.channels,
         dataset.num_classes, FLAG_LABELS,
     )
     elems = dataset.shape.element_count
     sizes = np.array(_record_sizes(elems))[widths]
+    starts = HEADER_BYTES + np.cumsum(sizes) - sizes  # each record's file offset
+    chunks = row_chunks(n, elems)
+    half = len(chunks) // 2
+
+    def encode(slices, fd: int) -> bytes:
+        """Encode the records of slices, consecutive row chunks, writing
+        each chunk's records at their offset in fd; returns no bytes."""
+        for chunk, values in dataset.chunks(slices):
+            w, size = widths[chunk], sizes[chunk]
+            at = np.cumsum(size) - size  # record starts within this chunk
+            out = np.zeros(int(size.sum()), dtype=np.uint8)
+            out[at] = w
+            _scatter(out, at + 1, dataset.labels[chunk].astype("<u4"))
+            for bits in np.unique(w[w > 0]).tolist():
+                rows = np.flatnonzero(w == bits)
+                codes, scales = quantize_rows(values[rows], bits)
+                _scatter(out, at[rows] + _SCALE_AT, scales.astype("<f4"))
+                _scatter(out, at[rows] + _PAYLOAD_AT, pack_code_rows(codes, bits))
+            _write_at(fd, out, int(starts[chunk.start]))
+        return b""
 
     def write(tmp):
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            for chunk in row_chunks(len(dataset), elems):
-                w, size, values = widths[chunk], sizes[chunk], dataset.values[chunk]
-                at = np.cumsum(size) - size  # record starts within this chunk
-                out = np.zeros(int(size.sum()), dtype=np.uint8)
-                out[at] = w
-                _scatter(out, at + 1, dataset.labels[chunk].astype("<u4"))
-                for bits in np.unique(w[w > 0]).tolist():
-                    rows = np.flatnonzero(w == bits)
-                    codes, scales = quantize_rows(values[rows], bits)
-                    _scatter(out, at[rows] + _SCALE_AT, scales.astype("<f4"))
-                    _scatter(out, at[rows] + _PAYLOAD_AT, pack_code_rows(codes, bits))
-                fh.write(out)
+        with open(tmp, "wb") as fh, parallel.one_blas_thread() as pinned:
+            fd, fork = fh.fileno(), parallel.use_fork(pinned) and half > 0
+            _write_at(fd, header, 0)  # before a fork, so only the parent writes it
+            split = half if fork else len(chunks)
+            with parallel.Started(lambda: encode(chunks[split:], fd), fork) as started:
+                encode(chunks[:split], fd)
+                started.result()
 
     write_atomically(path, write)
     return _build_report(dataset.shape, widths)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dsquant
-from dsquant import parallel, sensitivity, trainer
+from dsquant import parallel, qds, sensitivity, trainer
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from dsquant.dataset import Dataset, SampleShape, write_dataset_file
@@ -432,6 +432,77 @@ class TestPipelineStages:
         with pytest.raises(ChildProcessError):  # killed and reaped, not left running
             os.waitpid(forks[0], os.WNOHANG)
         assert list(out_dir.iterdir()) == []
+
+    def _fork_quantize(self, tmp_path, capsys, synth_file, monkeypatch, child_half):
+        """Quantize in five row chunks, the last three in a forked child
+        that runs child_half(*args) in place of quantize_rows; returns the
+        quantize arguments, with an output in an empty directory."""
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        parent, quantize_rows = os.getpid(), qds.quantize_rows
+
+        def quantized(*args):
+            return quantize_rows(*args) if os.getpid() == parent else child_half(*args)
+
+        monkeypatch.setattr(qds, "quantize_rows", quantized)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        (tmp_path / "out").mkdir()
+        return ("quantize", "--dataset", str(synth_file), "--plan",
+                str(tmp_path / "plan.tsv"), "--out", str(tmp_path / "out" / "data.qds"))
+
+    @pytest.mark.parametrize("row", [10, 299], ids=["parent-half", "child-half"])
+    def test_quantize_rejects_a_nan_in_either_half(self, tmp_path, capsys, synth_file,
+                                                   monkeypatch, forks, row):
+        argv = self._fork_quantize(tmp_path, capsys, synth_file, monkeypatch,
+                                   qds.quantize_rows)
+        data = bytearray(synth_file.read_bytes())
+        at = 30 + (row * 16 + 3) * 4  # after the 30-byte header
+        data[at:at + 4] = np.float32(np.nan).tobytes()
+        synth_file.write_bytes(bytes(data))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: sample values must be finite\n")
+        assert len(forks) == 1 and list((tmp_path / "out").iterdir()) == []
+
+    def test_quantize_reports_an_error_in_the_child(self, tmp_path, capsys, synth_file,
+                                                    monkeypatch, forks):
+        def fail(*args):
+            raise ValueError("the child's half failed")
+
+        argv = self._fork_quantize(tmp_path, capsys, synth_file, monkeypatch, fail)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: the child's half failed\n")
+        assert len(forks) == 1 and list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("when", ["mid-encode", "at-fork"])
+    def test_sigterm_kills_and_reaps_the_encoding_child(self, tmp_path, capsys, synth_file,
+                                                        monkeypatch, forks, when):
+        def stop_parent(*args):
+            signal.raise_signal(signal.SIGTERM)
+
+        argv = self._fork_quantize(tmp_path, capsys, synth_file, monkeypatch,
+                                   lambda *args: time.sleep(60))  # still encoding
+        if when == "at-fork":
+            fork = os.fork
+
+            def interrupted_fork():
+                pid = fork()
+                if pid:  # before the parent holds the child's pid
+                    stop_parent()
+                return pid
+
+            monkeypatch.setattr(os, "fork", interrupted_fork)
+        else:
+            monkeypatch.setattr(qds, "pack_code_rows", stop_parent)  # the parent's half
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 128 + signal.SIGTERM
+        assert (out, err) == ("", "error: interrupted\n")
+        assert len(forks) == 1 and time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):  # killed and reaped, not left running
+            os.waitpid(forks[0], os.WNOHANG)
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_quantize_and_stats_print_the_storage_report(self, tmp_path, capsys,
                                                          synth_file):

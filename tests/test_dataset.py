@@ -265,6 +265,34 @@ class TestDatasetRows:
         assert np.array_equal(rows.labels, dset.labels)
         assert (rows.shape, rows.num_classes) == (dset.shape, dset.num_classes)
 
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
+    def test_reads_from_every_starting_chunk(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        rng = np.random.default_rng(n)
+        path = tmp_path / "data.bin"
+        write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
+                                   rng.standard_normal((n, 16), dtype=np.float32),
+                                   rng.integers(0, 5, n)), path)
+        whole, rows = read_dataset_file(path).values, DatasetRows(path)
+        chunks = quantizer.row_chunks(n, 16)
+        for first in range(len(chunks) + 1):  # the last start reads nothing
+            read = [(chunk, values.copy()) for chunk, values in rows.chunks(chunks[first:])]
+            assert [chunk for chunk, _ in read] == chunks[first:]
+            values = np.concatenate([np.empty((0, 16), np.float32), *(v for _, v in read)])
+            assert np.array_equal(values, whole[first * 64:])
+
+    def test_a_body_truncated_after_opening_is_one_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * 7)  # 7 rows of 8
+        path = tmp_path / "data.bin"
+        write_dataset_file(synth_blobs(3, 8, 10, 0.5, seed=1), path)
+        rows = DatasetRows(path)
+        chunks = quantizer.row_chunks(30, 8)
+        with open(path, "r+b") as fh:  # cut off the labels and the last value
+            fh.truncate(path.stat().st_size - 30 * 4 - 4)
+        with pytest.raises(ValueError, match="truncated dataset body") as info:
+            list(rows.chunks(chunks[-2:]))
+        assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("fault, message", [
         ("nan-in-last-row", "sample values must be finite"),
         ("label-out-of-range", "label out of range"),

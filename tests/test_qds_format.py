@@ -1,13 +1,16 @@
 import hashlib
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dsquant import parallel, quantizer
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_VALIDATION, main
-from dsquant.dataset import Dataset, SampleShape, synth_blobs, write_dataset_file
+from dsquant.dataset import Dataset, DatasetRows, SampleShape, synth_blobs, write_dataset_file
 from dsquant.qds import (
     HEADER_BYTES,
     PREFIX_BYTES,
@@ -112,6 +115,61 @@ class TestWriteQds:
         write_qds(dset, plan_of(widths * 2), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9b59b07380cdc7968c85a4e511445dbd1bd2e6126df83439b991c60b44758845")
+
+
+class TestForkedWriter:
+    """With two row chunks or more, a forked child encodes the second half
+    of them into the file while the caller encodes the first; the file and
+    the report must not change, and the file is read a chunk at a time."""
+
+    @pytest.mark.parametrize("source", ["dataset", "rows"])
+    def test_forked_and_inline_write_the_same_file(self, tmp_path, monkeypatch, forks,
+                                                   source):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 37)  # 64 rows of 37
+        rng = np.random.default_rng(13)
+        dset = small_dataset(n=300, dim=37, seed=13, num_classes=4)  # 5 row chunks
+        plan = plan_of(rng.choice([0, 2, 8, 16], len(dset)))
+        write_dataset_file(dset, tmp_path / "data.dsr")
+        written = {}
+        for fork in (True, False):
+            monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread, fork=fork: fork)
+            path = tmp_path / f"fork-{fork}.qds"
+            report = write_qds(dset if source == "dataset" else DatasetRows(tmp_path / "data.dsr"),
+                               plan, path)
+            written[fork] = (hashlib.sha256(path.read_bytes()).hexdigest(), report)
+        assert len(forks) == 1
+        assert written[True] == written[False]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.dsr", "fork-False.qds", "fork-True.qds"]
+
+    def test_forks_on_two_cores(self, tmp_path, monkeypatch, forks):
+        if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
+            pytest.skip("needs two usable cores and a settable OpenBLAS")
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 37)  # 64 rows of 37
+        write_qds(small_dataset(n=128, dim=37), plan_of([8] * 128), tmp_path / "data.qds")
+        assert len(forks) == 1
+
+    def test_holds_one_row_chunk_of_values(self, tmp_path, monkeypatch):
+        # quantize_rows takes float64 and int32 copies of a chunk (12 MB
+        # at the default chunk here), so the chunk is shrunk to show the
+        # peak follows it and not the 2000 rows of values
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        rng = np.random.default_rng(6)
+        dset = Dataset(SampleShape(32, 32, 3), 10,
+                       rng.standard_normal((2000, 3072), dtype=np.float32),
+                       rng.integers(0, 10, 2000))
+        write_dataset_file(dset, tmp_path / "data.bin")
+        plan, values_bytes = plan_of(rng.choice([0, 2, 8, 16], 2000)), dset.values.nbytes
+        del dset
+        rows = DatasetRows(tmp_path / "data.bin")
+        tracemalloc.start()
+        try:
+            write_qds(rows, plan, tmp_path / "data.qds")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values_bytes // 4
 
 
 class TestReadQds:
