@@ -30,6 +30,16 @@ row chunk at a time, so it peaks at 8 bytes per trained element plus
 one chunk. No one-hot label rows: a step subtracts 1 from each row's
 own class probability in place, p - onehot(y) bit for bit, so beyond
 the model the class count sizes only per-row logits and probabilities.
+A step allocates only its gathered batch, that batch's logits (which
+become its probabilities and then its residual, in place) and per-row
+scalars. The gradient, velocity and weight-decay buffers are allocated
+once per fit, and so is one n-vector of each row's probability of its
+own class, from which the epoch's loss is summed batch by batch at the
+epoch's end. Each epoch adds its permutation and each row's flat class
+position in its batch's probabilities: beyond the model, at most 32
+bytes per row next to the 8·D bytes of a matrix row. The weights, bias
+and loss curve are the same bits as when every step allocated its
+temporaries afresh.
 compare() streams the dataset file, so the float32 dataset never exists
 in full, and orders its work so that each process peaks at the baseline
 matrix:
@@ -66,7 +76,7 @@ from . import parallel
 from .dataset import Dataset, DatasetRows
 from .qds import QdsRecords
 from .quantizer import row_chunks
-from .sensitivity import LogisticModel, _softmax
+from .sensitivity import LogisticModel
 
 BATCH_SIZE = 64
 LEARNING_RATE = 0.1
@@ -165,30 +175,52 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     """Fit the recipe on the standardized rows x, labelled y: a matrix
     from _standardized, or a _StandardizedRows, either only read through
     x.shape and x[batch]. Returns the model on raw inputs and the
-    per-epoch mean loss curve."""
+    per-epoch mean loss curve. A step works in place (see the module
+    docstring); the epoch's loss is summed batch by batch at its end."""
     n, dim = x.shape
-    model = LogisticModel.seeded(classes, dim, config.seed)
-    weights, bias = model.weights, model.bias
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(bias)
+    init = LogisticModel.seeded(classes, dim, config.seed)
+    # the weights then the bias in one vector, and their velocity and
+    # gradient alike, so the momentum update is four calls; each (C, D)
+    # block is a C-contiguous view (a strided one rounds differently)
+    params = np.concatenate([init.weights.ravel(), init.bias])
+    vel, grad = np.zeros_like(params), np.empty_like(params)
+    size = classes * dim
+    weights, bias = params[:size].reshape(classes, dim), params[size:]
+    grad_w, grad_b = grad[:size].reshape(classes, dim), grad[size:]
+    decay = np.empty_like(weights)
+    picked = np.empty(n)  # each row's probability of its own class
+    row_offsets = np.arange(n) % BATCH_SIZE * classes  # of a batch row in its probs
     rng = np.random.default_rng(config.seed)
     losses = []
     for _ in range(config.epochs):
         perm = rng.permutation(n)
-        epoch_loss = 0.0
+        own = y[perm]
+        own += row_offsets  # flat position of each row's class in its probs
         for start in range(0, n, BATCH_SIZE):
             batch = perm[start:start + BATCH_SIZE]
-            xb, picked = x[batch], (np.arange(len(batch)), y[batch])
-            probs = _softmax(xb @ weights.T + bias)
-            epoch_loss += -np.log(np.maximum(probs[picked], 1e-300)).sum()
-            probs[picked] -= 1.0  # probs - onehot(y)
-            residual = probs / len(batch)
-            grad_w = residual.T @ xb + WEIGHT_DECAY * weights
-            grad_b = residual.sum(axis=0)
-            vel_w = MOMENTUM * vel_w - LEARNING_RATE * grad_w
-            vel_b = MOMENTUM * vel_b - LEARNING_RATE * grad_b
-            weights = weights + vel_w
-            bias = bias + vel_b
+            xb, rows = x[batch], slice(start, start + len(batch))
+            probs = np.dot(xb, weights.T)
+            probs += bias
+            probs -= probs.max(axis=1, keepdims=True)  # softmax, in place
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=1, keepdims=True)
+            flat = probs.reshape(-1)
+            np.take(flat, own[rows], out=picked[rows])
+            flat[own[rows]] -= 1.0  # probs - onehot(y)
+            probs /= len(batch)  # the residual
+            np.dot(probs.T, xb, out=grad_w)
+            grad_w += np.multiply(WEIGHT_DECAY, weights, out=decay)
+            probs.sum(axis=0, out=grad_b)
+            vel *= MOMENTUM
+            grad *= LEARNING_RATE
+            vel -= grad
+            params += vel
+        np.maximum(picked, 1e-300, out=picked)
+        np.log(picked, out=picked)
+        np.negative(picked, out=picked)
+        epoch_loss = 0.0
+        for start in range(0, n, BATCH_SIZE):
+            epoch_loss += picked[start:start + BATCH_SIZE].sum()
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
             raise RuntimeError("training diverged (non-finite loss)")
@@ -243,8 +275,10 @@ def stratified_split(labels: np.ndarray, seed: int):
 
 def fit_scoring_model(dataset: Dataset, seed: int = 42) -> LogisticModel:
     """Model state used for sensitivity scoring: one SGD pass over the
-    full-precision data from the seeded initialization."""
-    return train(dataset, TrainConfig(epochs=1, seed=seed))
+    full-precision data from the seeded initialization. OpenBLAS runs on
+    one thread, which is faster for its batch-sized products."""
+    with parallel.one_blas_thread():
+        return train(dataset, TrainConfig(epochs=1, seed=seed))
 
 
 def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,

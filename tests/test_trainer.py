@@ -133,7 +133,7 @@ def reference_fit(dataset, config):
     return LogisticModel(weights, bias), tuple(losses)
 
 
-def _varied(n, dim, seed=0):
+def _varied(n, dim, seed=0, classes=4):
     """Features with distinct offsets and scales; column 0 is constant
     and column 1's std is nonzero but under the floor."""
     rng = np.random.default_rng(seed)
@@ -141,7 +141,13 @@ def _varied(n, dim, seed=0):
               + rng.uniform(-5.0, 5.0, dim)).astype(np.float32)
     values[:, 0] = 0.75
     values[:, 1] = np.arange(n) % 2 * 1e-10
-    return Dataset(SampleShape(1, 1, dim), 4, values, rng.integers(0, 4, n))
+    return Dataset(SampleShape(1, 1, dim), classes, values, rng.integers(0, classes, n))
+
+
+def _oracle_case(n, dim, subset, classes=4):
+    """A TestFitOracle case; the four-class cases keep their first ids."""
+    name = f"{n}-{dim}-{subset}" if classes == 4 else f"{n}-{dim}-{classes}classes-{subset}"
+    return pytest.param(n, dim, subset, classes, id=name)
 
 
 class TestFitOracle:
@@ -149,16 +155,21 @@ class TestFitOracle:
     each batch as it gathers it; its result must equal the full-temporary
     reference bit for bit."""
 
-    @pytest.mark.parametrize("n, dim, subset", [
-        (200, 16, False),
-        (200, 16, True),
-        (1000, 3072, False),   # three row chunks
-        (1000, 3072, True),
-        (1, 16, False),
-        (1, 16, True),
+    @pytest.mark.parametrize("n, dim, subset, classes", [
+        _oracle_case(200, 16, False),
+        _oracle_case(200, 16, True),
+        _oracle_case(1000, 3072, False),   # three row chunks
+        _oracle_case(1000, 3072, True),
+        _oracle_case(1, 16, False),
+        _oracle_case(1, 16, True),
+        # a short final batch (or only one), and the widths where a strided
+        # or transposed weight layout rounds differently from the reference
+        *(_oracle_case(n, dim, subset, classes)
+          for n in (1, 63, 64, 65, 130, 200) for dim in (2, 16, 17, 64)
+          for classes in (2, 10) for subset in (False, True)),
     ])
-    def test_bitwise_equal_to_reference(self, n, dim, subset):
-        dset = _varied(n, dim)
+    def test_bitwise_equal_to_reference(self, n, dim, subset, classes):
+        dset = _varied(n, dim, classes=classes)
         rows = None
         if subset:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
@@ -220,6 +231,28 @@ class TestStreamingFit:
         # one float64 row chunk (8 MiB) and the model; the matrix alone
         # would be 8 * n * dim
         assert peak < 8 * n * dim / 4
+
+    def test_scoring_fit_runs_on_one_blas_thread_and_restores_the_count(self, blobs,
+                                                                       monkeypatch):
+        controls = parallel.openblas_threads()
+        if controls is None:
+            pytest.skip("NumPy's BLAS is not a settable OpenBLAS")
+        get, set_ = controls
+        descend, seen = trainer._descend, []
+
+        def recording(*args):
+            seen.append(get())
+            return descend(*args)
+
+        monkeypatch.setattr(trainer, "_descend", recording)
+        before = get()
+        set_(3)
+        try:
+            fit_scoring_model(blobs)
+            assert get() == 3
+        finally:
+            set_(before)
+        assert seen == [1]
 
 
 class TestEvaluate:
