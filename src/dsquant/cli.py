@@ -7,15 +7,18 @@ leaves neither a truncated artifact nor its temp file. Exit codes: 0
 success, 1 I/O failure or out of memory, 2 validation failure, 128 +
 signal number on SIGINT or SIGTERM. --porcelain prints key=value lines.
 
-score reads the dataset file whole; quantize and compare read it a row
-chunk at a time (dataset.DatasetRows). score, quantize and compare may
-split their work with a forked child (dsquant.parallel), which is
-killed and reaped if the stage fails or is interrupted.
+ingest streams a --cifar or --raw source into the dataset file a row
+chunk at a time (--synth builds its dataset whole first); score reads
+the dataset file whole; quantize and compare read it a row chunk at a
+time (dataset.DatasetRows). score, quantize and compare may split their
+work with a forked child (dsquant.parallel), which is killed and reaped
+if the stage fails or is interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import signal
 import sys
@@ -49,30 +52,29 @@ def _parse_shape(text: str) -> ds.SampleShape:
 
 
 def _cmd_ingest(args, emit: _Emitter) -> int:
-    if args.cifar:
-        data = Path(args.cifar).read_bytes()
-        dset = ds.ingest_cifar_binary(data, args.num_classes)
-    elif args.raw:
-        values_path, labels_path = args.raw
-        if args.shape is None:
-            raise ValueError("--raw requires --shape HxWxC")
-        dset = ds.ingest_raw(
-            Path(values_path).read_bytes(), Path(labels_path).read_bytes(),
-            _parse_shape(args.shape), args.num_classes,
-        )
-    else:
-        parts = args.synth.split(",")
-        if len(parts) != 4:
-            raise ValueError("--synth takes CLASSES,DIM,COUNT,SPREAD")
-        classes, dim, total = int(parts[0]), int(parts[1]), int(parts[2])
-        spread = float(parts[3])
-        if classes < 2 or total % classes:
-            raise ValueError("--synth sample count must divide evenly by classes")
-        dset = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
-    ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(dset, tmp))
-    emit.kv("samples", len(dset))
-    emit.kv("shape", dset.shape)
-    emit.kv("classes", dset.num_classes)
+    with contextlib.ExitStack() as files:
+        if args.cifar:
+            source = ds.CifarRecords(files.enter_context(open(args.cifar, "rb")),
+                                     args.num_classes)
+        elif args.raw:
+            if args.shape is None:
+                raise ValueError("--raw requires --shape HxWxC")
+            values_fh, labels_fh = (files.enter_context(open(p, "rb")) for p in args.raw)
+            source = ds.RawRows(values_fh, labels_fh, _parse_shape(args.shape),
+                                args.num_classes)
+        else:
+            parts = args.synth.split(",")
+            if len(parts) != 4:
+                raise ValueError("--synth takes CLASSES,DIM,COUNT,SPREAD")
+            classes, dim, total = int(parts[0]), int(parts[1]), int(parts[2])
+            spread = float(parts[3])
+            if classes < 2 or total % classes:
+                raise ValueError("--synth sample count must divide evenly by classes")
+            source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
+        ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(source, tmp))
+    emit.kv("samples", source.labels.size)
+    emit.kv("shape", source.shape)
+    emit.kv("classes", source.num_classes)
     return EXIT_OK
 
 

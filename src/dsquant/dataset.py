@@ -11,16 +11,22 @@ External formats:
   (little-endian uint32, one per sample).
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
-header over the same raw layout; see write_dataset_file. read_dataset_file
-reads it whole (for score), DatasetRows a row chunk at a time (for
-compare and quantize), through one header parser. The text stage files
-(scores, plans, keep-lists) share one codec: write_indexed, read_indexed
-and read_table.
+header over the same raw layout; see write_dataset_file, the one writer,
+which takes its values a row chunk at a time from any row source (an
+object with shape, num_classes, labels and chunks(slices)): a Dataset,
+a CifarRecords or RawRows reading ingest's input files, or a
+DatasetRows. So ingest holds one row chunk of its source, except for
+--synth, whose synth_blobs builds the Dataset whole. read_dataset_file
+reads the container whole (for score), DatasetRows a row chunk at a time
+(for compare and quantize), through one header parser. The text stage
+files (scores, plans, keep-lists) share one codec: write_indexed,
+read_indexed and read_table.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 import warnings
@@ -116,45 +122,117 @@ class Dataset:
                        self.values[indices], self.labels[indices])
 
 
-def ingest_cifar_binary(data: bytes, num_classes: int) -> Dataset:
-    """Decode a CIFAR-10/100 binary batch into a Dataset.
+def _read_rows(fh, at, slices, n, width, dtype, truncated):
+    """Yield (rows, table) for each of slices, consecutive row slices of
+    the n-row table of width-element dtype rows that starts at byte at of
+    fh: table is those rows, read into one buffer that the next slice
+    overwrites. A short read raises ValueError(truncated)."""
+    if not slices:
+        return
+    buffer = np.empty((min(slices[0].stop, n) - slices[0].start, width), dtype)
+    fh.seek(at + slices[0].start * width * buffer.itemsize)
+    for rows in slices:
+        table = buffer[:min(rows.stop, n) - rows.start]
+        if fh.readinto(table) != table.nbytes:
+            raise ValueError(truncated)
+        yield rows, table
 
-    Pixel bytes map to [0, 1] by division by 255 (0 -> 0.0, 255 -> 1.0
-    exactly); record order is preserved.
-    """
-    if num_classes < 2:
-        raise ValueError("num_classes must be at least 2")
-    label_bytes = 2 if num_classes == 100 else 1
-    record_size = label_bytes + CIFAR_PIXEL_BYTES
-    if len(data) % record_size != 0:
-        raise ValueError(
-            f"truncated CIFAR stream: {len(data)} bytes is not a multiple "
-            f"of the {record_size}-byte record size"
-        )
-    n = len(data) // record_size
+
+class CifarRecords:
+    """A CIFAR-10/100 binary batch, read from fh (a seekable binary file)
+    a row chunk at a time. Pixel bytes map to [0, 1] by division by 255
+    (0 -> 0.0, 255 -> 1.0 exactly); record order is preserved. labels
+    holds a record's label once chunks() has read it."""
+
     shape = SampleShape(CIFAR_HEIGHT, CIFAR_WIDTH, CIFAR_CHANNELS)
-    records = np.frombuffer(data, dtype=np.uint8).reshape(n, record_size)
-    labels = records[:, label_bytes - 1].astype(np.int64)
-    if n and labels.max() >= num_classes:
-        raise ValueError(f"label {labels.max()} out of range for {num_classes} classes")
-    values = records[:, label_bytes:].astype(np.float32) / np.float32(255)
-    return Dataset(shape, num_classes, values, labels)
+
+    def __init__(self, fh, num_classes: int):
+        if num_classes < 2:
+            raise ValueError("num_classes must be at least 2")
+        self._fh, self.num_classes = fh, num_classes
+        self._label_bytes = 2 if num_classes == 100 else 1
+        record_size = self._label_bytes + CIFAR_PIXEL_BYTES
+        size = fh.seek(0, os.SEEK_END)
+        if size % record_size != 0:
+            raise ValueError(
+                f"truncated CIFAR stream: {size} bytes is not a multiple "
+                f"of the {record_size}-byte record size"
+            )
+        self.labels = np.zeros(size // record_size, dtype=np.int64)
+
+    def chunks(self, slices):
+        """(rows, values) for each of slices, as DatasetRows.chunks gives
+        them; a label out of range names its record."""
+        n, label_at = self.labels.size, self._label_bytes - 1
+        values = None
+        for rows, records in _read_rows(self._fh, 0, slices, n,
+                                        label_at + 1 + CIFAR_PIXEL_BYTES, np.uint8,
+                                        "truncated CIFAR stream: the file shrank while read"):
+            labels = records[:, label_at]
+            bad = np.flatnonzero(labels >= self.num_classes)
+            if bad.size:
+                raise ValueError(f"record {rows.start + bad[0]}: label {labels[bad[0]]} "
+                                 f"out of range for {self.num_classes} classes")
+            self.labels[rows] = labels
+            if values is None:
+                values = np.empty((len(records), CIFAR_PIXEL_BYTES), dtype=np.float32)
+            chunk = values[:len(records)]
+            # bitwise records.astype(np.float32) / np.float32(255)
+            np.copyto(chunk, records[:, label_at + 1:], casting="unsafe")
+            chunk /= np.float32(255)
+            yield rows, chunk
+
+
+class RawRows:
+    """A .f32le value file plus .u32le label file, from values_fh and
+    labels_fh (seekable binary files). Opening it reads and checks the
+    labels; chunks() then reads the values a row chunk at a time."""
+
+    def __init__(self, values_fh, labels_fh, shape: SampleShape, num_classes: int):
+        row_bytes, size = shape.element_count * 4, values_fh.seek(0, os.SEEK_END)
+        if size % row_bytes != 0:
+            raise ValueError("value stream length is not a multiple of the sample size")
+        n, label_size = size // row_bytes, labels_fh.seek(0, os.SEEK_END)
+        if label_size != n * 4:
+            raise ValueError(f"label stream holds {label_size // 4} entries, expected {n}")
+        labels_fh.seek(0)
+        data = labels_fh.read(label_size)
+        if len(data) != label_size:
+            raise ValueError("truncated label stream: the file shrank while read")
+        labels = np.frombuffer(data, dtype="<u4").astype(np.int64)
+        _check_labels(labels, num_classes)
+        self._fh, self.shape, self.num_classes = values_fh, shape, num_classes
+        self.labels = labels
+
+    def chunks(self, slices):
+        """(rows, values) for each of slices, as DatasetRows.chunks gives them."""
+        for rows, values in _read_rows(self._fh, 0, slices, self.labels.size,
+                                       self.shape.element_count, "<f4",
+                                       "truncated value stream: the file shrank while read"):
+            _check_finite(values)
+            yield rows, values
+
+
+def _whole(source) -> Dataset:
+    """Every row of a row source, as a Dataset."""
+    n, dim = source.labels.size, source.shape.element_count
+    values = np.empty((n, dim), dtype=np.float32)
+    for rows, chunk in source.chunks(row_chunks(n, dim)):
+        values[rows] = chunk
+    return Dataset(source.shape, source.num_classes, values, source.labels)
+
+
+def ingest_cifar_binary(data: bytes, num_classes: int) -> Dataset:
+    """Decode a CIFAR-10/100 binary batch held in memory (CifarRecords)."""
+    return _whole(CifarRecords(io.BytesIO(data), num_classes))
 
 
 def ingest_raw(values_data: bytes, labels_data: bytes,
                shape: SampleShape, num_classes: int) -> Dataset:
-    """Decode a .f32le value stream plus .u32le label stream."""
-    row_bytes = shape.element_count * 4
-    if len(values_data) % row_bytes != 0:
-        raise ValueError("value stream length is not a multiple of the sample size")
-    n = len(values_data) // row_bytes
-    if len(labels_data) != n * 4:
-        raise ValueError(
-            f"label stream holds {len(labels_data) // 4} entries, expected {n}"
-        )
-    values = np.frombuffer(values_data, dtype="<f4").reshape(n, shape.element_count)
-    labels = np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
-    return Dataset(shape, num_classes, values, labels)
+    """Decode a .f32le value stream plus .u32le label stream held in
+    memory (RawRows)."""
+    return _whole(RawRows(io.BytesIO(values_data), io.BytesIO(labels_data),
+                          shape, num_classes))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int,
@@ -164,7 +242,7 @@ def synth_blobs(num_classes: int, dim: int, per_class: int,
     Deterministic in seed; values clipped to [-8, 8]. Samples are
     ordered class-major.
     """
-    if num_classes < 2 or dim < 1 or per_class < 1 or spread <= 0:
+    if num_classes < 2 or dim < 1 or per_class < 1 or not 0 < spread < np.inf:
         raise ValueError("invalid synthetic dataset sizes")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-4.0, 4.0, size=(num_classes, dim))
@@ -234,17 +312,20 @@ def read_indexed(path, dtype, header_fields: int = 0):
     return header, np.ascontiguousarray(rows["value"])
 
 
-def write_dataset_file(dataset: Dataset, path) -> None:
-    """Write the DSR1 stage container straight from the arrays."""
+def write_dataset_file(source, path) -> None:
+    """Write the DSR1 stage container from a row source: the header, the
+    values a row chunk at a time, then the labels, which a streamed
+    source has filled in by then."""
+    n, shape = source.labels.size, source.shape
     header = _DATASET_HEADER.pack(
-        DATASET_MAGIC, DATASET_VERSION, len(dataset),
-        dataset.shape.height, dataset.shape.width, dataset.shape.channels,
-        dataset.num_classes,
+        DATASET_MAGIC, DATASET_VERSION, n,
+        shape.height, shape.width, shape.channels, source.num_classes,
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(dataset.values, "<f4"))
-        fh.write(np.ascontiguousarray(dataset.labels, "<u4"))
+        for _, values in source.chunks(row_chunks(n, shape.element_count)):
+            fh.write(np.ascontiguousarray(values, "<f4"))
+        fh.write(np.ascontiguousarray(source.labels, "<u4"))
 
 
 def _read_dataset_header(fh, path):
@@ -274,7 +355,11 @@ def read_dataset_file(path) -> Dataset:
         n, shape, num_classes = _read_dataset_header(fh, path)
         values_data = fh.read(n * shape.element_count * 4)
         labels_data = fh.read(n * 4)
-    return ingest_raw(values_data, labels_data, shape, num_classes)
+    if len(labels_data) != n * 4:
+        raise ValueError(f"{path}: truncated dataset body")
+    values = np.frombuffer(values_data, dtype="<f4").reshape(n, shape.element_count)
+    labels = np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
+    return Dataset(shape, num_classes, values, labels)
 
 
 class DatasetRows:
@@ -302,14 +387,8 @@ class DatasetRows:
         first slice's row."""
         n, dim = self.labels.size, self.shape.element_count
         slices = row_chunks(n, dim) if slices is None else slices
-        if not slices:
-            return
-        buffer = np.empty((min(slices[0].stop, n) - slices[0].start, dim), dtype="<f4")
         with open(self._path, "rb") as fh:
-            fh.seek(_DATASET_HEADER.size + slices[0].start * dim * 4)
-            for rows in slices:
-                values = buffer[:min(rows.stop, n) - rows.start]
-                if fh.readinto(values) != values.nbytes:
-                    raise ValueError(f"{self._path}: truncated dataset body")
+            for rows, values in _read_rows(fh, _DATASET_HEADER.size, slices, n, dim, "<f4",
+                                           f"{self._path}: truncated dataset body"):
                 _check_finite(values)
                 yield rows, values

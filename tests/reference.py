@@ -1,9 +1,12 @@
 """Reference code shared by the tests: an independent bit encoder and
 decoder, the row quantizer as first written, the half-noise fixture of
 the acceptance gate, the hostile copies of valid stage files that the
-file property tests read, and read_rows, which reads a dataset file by
-rows. No pipeline stage uses them, so they live here rather than in the
+file property tests read, read_rows, which reads a dataset file by
+rows, and the whole-array ingest decoders and dataset file writer that
+the streamed ingest must match byte for byte. No pipeline stage uses them, so they live here rather than in the
 dsquant package."""
+
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
@@ -118,3 +121,31 @@ def read_rows(path):
     header and labels, then every value row."""
     for _ in DatasetRows(path).chunks():
         pass
+
+
+def reference_ingest_cifar(data: bytes, num_classes: int) -> Dataset:
+    """ingest_cifar_binary as first written, on whole arrays: the records,
+    their labels, and one float32 cast of every pixel divided by 255."""
+    label_bytes = 2 if num_classes == 100 else 1
+    records = np.frombuffer(data, dtype=np.uint8).reshape(-1, label_bytes + 3072)
+    values = records[:, label_bytes:].astype(np.float32) / np.float32(255)
+    return Dataset(SampleShape(32, 32, 3), num_classes, values,
+                   records[:, label_bytes - 1].astype(np.int64))
+
+
+def reference_ingest_raw(values_data: bytes, labels_data: bytes,
+                         shape: SampleShape, num_classes: int) -> Dataset:
+    """ingest_raw as first written, on whole arrays."""
+    values = np.frombuffer(values_data, dtype="<f4").reshape(-1, shape.element_count)
+    labels = np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
+    return Dataset(shape, num_classes, values, labels)
+
+
+def reference_dataset_bytes(dataset: Dataset) -> bytes:
+    """The DSR1 file write_dataset_file wrote from whole arrays: the
+    30-byte header, every value, then every label."""
+    shape = dataset.shape
+    header = struct.pack("<4sHQIIII", b"DSR1", 1, len(dataset),
+                         shape.height, shape.width, shape.channels, dataset.num_classes)
+    return (header + np.ascontiguousarray(dataset.values, "<f4").tobytes()
+            + np.ascontiguousarray(dataset.labels, "<u4").tobytes())

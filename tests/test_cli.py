@@ -4,16 +4,25 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import reference_dataset_bytes, reference_ingest_cifar, reference_ingest_raw
 
 import dsquant
-from dsquant import parallel, qds, sensitivity, trainer
+from dsquant import dataset, parallel, qds, sensitivity, trainer
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
-from dsquant.dataset import Dataset, SampleShape, write_dataset_file
+from dsquant.dataset import (
+    Dataset,
+    SampleShape,
+    ingest_cifar_binary,
+    ingest_raw,
+    write_dataset_file,
+)
 from dsquant.qds import write_qds
 
 
@@ -78,6 +87,114 @@ class TestIngest:
         code, _, _ = run(capsys, "ingest", "--synth", "3,16,301,0.5",
                          "--out", str(tmp_path / "d.bin"))
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("spread", ["nan", "inf", "1e309", "-inf", "0"])
+    def test_a_spread_that_is_not_positive_and_finite_is_refused(self, tmp_path, capsys,
+                                                                  spread):
+        code, _, err = run(capsys, "ingest", "--synth", f"3,4,30,{spread}",
+                           "--out", str(tmp_path / "d.bin"))
+        assert code == EXIT_VALIDATION
+        assert err == "error: invalid synthetic dataset sizes\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def _ingest_source(root, kind, n):
+    """Write an n-record --cifar (CIFAR-10 or -100) or --raw source under
+    root: (its ingest arguments, the Dataset the whole-array decoders make
+    of it)."""
+    rng = np.random.default_rng(n)
+    if kind == "raw":
+        values = rng.standard_normal((n, 16)).astype("<f4").tobytes()
+        labels = rng.integers(0, 5, n).astype("<u4").tobytes()
+        (root / "v.f32le").write_bytes(values)
+        (root / "l.u32le").write_bytes(labels)
+        return ([str(root / "v.f32le"), str(root / "l.u32le"), "--shape", "2x4x2",
+                 "--num-classes", "5"],
+                reference_ingest_raw(values, labels, SampleShape(2, 4, 2), 5))
+    classes = 100 if kind == "cifar100" else 10
+    label_bytes = 2 if classes == 100 else 1
+    records = rng.integers(0, 256, (n, label_bytes + 3072), dtype=np.uint8)
+    records[:, label_bytes - 1] = rng.integers(0, classes, n)
+    (root / "batch.bin").write_bytes(records.tobytes())
+    return ([str(root / "batch.bin"), "--num-classes", str(classes)],
+            reference_ingest_cifar(records.tobytes(), classes))
+
+
+class TestStreamedIngest:
+    """ingest reads a --cifar or --raw source a row chunk at a time into
+    the dataset file: the bytes are the whole-array decoders', and a fault
+    met mid-stream is one error line that leaves no file."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 12])  # chunks of 4 rows
+    @pytest.mark.parametrize("kind", ["cifar10", "cifar100", "raw"])
+    def test_same_bytes_as_the_whole_array_decoders(self, tmp_path, capsys, monkeypatch,
+                                                    kind, n):
+        args, expected = _ingest_source(tmp_path, kind, n)
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS",
+                            4 * expected.shape.element_count)
+        flag = "--raw" if kind == "raw" else "--cifar"
+        code, out, _ = run(capsys, "--porcelain", "ingest", flag, *args,
+                           "--out", str(tmp_path / "d.dsr"))
+        assert code == EXIT_OK
+        assert porcelain(out)["samples"] == str(n)
+        assert (tmp_path / "d.dsr").read_bytes() == reference_dataset_bytes(expected)
+        # the in-memory decoders are the same decoders
+        if kind == "raw":
+            again = ingest_raw(Path(args[0]).read_bytes(), Path(args[1]).read_bytes(),
+                               expected.shape, 5)
+        else:
+            again = ingest_cifar_binary(Path(args[0]).read_bytes(), expected.num_classes)
+        write_dataset_file(again, tmp_path / "again.dsr")
+        assert (tmp_path / "again.dsr").read_bytes() == reference_dataset_bytes(expected)
+
+    def test_cifar_ingest_holds_one_row_chunk(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 1 << 16)  # 21 rows
+        args, expected = _ingest_source(tmp_path, "cifar10", 2000)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "ingest", "--cifar", *args, "--out", str(tmp_path / "d.dsr"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # the whole-array path held the source, its float32 cast and the
+        # divided copy: over 2.25 times the 23 MiB of output values
+        assert peak < expected.values.nbytes // 4
+
+    @pytest.mark.parametrize("fault, message", [
+        ("cifar-label", "record 9: label 10 out of range for 10 classes"),
+        ("raw-nan", "sample values must be finite"),
+        ("cifar-shrunk", "truncated CIFAR stream: the file shrank while read"),
+        ("raw-shrunk", "truncated value stream: the file shrank while read"),
+    ])
+    def test_a_fault_in_the_last_chunk_is_one_line_and_leaves_no_file(
+            self, tmp_path, capsys, monkeypatch, fault, message):
+        kind = fault.split("-")[0]
+        args, expected = _ingest_source(tmp_path, "raw" if kind == "raw" else "cifar10", 12)
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS",
+                            4 * expected.shape.element_count)  # rows 8-11 come last
+        source = Path(args[0])
+        data = bytearray(source.read_bytes())
+        if fault == "cifar-label":  # the first bad record, not the largest label
+            data[9 * 3073], data[11 * 3073] = 10, 200
+        elif fault == "raw-nan":
+            data[-4:] = np.float32(np.nan).tobytes()
+        else:  # the source loses its last byte after ingest has opened it
+            writer = dataset.write_dataset_file
+
+            def shrink_then_write(rows, path):
+                os.truncate(source, len(data) - 1)
+                writer(rows, path)
+
+            monkeypatch.setattr("dsquant.dataset.write_dataset_file", shrink_then_write)
+        source.write_bytes(bytes(data))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _, err = run(capsys, "ingest", f"--{'raw' if kind == 'raw' else 'cifar'}",
+                           *args, "--out", str(out_dir / "d.dsr"))
+        assert code == EXIT_VALIDATION
+        assert err == f"error: {message}\n"
+        assert list(out_dir.iterdir()) == []
 
 
 class TestPipelineStages:
@@ -211,7 +328,7 @@ class TestPipelineStages:
         }[stage]
         code, _, err = run(capsys, stage, *args, "--out", str(out_dir / "result"))
         assert code in (EXIT_IO, EXIT_VALIDATION)
-        assert err.startswith("error:")
+        assert err == "error: disk full\n"  # the stage called the patched writer
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
