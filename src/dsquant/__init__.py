@@ -11,8 +11,6 @@ from .allocator import (
 from .dataset import (
     Dataset,
     SampleShape,
-    ingest_cifar_binary,
-    ingest_raw,
     synth_blobs,
 )
 from .qds import (
@@ -43,7 +41,6 @@ from .trainer import (
     EvalReport,
     TrainConfig,
     compare,
-    evaluate,
     fit_scoring_model,
     stratified_split,
     train,

@@ -16,9 +16,10 @@ which takes its values a row chunk at a time from any row source (an
 object with shape, num_classes, labels and chunks(slices)): a Dataset,
 a CifarRecords or RawRows reading ingest's input files, or a
 DatasetRows. So ingest holds one row chunk of its source, except for
---synth, whose synth_blobs builds the Dataset whole. read_dataset_file
-reads the container whole (for score), DatasetRows a row chunk at a time
-(for compare and quantize), through one header parser. The text stage
+--synth, whose synth_blobs builds the Dataset whole. The container has
+one header parser and one body reader, DatasetRows, which reads it a row
+chunk at a time (for compare and quantize); read_dataset_file copies
+its chunks into one array (for score). The text stage
 files (scores, plans, keep-lists) share one codec: write_indexed,
 read_indexed and read_table.
 """
@@ -26,7 +27,6 @@ read_indexed and read_table.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import struct
 import warnings
@@ -115,11 +115,6 @@ class Dataset:
         """(rows, values) for each row slice, as DatasetRows.chunks gives them."""
         for rows in slices:
             yield rows, self.values[rows]
-
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.shape, self.num_classes,
-                       self.values[indices], self.labels[indices])
 
 
 def _read_rows(fh, at, slices, n, width, dtype, truncated):
@@ -211,28 +206,6 @@ class RawRows:
                                        "truncated value stream: the file shrank while read"):
             _check_finite(values)
             yield rows, values
-
-
-def _whole(source) -> Dataset:
-    """Every row of a row source, as a Dataset."""
-    n, dim = source.labels.size, source.shape.element_count
-    values = np.empty((n, dim), dtype=np.float32)
-    for rows, chunk in source.chunks(row_chunks(n, dim)):
-        values[rows] = chunk
-    return Dataset(source.shape, source.num_classes, values, source.labels)
-
-
-def ingest_cifar_binary(data: bytes, num_classes: int) -> Dataset:
-    """Decode a CIFAR-10/100 binary batch held in memory (CifarRecords)."""
-    return _whole(CifarRecords(io.BytesIO(data), num_classes))
-
-
-def ingest_raw(values_data: bytes, labels_data: bytes,
-               shape: SampleShape, num_classes: int) -> Dataset:
-    """Decode a .f32le value stream plus .u32le label stream held in
-    memory (RawRows)."""
-    return _whole(RawRows(io.BytesIO(values_data), io.BytesIO(labels_data),
-                          shape, num_classes))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int,
@@ -350,31 +323,31 @@ def _read_dataset_header(fh, path):
 
 
 def read_dataset_file(path) -> Dataset:
-    """Read a DSR1 stage container."""
-    with open(path, "rb") as fh:
-        n, shape, num_classes = _read_dataset_header(fh, path)
-        values_data = fh.read(n * shape.element_count * 4)
-        labels_data = fh.read(n * 4)
-    if len(labels_data) != n * 4:
-        raise ValueError(f"{path}: truncated dataset body")
-    values = np.frombuffer(values_data, dtype="<f4").reshape(n, shape.element_count)
-    labels = np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
-    return Dataset(shape, num_classes, values, labels)
+    """Read a DSR1 stage container whole (for score): DatasetRows' rows,
+    copied chunk by chunk into one array."""
+    rows = DatasetRows(path)
+    values = np.empty((rows.labels.size, rows.shape.element_count), dtype=np.float32)
+    for chunk, chunk_values in rows.chunks():
+        values[chunk] = chunk_values
+    return Dataset(rows.shape, rows.num_classes, values, rows.labels)
 
 
 class DatasetRows:
-    """A DSR1 stage container read by rows, for compare and quantize.
-    Opening it reads and checks the header, the body size and the labels;
-    chunks() then reads the values a row chunk at a time, so no more than
-    one chunk of them is ever held. The checks and their messages are
-    read_dataset_file's."""
+    """A DSR1 stage container read by rows, the one body reader: compare
+    and quantize stream it, read_dataset_file copies it whole. Opening it
+    reads and checks the header, the body size and the labels; chunks()
+    then reads the values a row chunk at a time, so no more than one
+    chunk of them is ever held."""
 
     def __init__(self, path):
         self._path = path
         with open(path, "rb") as fh:
             n, self.shape, self.num_classes = _read_dataset_header(fh, path)
             fh.seek(n * self.shape.element_count * 4, os.SEEK_CUR)
-            labels = np.frombuffer(fh.read(n * 4), dtype="<u4").astype(np.int64)
+            data = fh.read(n * 4)
+        if len(data) != n * 4:  # the file shrank after its size was checked
+            raise ValueError(f"{path}: truncated dataset body")
+        labels = np.frombuffer(data, dtype="<u4").astype(np.int64)
         _check_labels(labels, self.num_classes)
         labels.setflags(write=False)
         self.labels = labels

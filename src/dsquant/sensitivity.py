@@ -72,10 +72,6 @@ class LogisticModel:
         weights = 0.01 * rng.standard_normal((num_classes, input_dim))
         return cls(weights, np.zeros(num_classes))
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights.shape[1]
-
     def logits(self, values) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) @ self.weights.T + self.bias
 

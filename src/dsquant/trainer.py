@@ -248,15 +248,9 @@ def train(dataset: Dataset, config: TrainConfig) -> LogisticModel:
 
 
 def _accuracy(model: LogisticModel, values, labels) -> float:
+    """Fraction of argmax-correct predictions; ties pick the lowest class."""
     predictions = np.argmax(model.logits(values), axis=1)
     return float(np.mean(predictions == labels)) if len(labels) else 0.0
-
-
-def evaluate(model: LogisticModel, dataset: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties pick the lowest class."""
-    if model.input_dim != dataset.shape.element_count:
-        raise ValueError("model input dimension does not match dataset")
-    return _accuracy(model, dataset.values, dataset.labels)
 
 
 def stratified_split(labels: np.ndarray, seed: int):

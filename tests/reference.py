@@ -2,9 +2,11 @@
 decoder, the row quantizer as first written, the half-noise fixture of
 the acceptance gate, the hostile copies of valid stage files that the
 file property tests read, read_rows, which reads a dataset file by
-rows, and the whole-array ingest decoders and dataset file writer that
-the streamed ingest must match byte for byte. No pipeline stage uses them, so they live here rather than in the
-dsquant package."""
+rows, the whole-body dataset file reader that the row reader must match,
+a row subset of a dataset, and the whole-array ingest decoders and
+dataset file writer that the streamed ingest must match byte for byte.
+No pipeline stage uses them, so they live here rather than in the dsquant
+package."""
 
 import struct
 
@@ -123,8 +125,25 @@ def read_rows(path):
         pass
 
 
+def reference_read_dataset(path) -> Dataset:
+    """read_dataset_file as first written: the header, then the whole
+    body in two reads, decoded by np.frombuffer."""
+    with open(path, "rb") as fh:
+        _, _, n, h, w, c, num_classes = struct.unpack("<4sHQIIII", fh.read(30))
+        shape = SampleShape(h, w, c)
+        values = np.frombuffer(fh.read(n * shape.element_count * 4), dtype="<f4")
+        labels = np.frombuffer(fh.read(n * 4), dtype="<u4").astype(np.int64)
+    return Dataset(shape, num_classes, values.reshape(n, shape.element_count), labels)
+
+
+def row_subset(dataset: Dataset, indices) -> Dataset:
+    """The rows of dataset at indices, in that order."""
+    return Dataset(dataset.shape, dataset.num_classes,
+                   dataset.values[indices], dataset.labels[indices])
+
+
 def reference_ingest_cifar(data: bytes, num_classes: int) -> Dataset:
-    """ingest_cifar_binary as first written, on whole arrays: the records,
+    """The CIFAR decoder as first written, on whole arrays: the records,
     their labels, and one float32 cast of every pixel divided by 255."""
     label_bytes = 2 if num_classes == 100 else 1
     records = np.frombuffer(data, dtype=np.uint8).reshape(-1, label_bytes + 3072)
@@ -135,7 +154,7 @@ def reference_ingest_cifar(data: bytes, num_classes: int) -> Dataset:
 
 def reference_ingest_raw(values_data: bytes, labels_data: bytes,
                          shape: SampleShape, num_classes: int) -> Dataset:
-    """ingest_raw as first written, on whole arrays."""
+    """The .f32le/.u32le decoder as first written, on whole arrays."""
     values = np.frombuffer(values_data, dtype="<f4").reshape(-1, shape.element_count)
     labels = np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
     return Dataset(shape, num_classes, values, labels)

@@ -1,4 +1,5 @@
 import argparse
+import io
 import os
 import signal
 import subprocess
@@ -17,10 +18,10 @@ from dsquant import dataset, parallel, qds, sensitivity, trainer
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from dsquant.dataset import (
+    CifarRecords,
     Dataset,
+    RawRows,
     SampleShape,
-    ingest_cifar_binary,
-    ingest_raw,
     write_dataset_file,
 )
 from dsquant.qds import write_qds
@@ -138,12 +139,12 @@ class TestStreamedIngest:
         assert code == EXIT_OK
         assert porcelain(out)["samples"] == str(n)
         assert (tmp_path / "d.dsr").read_bytes() == reference_dataset_bytes(expected)
-        # the in-memory decoders are the same decoders
+        # the same decoders over in-memory streams
+        first = io.BytesIO(Path(args[0]).read_bytes())
         if kind == "raw":
-            again = ingest_raw(Path(args[0]).read_bytes(), Path(args[1]).read_bytes(),
-                               expected.shape, 5)
+            again = RawRows(first, io.BytesIO(Path(args[1]).read_bytes()), expected.shape, 5)
         else:
-            again = ingest_cifar_binary(Path(args[0]).read_bytes(), expected.num_classes)
+            again = CifarRecords(first, expected.num_classes)
         write_dataset_file(again, tmp_path / "again.dsr")
         assert (tmp_path / "again.dsr").read_bytes() == reference_dataset_bytes(expected)
 

@@ -1,16 +1,17 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
-from reference import read_rows, synth_half_noise
+from reference import read_rows, reference_read_dataset, synth_half_noise
 
-from dsquant import quantizer
+from dsquant import dataset, quantizer
 from dsquant.dataset import (
+    CifarRecords,
     Dataset,
     DatasetRows,
+    RawRows,
     SampleShape,
-    ingest_cifar_binary,
-    ingest_raw,
     read_dataset_file,
     synth_blobs,
     write_dataset_file,
@@ -22,21 +23,38 @@ def _cifar_record(label, pixels, coarse=None):
     return prefix + bytes(pixels)
 
 
+def _decoded(source) -> Dataset:
+    """Every row of an ingest source, read a row chunk at a time."""
+    n, dim = source.labels.size, source.shape.element_count
+    values = np.empty((n, dim), dtype=np.float32)
+    for rows, chunk in source.chunks(quantizer.row_chunks(n, dim)):
+        values[rows] = chunk
+    return Dataset(source.shape, source.num_classes, values, source.labels)
+
+
+def _read_cifar(data, num_classes):
+    return _decoded(CifarRecords(io.BytesIO(data), num_classes))
+
+
+def _read_raw(values, labels, shape, num_classes):
+    return _decoded(RawRows(io.BytesIO(values), io.BytesIO(labels), shape, num_classes))
+
+
 class TestCifarIngestion:
     def test_single_record_max_pixels(self):
         data = _cifar_record(7, [255] * 3072)
-        dset = ingest_cifar_binary(data, 10)
+        dset = _read_cifar(data, 10)
         assert len(dset) == 1
         assert dset.labels[0] == 7
         assert np.all(dset.values == 1.0)
 
     def test_empty_stream(self):
-        dset = ingest_cifar_binary(b"", 10)
+        dset = _read_cifar(b"", 10)
         assert len(dset) == 0
 
     def test_pixel_endpoints_exact(self):
         data = _cifar_record(0, [0, 255] * 1536)
-        dset = ingest_cifar_binary(data, 10)
+        dset = _read_cifar(data, 10)
         assert dset.values[0, 0] == np.float32(0.0)
         assert dset.values[0, 1] == np.float32(1.0)
 
@@ -44,7 +62,7 @@ class TestCifarIngestion:
         rng = np.random.default_rng(3)
         pixels = [rng.integers(0, 256, 3072).tolist() for _ in range(2)]
         data = _cifar_record(2, pixels[0]) + _cifar_record(9, pixels[1])
-        dset = ingest_cifar_binary(data, 10)
+        dset = _read_cifar(data, 10)
         # independent byte-level decode
         for i in range(2):
             rec = data[i * 3073:(i + 1) * 3073]
@@ -54,27 +72,27 @@ class TestCifarIngestion:
 
     def test_cifar100_coarse_label_ignored(self):
         data = _cifar_record(42, [128] * 3072, coarse=13)
-        dset = ingest_cifar_binary(data, 100)
+        dset = _read_cifar(data, 100)
         assert dset.labels[0] == 42
 
     def test_truncated_stream_rejected(self):
         with pytest.raises(ValueError, match="truncated"):
-            ingest_cifar_binary(b"\x00" * 3072, 10)
+            _read_cifar(b"\x00" * 3072, 10)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            ingest_cifar_binary(_cifar_record(11, [0] * 3072), 10)
+            _read_cifar(_cifar_record(11, [0] * 3072), 10)
 
 
 class TestRawIngestion:
     def test_empty_files(self):
-        dset = ingest_raw(b"", b"", SampleShape(2, 2, 1), 4)
+        dset = _read_raw(b"", b"", SampleShape(2, 2, 1), 4)
         assert len(dset) == 0
 
     def test_single_element_identity(self):
         values = np.array([0.5], dtype="<f4").tobytes()
         labels = np.array([0], dtype="<u4").tobytes()
-        dset = ingest_raw(values, labels, SampleShape(1, 1, 1), 2)
+        dset = _read_raw(values, labels, SampleShape(1, 1, 1), 2)
         assert dset.values[0, 0] == np.float32(0.5)
         assert dset.labels[0] == 0
 
@@ -87,28 +105,28 @@ class TestRawIngestion:
         )
         vdata = original.values.astype("<f4").tobytes()
         ldata = original.labels.astype("<u4").tobytes()
-        again = ingest_raw(vdata, ldata, original.shape, 3)
+        again = _read_raw(vdata, ldata, original.shape, 3)
         np.testing.assert_array_equal(again.values, original.values)
         np.testing.assert_array_equal(again.labels, original.labels)
 
     def test_length_mismatch(self):
         values = np.zeros(4, dtype="<f4").tobytes()
         with pytest.raises(ValueError, match="label stream"):
-            ingest_raw(values, b"", SampleShape(2, 2, 1), 2)
+            _read_raw(values, b"", SampleShape(2, 2, 1), 2)
         with pytest.raises(ValueError, match="multiple"):
-            ingest_raw(values[:-2], b"", SampleShape(2, 2, 1), 2)
+            _read_raw(values[:-2], b"", SampleShape(2, 2, 1), 2)
 
     def test_non_finite_rejected(self):
         values = np.array([np.nan], dtype="<f4").tobytes()
         labels = np.array([0], dtype="<u4").tobytes()
         with pytest.raises(ValueError, match="finite"):
-            ingest_raw(values, labels, SampleShape(1, 1, 1), 2)
+            _read_raw(values, labels, SampleShape(1, 1, 1), 2)
 
     def test_label_out_of_range(self):
         values = np.array([1.0], dtype="<f4").tobytes()
         labels = np.array([9], dtype="<u4").tobytes()
         with pytest.raises(ValueError, match="label"):
-            ingest_raw(values, labels, SampleShape(1, 1, 1), 2)
+            _read_raw(values, labels, SampleShape(1, 1, 1), 2)
 
 
 class TestSyntheticBlobs:
@@ -246,8 +264,9 @@ def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
 
 
 class TestDatasetRows:
-    """The row reader must read what read_dataset_file reads, and refuse
-    what it refuses with the same one-line message."""
+    """The row reader, and read_dataset_file built on it, must read what
+    the whole-body reference reads, and refuse a hostile file with a
+    one-line message."""
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_reads_what_was_written(self, tmp_path, monkeypatch, n):
@@ -264,6 +283,10 @@ class TestDatasetRows:
         assert np.array_equal(values, dset.values)
         assert np.array_equal(rows.labels, dset.labels)
         assert (rows.shape, rows.num_classes) == (dset.shape, dset.num_classes)
+        whole, reference = read_dataset_file(path), reference_read_dataset(path)
+        assert np.array_equal(whole.values, reference.values)
+        assert np.array_equal(whole.labels, reference.labels)
+        assert (whole.shape, whole.num_classes) == (reference.shape, reference.num_classes)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_reads_from_every_starting_chunk(self, tmp_path, monkeypatch, n):
@@ -273,13 +296,33 @@ class TestDatasetRows:
         write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
                                    rng.standard_normal((n, 16), dtype=np.float32),
                                    rng.integers(0, 5, n)), path)
-        whole, rows = read_dataset_file(path).values, DatasetRows(path)
+        whole, rows = reference_read_dataset(path).values, DatasetRows(path)
         chunks = quantizer.row_chunks(n, 16)
         for first in range(len(chunks) + 1):  # the last start reads nothing
             read = [(chunk, values.copy()) for chunk, values in rows.chunks(chunks[first:])]
             assert [chunk for chunk, _ in read] == chunks[first:]
             values = np.concatenate([np.empty((0, 16), np.float32), *(v for _, v in read)])
             assert np.array_equal(values, whole[first * 64:])
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_labels_truncated_after_the_size_check_are_one_line(self, tmp_path,
+                                                                monkeypatch, reader):
+        path = tmp_path / "data.bin"
+        # 1,000 rows of 8: larger than the 8 KiB read buffer, so the label
+        # read goes to the shrunken file rather than to buffered bytes
+        write_dataset_file(synth_blobs(2, 8, 500, 0.5, seed=1), path)
+        read_header = dataset._read_dataset_header
+
+        def shrinking(fh, where):
+            header = read_header(fh, where)
+            with open(path, "r+b") as out:  # lose the last two labels
+                out.truncate(path.stat().st_size - 8)
+            return header
+
+        monkeypatch.setattr(dataset, "_read_dataset_header", shrinking)
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: truncated dataset body"
 
     def test_a_body_truncated_after_opening_is_one_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * 7)  # 7 rows of 8

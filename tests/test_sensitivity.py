@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import row_subset
 
 from dsquant import parallel, sensitivity
 from dsquant.dataset import Dataset, SampleShape, synth_blobs
@@ -140,7 +141,7 @@ class TestForkedScoring:
 
     def test_one_core_or_one_chunk_scores_inline(self, chunked, forks, monkeypatch):
         dset, model = chunked
-        score_dataset(dset.subset(np.arange(341)), model, 4)  # one row chunk
+        score_dataset(row_subset(dset, np.arange(341)), model, 4)  # one row chunk
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         score_dataset(dset, model, 4)
         assert forks == []

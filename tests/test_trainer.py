@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import synth_half_noise
+from reference import row_subset, synth_half_noise
 
 from dsquant import parallel, quantizer, trainer
 from dsquant.allocator import AllocationConfig, AllocationPlan, allocate
@@ -23,10 +23,10 @@ from dsquant.trainer import (
     EvalReport,
     TrainConfig,
     compare,
-    evaluate,
     fit_scoring_model,
     stratified_split,
     train,
+    _accuracy,
     _descend,
     _fit,
     _standardized,
@@ -41,7 +41,7 @@ def blobs():
 class TestTrain:
     def test_separable_blobs_fit_almost_perfectly(self, blobs):
         model = train(blobs, TrainConfig(epochs=10))
-        assert evaluate(model, blobs) >= 0.99
+        assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
 
     def test_zero_epochs_returns_initialization(self, blobs):
         config = TrainConfig(epochs=0)
@@ -174,7 +174,7 @@ class TestFitOracle:
         if subset:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
         config = TrainConfig(epochs=2, seed=3)
-        trained = dset if rows is None else dset.subset(rows)
+        trained = dset if rows is None else row_subset(dset, rows)
         model, curve = _fit(trained, config)
         ref_model, ref_curve = reference_fit(trained, config)
         assert np.array_equal(model.weights, ref_model.weights)
@@ -210,13 +210,13 @@ class TestStreamingFit:
         rows = (np.random.default_rng(2).permutation(1000)[:700] if subset
                 else np.arange(1000))
         config = TrainConfig(epochs=epochs, seed=7)
-        model, curve = _fit(dset.subset(rows) if subset else dset, config)
+        model, curve = _fit(row_subset(dset, rows) if subset else dset, config)
         ref_model, ref_curve = _descend(*_standardized(dset.values[rows].astype(np.float64)),
                                         dset.labels[rows], dset.num_classes, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
-        trained = train(dset.subset(rows) if subset else dset, config)
+        trained = train(row_subset(dset, rows) if subset else dset, config)
         assert np.array_equal(trained.weights, model.weights)
 
     def test_scoring_fit_holds_no_float64_matrix(self):
@@ -256,29 +256,23 @@ class TestStreamingFit:
 
 
 class TestEvaluate:
+    """_accuracy, which scores both arms of compare."""
+
     def test_uniform_logits_pick_class_zero(self):
-        from dsquant.sensitivity import LogisticModel
-        rng = np.random.default_rng(3)
-        dset = Dataset(SampleShape(1, 1, 4), 2,
-                       rng.standard_normal((10, 4)).astype(np.float32),
-                       np.array([0] * 5 + [1] * 5))
+        values = np.random.default_rng(3).standard_normal((10, 4)).astype(np.float32)
         model = LogisticModel(np.zeros((2, 4)), np.zeros(2))
         # argmax ties break to class 0, so accuracy is the class-0 share
-        assert evaluate(model, dset) == 0.5
+        assert _accuracy(model, values, np.array([0] * 5 + [1] * 5)) == 0.5
 
     def test_perfect_model_on_train_set(self, blobs):
         model = train(blobs, TrainConfig(epochs=10))
-        assert evaluate(model, blobs) >= 0.99
+        assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
 
     def test_order_invariant(self, blobs):
         model = train(blobs, TrainConfig(epochs=2))
         perm = np.random.default_rng(0).permutation(len(blobs))
-        assert evaluate(model, blobs) == evaluate(model, blobs.subset(perm))
-
-    def test_dimension_mismatch(self, blobs):
-        from dsquant.sensitivity import LogisticModel
-        with pytest.raises(ValueError, match="dimension"):
-            evaluate(LogisticModel(np.zeros((3, 7)), np.zeros(3)), blobs)
+        assert (_accuracy(model, blobs.values, blobs.labels)
+                == _accuracy(model, blobs.values[perm], blobs.labels[perm]))
 
 
 class TestStratifiedSplit:
@@ -323,12 +317,16 @@ def _dataset_file(tmp_path, dset, name="data.dsr"):
 
 def reference_compare(dataset_path, quantized_path, config):
     """compare as first written: one process, the baseline arm first,
-    a float32 dequantized training set, and evaluate() throughout."""
+    a float32 dequantized training set, and the accuracy of a whole
+    Dataset throughout."""
+    def evaluate(model, dset):
+        return _accuracy(model, dset.values, dset.labels)
+
     original = read_dataset_file(dataset_path)
     stored = QdsRecords(quantized_path)
     train_idx, test_idx = stratified_split(original.labels, config.seed)
-    test_set = original.subset(test_idx)
-    baseline_acc = evaluate(train(original.subset(train_idx), config), test_set)
+    test_set = row_subset(original, test_idx)
+    baseline_acc = evaluate(train(row_subset(original, train_idx), config), test_set)
     kept = train_idx[stored.widths[train_idx] > 0]
     quant_train = Dataset(original.shape, original.num_classes,
                           stored.dequantized(kept, np.float32), stored.labels[kept])
