@@ -67,8 +67,11 @@ class SampleShape:
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError("sample values must be finite")
+    """Reject a non-finite value in the 2-D values, checked a row chunk
+    at a time, so the mask is at most one chunk's."""
+    for rows in row_chunks(*values.shape):
+        if not np.isfinite(values[rows]).all():
+            raise ValueError("sample values must be finite")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:

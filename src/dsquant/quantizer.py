@@ -113,14 +113,16 @@ def dequantize_rows(codes, scales) -> np.ndarray:
             * np.asarray(codes, dtype=np.float64)).astype(np.float32)
 
 
-def round_trip_rows(values: np.ndarray, x: np.ndarray, bit_width: int) -> np.ndarray:
+def round_trip_rows(values: np.ndarray, x: np.ndarray, bit_width: int,
+                    out: np.ndarray = None) -> np.ndarray:
     """dequantize_rows(*quantize_rows(values, bit_width)) without the
     int32 codes, from x, values' float64 copy, which it only reads. The
     two agree bit for bit except that a zero may keep the sign of the
-    value it came from (the int32 codes have no -0)."""
+    value it came from (the int32 codes have no -0). The rows are scaled
+    in out, a float64 array of x's shape, if given."""
     q = max_code(bit_width)
     scales = _scales(values, q).astype(np.float64)[:, None]
-    scaled = _rounded(x / scales, x, q)
+    scaled = _rounded(np.divide(x, scales, out=out), x, q)
     scaled *= scales
     return scaled.astype(np.float32)
 

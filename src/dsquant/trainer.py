@@ -14,9 +14,10 @@ alignment through drop tombstones), and evaluates both on the same
 held-out split of the original data. The two fits are independent, so
 where it can compare() runs them at once: the baseline arm in a forked
 child, the quantized arm in the caller's process, each with OpenBLAS on
-one thread (see dsquant.parallel). The child sends back only its test
-accuracy, as the 8 bytes of a "<d", so the report is the same bit for
-bit whether the arms run at once or one after the other.
+one thread (see dsquant.parallel). The child sends back only its model,
+the bytes of its weights and bias, and the caller scores both models on
+the test split, so the report is the same bit for bit whether the arms
+run at once or one after the other.
 
 Memory: train() holds no float64 copy of its training rows. It sums the
 per-feature mean and variance a row chunk (quantizer.row_chunks) at a
@@ -30,44 +31,41 @@ row chunk at a time, so it peaks at 8 bytes per trained element plus
 one chunk. No one-hot label rows: a step subtracts 1 from each row's
 own class probability in place, p - onehot(y) bit for bit, so beyond
 the model the class count sizes only per-row logits and probabilities.
-A step allocates only its gathered batch, that batch's logits (which
-become its probabilities and then its residual, in place) and per-row
-scalars. The gradient, velocity and weight-decay buffers are allocated
-once per fit, and so is one n-vector of each row's probability of its
-own class, from which the epoch's loss is summed batch by batch at the
-epoch's end. Each epoch adds its permutation and each row's flat class
-position in its batch's probabilities: beyond the model, at most 32
-bytes per row next to the 8·D bytes of a matrix row. The weights, bias
-and loss curve are the same bits as when every step allocated its
-temporaries afresh.
+A step allocates only its gathered batch and one per-row vector. The
+batch's logits (which become its probabilities and then its residual,
+in place), each row's max or sum of them, and the gradient, velocity and
+weight-decay buffers are allocated once per fit, with their transposed
+and flat views, and so is one n-vector of each row's probability of its
+own class. From it the epoch's loss is summed at the epoch's end, one
+batch per row of one reshape, then batch after batch in order. Each
+epoch adds its permutation and each row's flat class position in its
+batch's probabilities: beyond the model, at most 32 bytes per row next
+to the 8·D bytes of a matrix row. The weights, bias and loss curve are
+the same bits as when every step allocated its temporaries afresh.
 compare() streams the dataset file, so the float32 dataset never exists
-in full, and orders its work so that each process peaks at the baseline
-matrix:
+in full, and orders its work so that no process holds more than one
+matrix, and none holds the test split beside one:
   1. It reads the dataset file's header and labels (dataset.DatasetRows)
-     and the QDS file's bytes, checks that the two match, and splits on
-     the labels. One pass over the value rows, a row chunk at a time into
-     one reused float32 buffer, then writes each row either into the
-     baseline matrix or into the float32 test split, and the matrix is
-     standardized. Peak: test split + QDS bytes + the baseline matrix +
-     one row chunk.
-  2. It forks. The SGD only reads the baseline matrix, so the child and
-     the parent share its pages, and the parent drops its reference. The
-     parent builds the quantized matrix straight from decoded QDS chunks,
-     with no float32 training set. Each process stays at or below step
-     1's peak; summed over both, this step adds the quantized matrix to
-     it.
-  3. The parent evaluates its own arm before it joins the child: the test
-     split and the dequantized train rows are each cast to float64 in one
-     piece (in row chunks, BLAS can round a logit of a short final chunk
-     differently), one at a time.
-The sequential fallback runs the same steps with the baseline arm
-finished, and its matrix freed, before the quantized one is built, so
-it peaks at step 1.
+     and the QDS file's bytes, checks that the two match, splits on the
+     labels, and forks.
+  2. The child reads the train rows into the baseline matrix, in one pass
+     over the value rows a row chunk at a time into one reused float32
+     buffer, standardizes it in place and fits. Meanwhile the parent
+     builds the quantized matrix straight from decoded QDS chunks, with
+     no float32 training set, standardizes it and fits. Each process
+     peaks at its own matrix + the QDS bytes + one row chunk.
+  3. After its fit the parent scores its model on the dequantized train
+     rows, then reads the float32 test split in one more pass and scores
+     its model and the child's on it. Each is cast to float64 in one piece
+     (in row chunks, BLAS can round a logit of a short final chunk
+     differently), one at a time, after the matrix is freed.
+The sequential fallback runs the baseline arm first, and frees its
+matrix before the quantized one is built, so it peaks at the baseline
+matrix + the QDS bytes + one row chunk.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,10 +140,11 @@ def _standardized(x: np.ndarray):
 
 
 class _StandardizedRows:
-    """The rows of values standardized on the fly: self[batch] gathers the
-    batch from values and equals x[batch] of _standardized's matrix bit
-    for bit. The mean and variance are summed a row chunk at a time in
-    row order, so no float64 copy of the rows is ever held."""
+    """The rows of values standardized on the fly: self.take(batch,
+    axis=0) gathers the batch from values and equals x.take(batch, axis=0)
+    of _standardized's matrix x bit for bit. The mean and variance are
+    summed a row chunk at a time in row order, so no float64 copy of the
+    rows is ever held."""
 
     def __init__(self, values: np.ndarray):
         self._values, self.shape = values, values.shape
@@ -165,7 +164,8 @@ class _StandardizedRows:
         x = self._centred(index)
         return np.square(x, out=x)
 
-    def __getitem__(self, batch) -> np.ndarray:
+    def take(self, batch, axis: int = 0) -> np.ndarray:
+        """The rows batch (axis is 0, as _descend passes it)."""
         x = self._centred(batch)
         x /= self.std
         return x
@@ -174,7 +174,8 @@ class _StandardizedRows:
 def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     """Fit the recipe on the standardized rows x, labelled y: a matrix
     from _standardized, or a _StandardizedRows, either only read through
-    x.shape and x[batch]. Returns the model on raw inputs and the
+    x.shape and x.take(batch, axis=0), which gathers a batch of narrow
+    rows faster than x[batch]. Returns the model on raw inputs and the
     per-epoch mean loss curve. A step works in place (see the module
     docstring); the epoch's loss is summed batch by batch at its end."""
     n, dim = x.shape
@@ -187,9 +188,19 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     size = classes * dim
     weights, bias = params[:size].reshape(classes, dim), params[size:]
     grad_w, grad_b = grad[:size].reshape(classes, dim), grad[size:]
-    decay = np.empty_like(weights)
+    weights_t, decay = weights.T, np.empty_like(weights)
+    # a batch's logits, which become its probabilities and then its
+    # residual, and each row's max or sum of them; a short last batch
+    # takes their leading rows
+    probs_full, row_stat = np.empty((BATCH_SIZE, classes)), np.empty((BATCH_SIZE, 1))
+    flat = probs_full.reshape(-1)
+    views = {count: (probs_full[:count], probs_full[:count].T, row_stat[:count])
+             for count in (min(n, BATCH_SIZE), n % BATCH_SIZE or BATCH_SIZE)}
     picked = np.empty(n)  # each row's probability of its own class
     row_offsets = np.arange(n) % BATCH_SIZE * classes  # of a batch row in its probs
+    full = n - n % BATCH_SIZE
+    # [0] stays 0.0, the start of the batch-by-batch running sum
+    batch_losses = np.zeros(1 + -(-n // BATCH_SIZE))
     rng = np.random.default_rng(config.seed)
     losses = []
     for _ in range(config.epochs):
@@ -197,20 +208,23 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
         own = y[perm]
         own += row_offsets  # flat position of each row's class in its probs
         for start in range(0, n, BATCH_SIZE):
-            batch = perm[start:start + BATCH_SIZE]
-            xb, rows = x[batch], slice(start, start + len(batch))
-            probs = np.dot(xb, weights.T)
+            rows = slice(start, start + BATCH_SIZE)
+            own_b, picked_b = own[rows], picked[rows]
+            probs, probs_t, stat = views[own_b.size]
+            xb = x.take(perm[rows], axis=0)
+            np.dot(xb, weights_t, out=probs)
             probs += bias
-            probs -= probs.max(axis=1, keepdims=True)  # softmax, in place
+            np.maximum.reduce(probs, axis=1, keepdims=True, out=stat)
+            probs -= stat  # softmax, in place
             np.exp(probs, out=probs)
-            probs /= probs.sum(axis=1, keepdims=True)
-            flat = probs.reshape(-1)
-            np.take(flat, own[rows], out=picked[rows])
-            flat[own[rows]] -= 1.0  # probs - onehot(y)
-            probs /= len(batch)  # the residual
-            np.dot(probs.T, xb, out=grad_w)
+            np.add.reduce(probs, axis=1, keepdims=True, out=stat)
+            probs /= stat
+            np.take(flat, own_b, out=picked_b)
+            flat[own_b] = picked_b - 1.0  # probs - onehot(y)
+            probs /= own_b.size  # the residual
+            np.dot(probs_t, xb, out=grad_w)
             grad_w += np.multiply(WEIGHT_DECAY, weights, out=decay)
-            probs.sum(axis=0, out=grad_b)
+            np.add.reduce(probs, axis=0, out=grad_b)
             vel *= MOMENTUM
             grad *= LEARNING_RATE
             vel -= grad
@@ -218,10 +232,11 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
         np.maximum(picked, 1e-300, out=picked)
         np.log(picked, out=picked)
         np.negative(picked, out=picked)
-        epoch_loss = 0.0
-        for start in range(0, n, BATCH_SIZE):
-            epoch_loss += picked[start:start + BATCH_SIZE].sum()
-        mean_loss = epoch_loss / n
+        np.add.reduce(picked[:full].reshape(-1, BATCH_SIZE), axis=1,
+                      out=batch_losses[1:1 + full // BATCH_SIZE])
+        if full < n:
+            batch_losses[-1] = picked[full:].sum()
+        mean_loss = np.add.accumulate(batch_losses)[-1] / n  # summed in batch order
         if not np.isfinite(mean_loss):
             raise RuntimeError("training diverged (non-finite loss)")
         losses.append(mean_loss)
@@ -295,28 +310,23 @@ def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,
                          f"dataset has {labels[i]}")
 
 
-def _read_arms(original: DatasetRows, train_idx: np.ndarray, test_idx: np.ndarray,
-               config: TrainConfig):
-    """One pass over the dataset file's value rows, each row written
-    either into the baseline arm's float64 matrix or into the float32
-    test split. Returns the test split, as (values, labels), and the
-    baseline arm: a function that fits on the standardized matrix, frees
-    it, and returns the test accuracy as the 8 bytes of a "<d"."""
-    dim = original.shape.element_count
-    matrix = np.empty((train_idx.size, dim))
-    test_values = np.empty((test_idx.size, dim), dtype=np.float32)
+def _rows(original: DatasetRows, indices: np.ndarray, dtype) -> np.ndarray:
+    """The dataset file's rows at indices (ascending) as one dtype matrix,
+    from one pass over all its value rows, a row chunk at a time, so a
+    non-finite value anywhere in the file is an error."""
+    out = np.empty((indices.size, original.shape.element_count), dtype)
     for rows, values in original.chunks():
-        for indices, out in ((train_idx, matrix), (test_idx, test_values)):
-            lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
-            out[lo:hi] = values[indices[lo:hi] - rows.start]
-    held = [_standardized(matrix)]  # the one reference once this returns
-    y, classes = original.labels[train_idx], original.num_classes
-    test_split = test_values, original.labels[test_idx]
+        lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
+        out[lo:hi] = values[indices[lo:hi] - rows.start]
+    return out
 
-    def run() -> bytes:
-        model, _ = _descend(*held.pop(), y, classes, config)
-        return struct.pack("<d", _accuracy(model, *test_split))
-    return test_split, run
+
+def _baseline_arm(original: DatasetRows, train_idx: np.ndarray, config: TrainConfig) -> bytes:
+    """Fit on the dataset file's train rows; returns the model as the
+    bytes of its (C, D + 1) rows of weights then bias."""
+    model, _ = _descend(*_standardized(_rows(original, train_idx, np.float64)),
+                        original.labels[train_idx], original.num_classes, config)
+    return np.column_stack([model.weights, model.bias]).tobytes()
 
 
 def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
@@ -330,16 +340,17 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
     kept = train_idx[stored.widths[train_idx] > 0]
     if kept.size == 0:
         raise ValueError("empty training set: every sample was dropped")
-    test_split, baseline = _read_arms(original, train_idx, test_idx, config)
     labels, classes = stored.labels[kept], stored.header.num_classes
     with (parallel.one_blas_thread() as pinned,
-          parallel.Started(baseline, parallel.use_fork(pinned)) as started):
-        del baseline  # the baseline matrix now lives only where the arm ran or runs
+          parallel.Started(lambda: _baseline_arm(original, train_idx, config),
+                           parallel.use_fork(pinned)) as started):
         quant_model, curve = _descend(*_standardized(stored.dequantized(kept, np.float64)),
                                       labels, classes, config)
-        quant_acc = _accuracy(quant_model, *test_split)
         train_acc = _accuracy(quant_model, stored.dequantized(kept, np.float64), labels)
-        baseline_acc, = struct.unpack("<d", started.result())
+        test_split = _rows(original, test_idx, np.float32), original.labels[test_idx]
+        quant_acc = _accuracy(quant_model, *test_split)
+        baseline = np.frombuffer(started.result()).reshape(classes, -1)
+        baseline_acc = _accuracy(LogisticModel(baseline[:, :-1], baseline[:, -1]), *test_split)
     return EvalReport(
         train_accuracy=train_acc,
         test_accuracy=quant_acc,

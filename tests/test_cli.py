@@ -449,6 +449,33 @@ class TestPipelineStages:
         assert (out, err) == ("", f"error: {message}\n")
         assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_compare_rejects_a_non_finite_row_in_either_split(self, tmp_path, capsys,
+                                                              synth_file, monkeypatch, forks,
+                                                              split, fork):
+        # forked, only the child reads the train rows and the parent reads
+        # the test split after its fit; inline, the baseline arm reads first
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        train_idx, test_idx = trainer.stratified_split(dataset.DatasetRows(synth_file).labels,
+                                                       42)
+        indices = train_idx if split == "train" else test_idx
+        row = indices[indices.size // 2]
+        data = bytearray(synth_file.read_bytes())
+        at = len(data) - 300 * (16 + 1) * 4 + (row * 16 + 5) * 4  # value 5 of the row
+        data[at:at + 4] = np.float32(np.nan).tobytes()
+        synth_file.write_bytes(bytes(data))
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
+                             "--qds", str(tmp_path / "data.qds"), "--epochs", "1",
+                             "--loss-csv", str(out_dir / "loss.csv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: sample values must be finite\n")
+        assert len(forks) == int(fork)
+        assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_compare_reports_divergence_in_the_child(self, tmp_path, capsys, synth_file,
                                                      monkeypatch):

@@ -194,6 +194,29 @@ class TestSyntheticBlobsMemory:
         assert peak <= n * dim * 4 + per_class * dim * 8 + n * 8 + n * dim + (1 << 16)
 
 
+class TestDatasetFiniteCheck:
+    def test_checks_a_row_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)  # 21 rows of 3072
+        values = np.random.default_rng(0).standard_normal((2000, 3072), dtype=np.float32)
+        labels = np.zeros(2000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            Dataset(SampleShape(32, 32, 3), 10, values, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole-array isfinite mask alone is one byte per element
+        assert peak < values.size
+
+    @pytest.mark.parametrize("row", [0, 1000, 1999])
+    def test_a_non_finite_value_in_any_chunk_is_rejected(self, monkeypatch, row):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        values = np.ones((2000, 16), dtype=np.float32)
+        values[row, 15] = np.inf
+        with pytest.raises(ValueError, match="^sample values must be finite$"):
+            Dataset(SampleShape(1, 1, 16), 2, values, np.zeros(2000, dtype=np.int64))
+
+
 class TestHalfNoise:
     def test_composition(self):
         dset = synth_half_noise(3, 8, 50, 0.5, seed=4)

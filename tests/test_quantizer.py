@@ -177,6 +177,16 @@ class TestRoundingRoutine:
         nonzero = expected != 0
         assert np.array_equal(np.signbit(probed)[nonzero], np.signbit(expected)[nonzero])
 
+    @given(rows_with_ties())
+    @settings(max_examples=50, deadline=None)
+    def test_probe_scaled_in_a_given_buffer_is_the_same(self, case):
+        values, bit_width, _ = case
+        x = values.astype(np.float64)
+        out = np.full_like(x, np.nan)
+        probed = round_trip_rows(values, x, bit_width, out)
+        assert probed.tobytes() == round_trip_rows(values, x, bit_width).tobytes()
+        assert np.array_equal(out.astype(np.float32), probed)  # out is used, not a copy
+
 
 class TestPacking:
     def test_pack_minus_q_is_zero_byte(self):

@@ -181,6 +181,24 @@ class TestFitOracle:
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
 
+    @pytest.mark.parametrize("n, dim, classes", [
+        # one batch, a full one, a short last one and two full ones
+        *(pytest.param(n, dim, classes, id=f"{n}-{dim}-{classes}classes")
+          for n in (1, 63, 64, 65, 128, 130) for dim in (2, 16, 17, 64) for classes in (2, 10)),
+        pytest.param(200, 3072, 10, id="200-3072-10classes"),
+    ])
+    def test_the_matrix_path_equals_the_reference(self, n, dim, classes):
+        # compare's arms descend on a _standardized matrix, not a
+        # _StandardizedRows
+        dset = _varied(n, dim, classes=classes)
+        config = TrainConfig(epochs=2, seed=3)
+        model, curve = _descend(*_standardized(dset.values.astype(np.float64)),
+                                dset.labels, classes, config)
+        ref_model, ref_curve = reference_fit(dset, config)
+        assert np.array_equal(model.weights, ref_model.weights)
+        assert np.array_equal(model.bias, ref_model.bias)
+        assert np.array_equal(np.array(curve), np.array(ref_curve))
+
     def test_peak_memory_is_one_float64_matrix(self, monkeypatch):
         chunk = 1 << 14
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
@@ -406,14 +424,36 @@ class TestCompare:
         compare(*pruned, TrainConfig(epochs=1, seed=5))
         original = read_dataset_file(pruned[0])
         train_idx, test_idx = stratified_split(original.labels, 5)
-        # inline, the baseline arm runs first and scores the test split first
+        # inline, the baseline arm fits first; then the quantized arm is
+        # scored on its dequantized train rows, and both arms on the test split
         expected = _standardized(original.values[train_idx].astype(np.float64))
         for ours, theirs in zip(fits[0], expected):
             assert np.array_equal(ours, theirs)
-        values, labels = scored[0]
-        assert values.dtype == np.float32
-        assert np.array_equal(values, original.values[test_idx])
-        assert np.array_equal(labels, original.labels[test_idx])
+        assert len(scored) == 3
+        for values, labels in scored[1:]:
+            assert values.dtype == np.float32
+            assert np.array_equal(values, original.values[test_idx])
+            assert np.array_equal(labels, original.labels[test_idx])
+
+    def test_the_parent_reads_only_the_test_split(self, pruned, forks, monkeypatch):
+        # forked, the child reads the train rows; the parent decodes its
+        # own arm from the QDS file and reads the dataset file once, for
+        # the test split, after its fit
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        parent, rows, read = os.getpid(), trainer._rows, []
+
+        def recording(original, indices, dtype):
+            if os.getpid() == parent:
+                read.append((indices.copy(), dtype))
+            return rows(original, indices, dtype)
+
+        monkeypatch.setattr(trainer, "_rows", recording)
+        config = TrainConfig(epochs=1, seed=5)
+        assert compare(*pruned, config) == reference_compare(*pruned, config)
+        assert len(forks) == 1
+        _, test_idx = stratified_split(read_dataset_file(pruned[0]).labels, 5)
+        assert len(read) == 1
+        assert np.array_equal(read[0][0], test_idx) and read[0][1] == np.float32
 
     def test_peak_memory_is_the_baseline_matrix_and_test_split(self, tmp_path,
                                                                 monkeypatch):
@@ -439,6 +479,29 @@ class TestCompare:
         # the float32 dataset would add 4 * n * dim (2 MiB)
         assert peak <= (8 * train_idx.size * dim + 4 * test_idx.size * dim
                         + qds.stat().st_size + 8 * 8 * chunk)
+
+    def test_inline_peak_is_the_baseline_matrix_and_the_qds_bytes(self, tmp_path,
+                                                                   monkeypatch):
+        # inline, the baseline arm frees its matrix before the quantized
+        # arm builds its own, and the test split is read after both fits
+        # and after the dequantized train rows are scored, so it never
+        # sits beside a matrix
+        chunk = 1 << 14
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        n, dim = 4096, 256  # 64 row chunks; the test split is 0.8 MiB
+        dset = _varied(n, dim)
+        dsr, qds = _dataset_file(tmp_path, dset), tmp_path / "data.qds"
+        write_qds(dset, AllocationPlan.from_assignments(np.full(n, 8)), qds)
+        train_idx, _ = stratified_split(dset.labels, 42)
+        del dset
+        tracemalloc.start()
+        try:
+            compare(dsr, qds, TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * train_idx.size * dim + qds.stat().st_size + 8 * 8 * chunk
 
     def test_arms_run_concurrently_on_two_cores(self, pruned, forks):
         if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
