@@ -25,7 +25,7 @@ import sys
 import threading
 from pathlib import Path
 
-from . import allocator, dataset as ds, qds, sensitivity, trainer
+from . import allocator, dataset as ds, qds, quantizer, sensitivity, trainer
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -79,6 +79,7 @@ def _cmd_ingest(args, emit: _Emitter) -> int:
 
 
 def _cmd_score(args, emit: _Emitter) -> int:
+    quantizer.max_code(args.probe_bits)  # refuse a bad width before reading or fitting
     dset = ds.read_dataset_file(args.dataset)
     oracle = trainer.fit_scoring_model(dset, args.seed)
     scores = sensitivity.score_dataset(dset, oracle, args.probe_bits)

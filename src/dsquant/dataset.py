@@ -13,15 +13,15 @@ External formats:
 The single-file stage container written by the CLI (``DSR1``) is a thin
 header over the same raw layout; see write_dataset_file, the one writer,
 which takes its values a row chunk at a time from any row source (an
-object with shape, num_classes, labels and chunks(slices)): a Dataset,
-a CifarRecords or RawRows reading ingest's input files, or a
-DatasetRows. So ingest holds one row chunk of its source, except for
---synth, whose synth_blobs builds the Dataset whole. The container has
-one header parser and one body reader, DatasetRows, which reads it a row
-chunk at a time (for compare and quantize); read_dataset_file copies
-its chunks into one array (for score). The text stage
-files (scores, plans, keep-lists) share one codec: write_indexed,
-read_indexed and read_table.
+object with shape, num_classes, labels and chunks(slices)): a Dataset, a
+CifarRecords or RawRows reading ingest's input files, or a DatasetRows.
+So ingest holds one row chunk of its source, except for --synth, whose
+synth_blobs builds the Dataset whole. The container has one header
+parser and one body reader, DatasetRows, which reads it a row chunk at a
+time: quantize streams it, and its take() gathers ascending rows into
+one matrix in one pass (compare's two splits, and every row for score's
+read_dataset_file). The text stage files (scores, plans, keep-lists)
+share one codec: write_indexed, read_indexed and read_table.
 """
 
 from __future__ import annotations
@@ -326,21 +326,19 @@ def _read_dataset_header(fh, path):
 
 
 def read_dataset_file(path) -> Dataset:
-    """Read a DSR1 stage container whole (for score): DatasetRows' rows,
-    copied chunk by chunk into one array."""
+    """Read a DSR1 stage container whole (for score): every row, through
+    DatasetRows.take."""
     rows = DatasetRows(path)
-    values = np.empty((rows.labels.size, rows.shape.element_count), dtype=np.float32)
-    for chunk, chunk_values in rows.chunks():
-        values[chunk] = chunk_values
+    values = rows.take(np.arange(rows.labels.size), np.float32)
     return Dataset(rows.shape, rows.num_classes, values, rows.labels)
 
 
 class DatasetRows:
-    """A DSR1 stage container read by rows, the one body reader: compare
-    and quantize stream it, read_dataset_file copies it whole. Opening it
-    reads and checks the header, the body size and the labels; chunks()
-    then reads the values a row chunk at a time, so no more than one
-    chunk of them is ever held."""
+    """A DSR1 stage container read by rows, the one body reader: quantize
+    streams it, compare and read_dataset_file gather rows of it with
+    take(). Opening it reads and checks the header, the body size and the
+    labels; chunks() then reads the values a row chunk at a time, so no
+    more than one chunk of them is ever held."""
 
     def __init__(self, path):
         self._path = path
@@ -368,3 +366,14 @@ class DatasetRows:
                                            f"{self._path}: truncated dataset body"):
                 _check_finite(values)
                 yield rows, values
+
+    def take(self, indices: np.ndarray, dtype) -> np.ndarray:
+        """The rows at indices, strictly ascending, as one dtype matrix,
+        from one pass over every value row a row chunk at a time, so a
+        non-finite value anywhere in the file is an error. A chunk whose
+        rows are all wanted is copied whole."""
+        out = np.empty((indices.size, self.shape.element_count), dtype)
+        for rows, values in self.chunks():
+            lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
+            out[lo:hi] = values if hi - lo == len(values) else values[indices[lo:hi] - rows.start]
+        return out

@@ -4,18 +4,19 @@ compare() trains its baseline arm in a child while the caller trains the
 quantized arm; score_dataset() scores the second half of its row chunks
 in a child while the caller scores the first; write_qds() encodes the
 second half of its row chunks in a child, which writes them into the
-output file itself. All three use Started, which runs a function
-returning bytes in a forked child and hands those bytes back (or the
-child's exception), so a result is the same bit for bit whether the
-work was forked or run in the caller's process.
+output file itself. All three use started(), the one owner of that
+decision: it runs a function returning bytes in a forked child and hands
+those bytes back (or the child's exception), or runs it in the caller's
+process when forking does not pay, so a result is the same bit for bit
+either way.
 
 Forking pays only with two usable cores, and only when each process
 keeps OpenBLAS to one thread: two processes with a BLAS thread per core
 each oversubscribe the cores (without the pin, a forked compare took
 27.3 s instead of 5.1-5.8 s on the CIFAR-shaped bench workload on two
-cores). So a stage runs its
-work under one_blas_thread() and forks when use_fork() says so, which
-also needs the pin to have taken.
+cores). So started() pins OpenBLAS to one thread for its whole block,
+forked or not, and forks when use_fork() says so, which also needs the
+pin to have taken.
 
 Forking: on Python >= 3.12, os.fork() warns when the process has more
 than one thread. use_fork() is false while another Python thread runs,
@@ -110,62 +111,52 @@ def _run_child(work, reader: int, writer: int, mask):
         os._exit(status)
 
 
-class Started:
-    """work(), which returns bytes, started on entering the with block:
-    in a forked child with fork, else run here and then. Once it starts
-    no reference to work is kept here, so with fork the child's copy of
-    its data is the only one left. result() returns its bytes or raises
-    its exception; leaving the block kills and reaps a child still there."""
-
-    def __init__(self, work, fork: bool):
-        self._work, self._fork = work, fork
-        self._pid = self._pipe = None
-
-    def __enter__(self):
-        work, self._work = self._work, None
-        if not self._fork:
-            self._value = work()
-            return self
-        reader, writer = os.pipe()
-        self._pipe = open(reader, "rb")
-        # SIGINT and SIGTERM wait until the child has reset its handlers and
-        # the parent holds the child's pid, so neither runs the other's cleanup
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+@contextlib.contextmanager
+def started(work, worth: bool = True):
+    """Start work(), which returns bytes, for the with block, with OpenBLAS
+    on one thread for the whole block: in a forked child if worth and
+    use_fork allow, else here and now. Yields result(), which returns its
+    bytes or raises its exception. Once a child starts no reference to
+    work is kept here, so the child's copy of its data is the only one
+    left; leaving the block kills and reaps a child still there."""
+    with one_blas_thread() as pinned:
+        if not (worth and use_fork(pinned)):
+            value = work()
+            yield lambda: value
+            return
+        pid, (reader, writer) = None, os.pipe()
+        pipe = open(reader, "rb")
         try:
+            # SIGINT and SIGTERM wait until the child has reset its handlers
+            # and the parent holds the child's pid, so neither runs the
+            # other's cleanup
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
             try:
                 with warnings.catch_warnings():  # see "Forking" in the module docstring
                     warnings.filterwarnings(
                         "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
-                    self._pid = os.fork()
-                if self._pid == 0:
+                    pid = os.fork()
+                if pid == 0:
                     _run_child(work, reader, writer, mask)
             finally:
                 os.close(writer)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a pending signal raises here
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
+            del work
 
-    def __exit__(self, *exc_info):
-        if self._pid:
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-        if self._pipe is not None:
-            self._pipe.close()
+            def result() -> bytes:
+                nonlocal pid
+                message = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                pid, code = None, os.waitstatus_to_exitcode(status)
+                if code == 0:
+                    return message
+                if message:
+                    raise pickle.loads(message)
+                raise RuntimeError(f"forked worker process exited with code {code}")
 
-    def _reap(self) -> int:
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        return os.waitstatus_to_exitcode(status)
-
-    def result(self) -> bytes:
-        if not self._fork:
-            return self._value
-        message = self._pipe.read()
-        code = self._reap()
-        if code == 0:
-            return message
-        if message:
-            raise pickle.loads(message)
-        raise RuntimeError(f"forked worker process exited with code {code}")
+            yield result
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()

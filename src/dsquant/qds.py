@@ -33,11 +33,12 @@ loop. The bit layout lives in dsquant._bitpack_py; this module slices bytes.
 
 The writer takes its rows a chunk at a time from a Dataset or a
 dataset.DatasetRows, so from a file it holds one chunk of values. The
-plan alone gives every record's offset, so with two row chunks or more
-a forked child (see dsquant.parallel) encodes the second half of them
-and writes each chunk at its offset in the temp file, while the caller
-writes the header and the first half; no encoded bytes cross between
-the processes.
+plan alone gives every record's offset, and each chunk is written at its
+offset after the header, so the order of the chunks does not change the
+bytes: with two row chunks or more, parallel.started forks a child that
+encodes the second half of them while the caller encodes the first (no
+encoded bytes cross between the processes), and inline one process
+encodes the second half, then the first.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def _write_at(fd: int, data, offset: int) -> None:
 def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     """Quantize per the plan and write the container atomically. dataset
     is a Dataset or a dataset.DatasetRows; with two row chunks or more, a
-    forked child encodes the second half of them where parallel.use_fork
-    allows (see the module docstring)."""
+    forked child encodes the second half of them where parallel.started
+    forks (see the module docstring)."""
     n = len(dataset.labels)
     if len(plan) != n:
         raise ValueError(f"plan covers {len(plan)} samples, dataset has {n}")
@@ -176,13 +177,12 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
         return b""
 
     def write(tmp):
-        with open(tmp, "wb") as fh, parallel.one_blas_thread() as pinned:
-            fd, fork = fh.fileno(), parallel.use_fork(pinned) and half > 0
+        with open(tmp, "wb") as fh:
+            fd = fh.fileno()
             _write_at(fd, header, 0)  # before a fork, so only the parent writes it
-            split = half if fork else len(chunks)
-            with parallel.Started(lambda: encode(chunks[split:], fd), fork) as started:
-                encode(chunks[:split], fd)
-                started.result()
+            with parallel.started(lambda: encode(chunks[half:], fd), half > 0) as result:
+                encode(chunks[:half], fd)
+                result()
 
     write_atomically(path, write)
     return _build_report(dataset.shape, widths)

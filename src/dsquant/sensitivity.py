@@ -19,10 +19,10 @@ trip taken straight from the float64 rows the closed form needs anyway.
 
 The scoring pass is elementwise work plus two small GEMMs per row chunk
 (quantizer.row_chunks), so it splits by rows: with two chunks or more,
-on two usable cores, a forked child scores the second half of the
-chunks while the caller scores the first, each with OpenBLAS on one
-thread (see dsquant.parallel), and the child sends its float64 scores
-back as bytes. The scores are the same bit for bit either way.
+on two usable cores, parallel.started forks a child that scores the
+second half of the chunks while the caller scores the first, each with
+OpenBLAS on one thread, and the child sends its float64 scores back as
+bytes. The scores are the same bit for bit either way.
 
 Memory: the child shares the caller's float32 rows rather than copying
 them. Beyond those rows and the model, each process holds its half of
@@ -153,17 +153,16 @@ def score_dataset(dataset, model: LogisticModel,
                   probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
     """Score every sample; output index i corresponds to sample i. With
     two row chunks or more, a forked child scores the second half of
-    them where parallel.use_fork allows (see the module docstring)."""
+    them where parallel.started forks (see the module docstring)."""
     chunks = row_chunks(len(dataset), dataset.shape.element_count)
     half = len(chunks) // 2
 
     def second_half() -> bytes:
         return _scores(dataset, model, chunks[half:], probe_bit_width).tobytes()
 
-    with (parallel.one_blas_thread() as pinned,
-          parallel.Started(second_half, parallel.use_fork(pinned) and half > 0) as started):
+    with parallel.started(second_half, half > 0) as result:
         first = _scores(dataset, model, chunks[:half], probe_bit_width)
-        return np.concatenate([first, np.frombuffer(started.result())])
+        return np.concatenate([first, np.frombuffer(result())])
 
 
 def gradient_check(model: LogisticModel, values, label: int, step: float) -> float:

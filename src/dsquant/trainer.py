@@ -12,50 +12,51 @@ compare() trains two models from the same seeded initialization, one on
 the original samples and one on their dequantized counterparts (index
 alignment through drop tombstones), and evaluates both on the same
 held-out split of the original data. The two fits are independent, so
-where it can compare() runs them at once: the baseline arm in a forked
-child, the quantized arm in the caller's process, each with OpenBLAS on
-one thread (see dsquant.parallel). The child sends back only its model,
-the bytes of its weights and bias, and the caller scores both models on
-the test split, so the report is the same bit for bit whether the arms
-run at once or one after the other.
+where it can compare() runs them at once through parallel.started: the
+baseline arm in a forked child, the quantized arm in the caller's
+process, each with OpenBLAS on one thread. The child sends back only its
+model, the bytes of its weights and bias, and the caller scores both
+models on the test split, so the report is the same bit for bit whether
+the arms run at once or one after the other.
 
-Memory: train() holds no float64 copy of its training rows. It sums the
-per-feature mean and variance a row chunk (quantizer.row_chunks) at a
-time in row order, then standardizes each batch as it gathers it from
-the float32 rows, bit for bit as on a standardized matrix. So it peaks
-at one float64 chunk (8 MiB) plus the model, whatever the row count;
+Memory: _moments() is the one owner of the per-feature mean and std: it
+sums the squared deviations a row chunk (quantizer.row_chunks) at a time
+in row order, from float32 rows or a float64 matrix alike. train() holds
+no float64 copy of its training rows: it standardizes each batch as it
+gathers it from the float32 rows, bit for bit as on a standardized
+matrix, so it peaks at one float64 chunk (8 MiB) plus the model;
 fit_scoring_model(), score's one-epoch fit, is this path. compare()'s
-30-epoch fits gather each batch from one float64 matrix instead, which
-is cheaper per step: a fit holds that matrix, standardized in place a
-row chunk at a time, so it peaks at 8 bytes per trained element plus
-one chunk. No one-hot label rows: a step subtracts 1 from each row's
-own class probability in place, p - onehot(y) bit for bit, so beyond
-the model the class count sizes only per-row logits and probabilities.
-A step allocates only its gathered batch and one per-row vector. The
-batch's logits (which become its probabilities and then its residual,
-in place), each row's max or sum of them, and the gradient, velocity and
-weight-decay buffers are allocated once per fit, with their transposed
-and flat views, and so is one n-vector of each row's probability of its
-own class. From it the epoch's loss is summed at the epoch's end, one
-batch per row of one reshape, then batch after batch in order. Each
-epoch adds its permutation and each row's flat class position in its
-batch's probabilities: beyond the model, at most 32 bytes per row next
-to the 8·D bytes of a matrix row. The weights, bias and loss curve are
-the same bits as when every step allocated its temporaries afresh.
+30-epoch fits gather each batch from one float64 matrix, standardized in
+place, which is cheaper per step and peaks at 8 bytes per trained
+element plus one chunk. No one-hot label rows: a step subtracts 1 from
+each row's own class probability in place, p - onehot(y) bit for bit, so
+beyond the model the class count sizes only per-row logits and
+probabilities. A step allocates only its gathered batch and one per-row
+vector. The batch's logits (which become its probabilities and then its
+residual, in place), each row's max or sum of them, and the gradient,
+velocity and weight-decay buffers are allocated once per fit, with their
+transposed and flat views, and so is one n-vector of each row's
+probability of its own class. From it the epoch's loss is summed at the
+epoch's end, one batch per row of one reshape, then batch after batch in
+order. Each epoch adds its permutation and each row's flat class
+position in its batch's probabilities: beyond the model, at most 32
+bytes per row next to the 8·D bytes of a matrix row. The weights, bias
+and loss curve are the same bits as when every step allocated its
+temporaries afresh.
 compare() streams the dataset file, so the float32 dataset never exists
 in full, and orders its work so that no process holds more than one
 matrix, and none holds the test split beside one:
   1. It reads the dataset file's header and labels (dataset.DatasetRows)
      and the QDS file's bytes, checks that the two match, splits on the
      labels, and forks.
-  2. The child reads the train rows into the baseline matrix, in one pass
-     over the value rows a row chunk at a time into one reused float32
-     buffer, standardizes it in place and fits. Meanwhile the parent
+  2. The child gathers the train rows into the baseline matrix with
+     DatasetRows.take, one pass over the value rows a row chunk at a
+     time, standardizes it in place and fits. Meanwhile the parent
      builds the quantized matrix straight from decoded QDS chunks, with
      no float32 training set, standardizes it and fits. Each process
      peaks at its own matrix + the QDS bytes + one row chunk.
   3. After its fit the parent scores its model on the dequantized train
-     rows, then reads the float32 test split in one more pass and scores
+     rows, then takes the float32 test split in one more pass and scores
      its model and the child's on it. Each is cast to float64 in one piece
      (in row chunks, BLAS can round a logit of a short final chunk
      differently), one at a time, after the matrix is freed.
@@ -118,23 +119,27 @@ def _row_sum(blocks) -> np.ndarray:
     return total
 
 
-def _std(squares_total: np.ndarray, n: int) -> np.ndarray:
-    std = np.sqrt(squares_total / n)
+def _squared(x: np.ndarray) -> np.ndarray:
+    return np.square(x, out=x)
+
+
+def _moments(values: np.ndarray):
+    """The per-feature (mean, std) of the float32 or float64 rows values,
+    bit for bit mean(axis=0) and std(axis=0) of their float64 matrix,
+    without its full-size temporaries: the squared deviations are summed
+    a row chunk at a time, so beyond values this holds one float64 chunk."""
+    mean = values.mean(axis=0, dtype=np.float64)
+    deviations = (values[chunk] - mean for chunk in row_chunks(*values.shape))  # float64
+    std = np.sqrt(_row_sum(map(_squared, deviations)) / len(values))
     std[std < _STD_FLOOR] = 1.0
-    return std
+    return mean, std
 
 
 def _standardized(x: np.ndarray):
-    """Standardize x in place per feature; returns (x, mean, std).
-
-    Bit for bit this is mean(axis=0), std(axis=0) and (x - mean) / std,
-    without their full-size temporaries: the squared deviations are
-    summed a row chunk at a time.
-    """
-    n, dim = x.shape
-    mean = x.mean(axis=0)
+    """Standardize the float64 matrix x in place per feature; returns
+    (x, mean, std), bit for bit (x - mean) / std."""
+    mean, std = _moments(x)
     x -= mean
-    std = _std(_row_sum(np.square(x[chunk]) for chunk in row_chunks(n, dim)), n)
     x /= std
     return x, mean, std
 
@@ -142,31 +147,17 @@ def _standardized(x: np.ndarray):
 class _StandardizedRows:
     """The rows of values standardized on the fly: self.take(batch,
     axis=0) gathers the batch from values and equals x.take(batch, axis=0)
-    of _standardized's matrix x bit for bit. The mean and variance are
-    summed a row chunk at a time in row order, so no float64 copy of the
+    of _standardized's matrix x bit for bit, and no float64 copy of the
     rows is ever held."""
 
     def __init__(self, values: np.ndarray):
         self._values, self.shape = values, values.shape
-        chunks = row_chunks(*self.shape)
-        self.mean = _row_sum(map(self._float64, chunks)) / self.shape[0]
-        self.std = _std(_row_sum(map(self._squared_deviations, chunks)), self.shape[0])
-
-    def _float64(self, index) -> np.ndarray:
-        return self._values[index].astype(np.float64)
-
-    def _centred(self, index) -> np.ndarray:
-        x = self._float64(index)
-        x -= self.mean
-        return x
-
-    def _squared_deviations(self, index) -> np.ndarray:
-        x = self._centred(index)
-        return np.square(x, out=x)
+        self.mean, self.std = _moments(values)
 
     def take(self, batch, axis: int = 0) -> np.ndarray:
         """The rows batch (axis is 0, as _descend passes it)."""
-        x = self._centred(batch)
+        x = self._values[batch].astype(np.float64)
+        x -= self.mean
         x /= self.std
         return x
 
@@ -310,21 +301,10 @@ def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,
                          f"dataset has {labels[i]}")
 
 
-def _rows(original: DatasetRows, indices: np.ndarray, dtype) -> np.ndarray:
-    """The dataset file's rows at indices (ascending) as one dtype matrix,
-    from one pass over all its value rows, a row chunk at a time, so a
-    non-finite value anywhere in the file is an error."""
-    out = np.empty((indices.size, original.shape.element_count), dtype)
-    for rows, values in original.chunks():
-        lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
-        out[lo:hi] = values[indices[lo:hi] - rows.start]
-    return out
-
-
 def _baseline_arm(original: DatasetRows, train_idx: np.ndarray, config: TrainConfig) -> bytes:
     """Fit on the dataset file's train rows; returns the model as the
     bytes of its (C, D + 1) rows of weights then bias."""
-    model, _ = _descend(*_standardized(_rows(original, train_idx, np.float64)),
+    model, _ = _descend(*_standardized(original.take(train_idx, np.float64)),
                         original.labels[train_idx], original.num_classes, config)
     return np.column_stack([model.weights, model.bias]).tobytes()
 
@@ -341,15 +321,13 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
     if kept.size == 0:
         raise ValueError("empty training set: every sample was dropped")
     labels, classes = stored.labels[kept], stored.header.num_classes
-    with (parallel.one_blas_thread() as pinned,
-          parallel.Started(lambda: _baseline_arm(original, train_idx, config),
-                           parallel.use_fork(pinned)) as started):
+    with parallel.started(lambda: _baseline_arm(original, train_idx, config)) as result:
         quant_model, curve = _descend(*_standardized(stored.dequantized(kept, np.float64)),
                                       labels, classes, config)
         train_acc = _accuracy(quant_model, stored.dequantized(kept, np.float64), labels)
-        test_split = _rows(original, test_idx, np.float32), original.labels[test_idx]
+        test_split = original.take(test_idx, np.float32), original.labels[test_idx]
         quant_acc = _accuracy(quant_model, *test_split)
-        baseline = np.frombuffer(started.result()).reshape(classes, -1)
+        baseline = np.frombuffer(result()).reshape(classes, -1)
         baseline_acc = _accuracy(LogisticModel(baseline[:, :-1], baseline[:, -1]), *test_split)
     return EvalReport(
         train_accuracy=train_acc,

@@ -538,6 +538,22 @@ class TestPipelineStages:
         monkeypatch.setattr(sensitivity, "_chunk_scores", scores)
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
 
+    @pytest.mark.parametrize("bits", [1, 17])
+    def test_score_refuses_a_probe_width_before_reading_or_fitting(self, tmp_path, capsys,
+                                                                  synth_file, monkeypatch,
+                                                                  forks, bits):
+        called = []
+        monkeypatch.setattr(dataset, "read_dataset_file", lambda *args: called.append("read"))
+        monkeypatch.setattr(trainer, "fit_scoring_model", lambda *args: called.append("fit"))
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "score", "--dataset", str(synth_file),
+                             "--probe-bits", str(bits), "--out", str(out_dir / "scores.tsv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: bit width must be in [2, 16], got {bits}\n")
+        assert called == [] and forks == [] and list(out_dir.iterdir()) == []
+
     def test_score_reports_an_error_in_the_child(self, tmp_path, capsys, synth_file,
                                                  monkeypatch, forks):
         def fail(*args):

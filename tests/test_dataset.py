@@ -327,6 +327,38 @@ class TestDatasetRows:
             values = np.concatenate([np.empty((0, 16), np.float32), *(v for _, v in read)])
             assert np.array_equal(values, whole[first * 64:])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
+    def test_take_gathers_ascending_rows(self, tmp_path, monkeypatch, n, dtype):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        rng = np.random.default_rng(n)
+        path = tmp_path / "data.bin"
+        write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
+                                   rng.standard_normal((n, 16), dtype=np.float32),
+                                   rng.integers(0, 5, n)), path)
+        whole, rows = reference_read_dataset(path).values, DatasetRows(path)
+        ends = sorted({row for chunk in quantizer.row_chunks(n, 16)
+                       for row in (chunk.start, min(chunk.stop, n) - 1)})
+        for indices in (np.arange(0), np.arange(n), np.arange(0, n, 2),  # none, all, every other
+                        np.array(ends, dtype=np.int64)):  # each chunk's first and last row
+            taken = rows.take(indices, dtype)
+            assert taken.dtype == dtype and taken.shape == (indices.size, 16)
+            assert np.array_equal(taken, whole[indices])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [0, 15, 29], ids=["first-chunk", "middle-chunk", "last-chunk"])
+    def test_take_rejects_a_non_finite_row_it_does_not_select(self, tmp_path, monkeypatch,
+                                                              row, dtype):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * 7)  # 7 rows of 8
+        path = tmp_path / "data.bin"
+        write_dataset_file(synth_blobs(3, 8, 10, 0.5, seed=1), path)
+        data = bytearray(path.read_bytes())
+        at = 30 + (row * 8 + 3) * 4  # value 3 of the row, after the 30-byte header
+        data[at:at + 4] = np.float32(np.inf).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="^sample values must be finite$"):
+            DatasetRows(path).take(np.delete(np.arange(30), row), dtype)
+
     @pytest.mark.parametrize("reader", READERS)
     def test_labels_truncated_after_the_size_check_are_one_line(self, tmp_path,
                                                                 monkeypatch, reader):

@@ -12,6 +12,7 @@ from dsquant import parallel, quantizer, trainer
 from dsquant.allocator import AllocationConfig, AllocationPlan, allocate
 from dsquant.dataset import (
     Dataset,
+    DatasetRows,
     SampleShape,
     read_dataset_file,
     synth_blobs,
@@ -438,20 +439,22 @@ class TestCompare:
     def test_the_parent_reads_only_the_test_split(self, pruned, forks, monkeypatch):
         # forked, the child reads the train rows; the parent decodes its
         # own arm from the QDS file and reads the dataset file once, for
-        # the test split, after its fit
+        # the test split, after its fit. The reference and the split read
+        # through take too, so they are made before it is recorded
+        config = TrainConfig(epochs=1, seed=5)
+        expected = reference_compare(*pruned, config)
+        _, test_idx = stratified_split(read_dataset_file(pruned[0]).labels, 5)
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
-        parent, rows, read = os.getpid(), trainer._rows, []
+        parent, take, read = os.getpid(), DatasetRows.take, []
 
-        def recording(original, indices, dtype):
+        def recording(rows, indices, dtype):
             if os.getpid() == parent:
                 read.append((indices.copy(), dtype))
-            return rows(original, indices, dtype)
+            return take(rows, indices, dtype)
 
-        monkeypatch.setattr(trainer, "_rows", recording)
-        config = TrainConfig(epochs=1, seed=5)
-        assert compare(*pruned, config) == reference_compare(*pruned, config)
+        monkeypatch.setattr(DatasetRows, "take", recording)
+        assert compare(*pruned, config) == expected
         assert len(forks) == 1
-        _, test_idx = stratified_split(read_dataset_file(pruned[0]).labels, 5)
         assert len(read) == 1
         assert np.array_equal(read[0][0], test_idx) and read[0][1] == np.float32
 
@@ -546,38 +549,45 @@ class TestCompare:
         with pytest.raises(RuntimeError, match=r"^training diverged \(non-finite loss\)$"):
             compare(*pruned, TrainConfig(epochs=2))
 
-    def test_child_killed_by_a_signal_is_an_error(self):
+    def test_child_killed_by_a_signal_is_an_error(self, forks, monkeypatch):
         def killed():
             os.kill(os.getpid(), signal.SIGKILL)
 
-        with parallel.Started(killed, fork=True) as started:
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        with parallel.started(killed) as result:
             with pytest.raises(RuntimeError, match="exited with code -9"):
-                started.result()
+                result()
+        assert len(forks) == 1
 
-    def test_leaving_the_block_kills_and_reaps_a_running_child(self, forks):
+    def test_leaving_the_block_kills_and_reaps_a_running_child(self, forks, monkeypatch):
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         with pytest.raises(KeyError):
-            with parallel.Started(lambda: time.sleep(60), fork=True):
+            with parallel.started(lambda: time.sleep(60)):
                 raise KeyError("the parent's arm failed")
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
 
-    def test_child_takes_the_default_stop_signal_handlers(self):
+    def test_child_takes_the_default_stop_signal_handlers(self, forks, monkeypatch):
         def defaults() -> bytes:
             return bytes([signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
                           and signal.getsignal(signal.SIGINT) is signal.SIG_DFL])
 
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         previous = signal.signal(signal.SIGTERM, lambda *args: None)  # as cli.main sets
         try:
-            with parallel.Started(defaults, fork=True) as started:
-                assert started.result() == b"\x01"
+            with parallel.started(defaults) as result:
+                assert result() == b"\x01"
         finally:
             signal.signal(signal.SIGTERM, previous)
+        assert len(forks) == 1
 
-    def test_child_result_is_sent_bitwise(self):
+    def test_child_result_is_sent_bitwise(self, forks, monkeypatch):
         payload = np.array([1 / 3 + 2 ** -52, -0.0]).tobytes() + bytes(range(256))
-        with parallel.Started(lambda: payload, fork=True) as started:
-            assert started.result() == payload
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        with parallel.started(lambda: payload) as result:
+            assert result() == payload
+        assert len(forks) == 1
 
     def test_adaptive_beats_fixed_on_half_noise(self, tmp_path):
         # half the samples are label-free lattice noise: the adaptive
