@@ -8,10 +8,10 @@ success, 1 I/O failure or out of memory, 2 validation failure, 128 +
 signal number on SIGINT or SIGTERM. --porcelain prints key=value lines.
 
 ingest streams a --cifar or --raw source into the dataset file a row
-chunk at a time (--synth builds its dataset whole first); score reads
-the dataset file whole; quantize and compare read it a row chunk at a
-time (dataset.DatasetRows). score, quantize and compare may split their
-work with a forked child (dsquant.parallel), which is killed and reaped
+chunk at a time. quantize and score's scoring pass read the dataset file
+a row chunk at a time (dataset.DatasetRows); compare and score's fit
+gather the rows they train on. score, quantize and compare may fork a
+child for half their work (dsquant.parallel), which is killed and reaped
 if the stage fails or is interrupted.
 """
 
@@ -24,6 +24,8 @@ import signal
 import sys
 import threading
 from pathlib import Path
+
+import numpy as np
 
 from . import allocator, dataset as ds, qds, quantizer, sensitivity, trainer
 
@@ -80,9 +82,11 @@ def _cmd_ingest(args, emit: _Emitter) -> int:
 
 def _cmd_score(args, emit: _Emitter) -> int:
     quantizer.max_code(args.probe_bits)  # refuse a bad width before reading or fitting
-    dset = ds.read_dataset_file(args.dataset)
-    oracle = trainer.fit_scoring_model(dset, args.seed)
-    scores = sensitivity.score_dataset(dset, oracle, args.probe_bits)
+    rows = ds.DatasetRows(args.dataset)
+    # the float32 rows are the fit's alone, freed when it returns
+    oracle = trainer.fit_scoring_model(rows.take(np.arange(rows.labels.size), np.float32),
+                                       rows.labels, rows.num_classes, args.seed)
+    scores = sensitivity.score_dataset(rows, oracle, args.probe_bits)
     ds.write_atomically(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
     emit.kv("samples", scores.size)
     emit.kv("mean_score", f"{scores.mean():.9g}" if scores.size else "0")

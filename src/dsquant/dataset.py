@@ -18,10 +18,11 @@ CifarRecords or RawRows reading ingest's input files, or a DatasetRows.
 So ingest holds one row chunk of its source, except for --synth, whose
 synth_blobs builds the Dataset whole. The container has one header
 parser and one body reader, DatasetRows, which reads it a row chunk at a
-time: quantize streams it, and its take() gathers ascending rows into
-one matrix in one pass (compare's two splits, and every row for score's
-read_dataset_file). The text stage files (scores, plans, keep-lists)
-share one codec: write_indexed, read_indexed and read_table.
+time: quantize and score's scoring pass stream it, and its take()
+gathers ascending rows into one matrix in one pass (compare's two
+splits, and every row for score's fit). check_labels is the one label
+check. The text stage files (scores, plans, keep-lists) share one codec:
+write_indexed, read_indexed and read_table.
 """
 
 from __future__ import annotations
@@ -74,11 +75,14 @@ def _check_finite(values: np.ndarray) -> None:
             raise ValueError("sample values must be finite")
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+def check_labels(labels: np.ndarray, num_classes: int, first: int = 0) -> None:
+    """Reject a label outside [0, num_classes); labels[i] is record first + i's."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
-    if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("label out of range")
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        raise ValueError(f"record {first + bad[0]}: label {labels[bad[0]]} "
+                         f"out of range for {num_classes} classes")
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class Dataset:
         if labels.shape != (values.shape[0],):
             raise ValueError("labels must be a 1-D array matching values")
         _check_finite(values)
-        _check_labels(labels, self.num_classes)
+        check_labels(labels, self.num_classes)
         values.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -167,10 +171,7 @@ class CifarRecords:
                                         label_at + 1 + CIFAR_PIXEL_BYTES, np.uint8,
                                         "truncated CIFAR stream: the file shrank while read"):
             labels = records[:, label_at]
-            bad = np.flatnonzero(labels >= self.num_classes)
-            if bad.size:
-                raise ValueError(f"record {rows.start + bad[0]}: label {labels[bad[0]]} "
-                                 f"out of range for {self.num_classes} classes")
+            check_labels(labels, self.num_classes, rows.start)
             self.labels[rows] = labels
             if values is None:
                 values = np.empty((len(records), CIFAR_PIXEL_BYTES), dtype=np.float32)
@@ -198,7 +199,7 @@ class RawRows:
         if len(data) != label_size:
             raise ValueError("truncated label stream: the file shrank while read")
         labels = np.frombuffer(data, dtype="<u4").astype(np.int64)
-        _check_labels(labels, num_classes)
+        check_labels(labels, num_classes)
         self._fh, self.shape, self.num_classes = values_fh, shape, num_classes
         self.labels = labels
 
@@ -325,20 +326,12 @@ def _read_dataset_header(fh, path):
     return n, shape, num_classes
 
 
-def read_dataset_file(path) -> Dataset:
-    """Read a DSR1 stage container whole (for score): every row, through
-    DatasetRows.take."""
-    rows = DatasetRows(path)
-    values = rows.take(np.arange(rows.labels.size), np.float32)
-    return Dataset(rows.shape, rows.num_classes, values, rows.labels)
-
-
 class DatasetRows:
     """A DSR1 stage container read by rows, the one body reader: quantize
-    streams it, compare and read_dataset_file gather rows of it with
-    take(). Opening it reads and checks the header, the body size and the
-    labels; chunks() then reads the values a row chunk at a time, so no
-    more than one chunk of them is ever held."""
+    and score's scoring pass stream it, compare and score's fit gather
+    rows of it with take(). Opening it reads and checks the header, the
+    body size and the labels; chunks() then reads the values a row chunk
+    at a time, so no more than one chunk of them is ever held."""
 
     def __init__(self, path):
         self._path = path
@@ -349,7 +342,7 @@ class DatasetRows:
         if len(data) != n * 4:  # the file shrank after its size was checked
             raise ValueError(f"{path}: truncated dataset body")
         labels = np.frombuffer(data, dtype="<u4").astype(np.int64)
-        _check_labels(labels, self.num_classes)
+        check_labels(labels, self.num_classes)
         labels.setflags(write=False)
         self.labels = labels
 

@@ -53,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import parallel
 from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
-from .dataset import Dataset, SampleShape, write_atomically
+from .dataset import Dataset, SampleShape, check_labels, write_atomically
 from .quantizer import (
     F32_MAX,
     MAX_BIT_WIDTH,
@@ -228,10 +228,10 @@ class QdsRecords:
         self.widths = self.data[self.offsets].astype(np.int64)  # 0 = dropped
         self.labels = (sliding_window_view(self.data, 4)[self.offsets + 1]
                        .view("<u4")[:, 0].astype(np.int64))
-        bad = np.flatnonzero(self.labels >= num_classes)
-        if bad.size:
-            raise QdsFormatError(f"record {bad[0]}: label {self.labels[bad[0]]} "
-                                 f"out of range for {num_classes} classes")
+        try:
+            check_labels(self.labels, num_classes)
+        except ValueError as exc:
+            raise QdsFormatError(str(exc)) from None
 
     def decode(self, rows):
         """Yield (positions, bit_width, codes, scales) for the stored

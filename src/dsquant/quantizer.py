@@ -108,9 +108,10 @@ def quantize_rows(values, bit_width: int):
 
 
 def dequantize_rows(codes, scales) -> np.ndarray:
-    """Reconstruct float32 rows as scale * code."""
-    return (np.asarray(scales, dtype=np.float64)[:, None]
-            * np.asarray(codes, dtype=np.float64)).astype(np.float32)
+    """Reconstruct float32 rows as scale * code, in float32: |code| < 2^15
+    and a scale has 24 significant bits, so the exact product is rounded
+    once, bit for bit as the float64 product cast to float32."""
+    return np.asarray(codes, np.float32) * np.asarray(scales, np.float32)[:, None]
 
 
 def round_trip_rows(values: np.ndarray, x: np.ndarray, bit_width: int,

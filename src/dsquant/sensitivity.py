@@ -24,12 +24,13 @@ second half of the chunks while the caller scores the first, each with
 OpenBLAS on one thread, and the child sends its float64 scores back as
 bytes. The scores are the same bit for bit either way.
 
-Memory: the child shares the caller's float32 rows rather than copying
-them. Beyond those rows and the model, each process holds its half of
-the scores and one chunk's temporaries: at most two float64 arrays and
-one float32 array of the chunk at once, 20 bytes per chunk element
-(20 MiB at quantizer.CHUNK_ELEMENTS, where the probe through int32
-codes and dequantize_rows took 48 MiB). The two float64 arrays are
+Memory: each process reads its own row chunks through rows.chunks(), as
+qds.write_qds does, so from a DatasetRows it holds one chunk of float32
+rows in one reused buffer. Beyond that and the model, each process holds
+its half of the scores and one chunk's temporaries: at most two float64
+arrays and one float32 array of the chunk at once, 20 bytes per chunk
+element (20 MiB at quantizer.CHUNK_ELEMENTS, where the probe through
+int32 codes and dequantize_rows took 48 MiB). The two float64 arrays are
 buffers allocated once per process and reused by every chunk: allocated
 per chunk, glibc handed them back to the kernel and faulted them in
 again for each chunk (on a CIFAR-shaped batch, 105k minor faults in
@@ -117,16 +118,14 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _chunk_scores(dataset, model: LogisticModel, chunk: slice,
-                  probe_bit_width: int, buffers) -> np.ndarray:
-    """The scores of chunk's rows; buffers are two float64 arrays of at
-    least its rows, which it overwrites with x and x_tilde."""
-    values = dataset.values[chunk]
+def _chunk_scores(values, labels, model, probe_bit_width: int, buffers) -> np.ndarray:
+    """The scores of the float32 rows values, labelled labels; buffers are
+    two float64 arrays of at least its rows, overwritten with x, x_tilde."""
     x, x_tilde = (buffer[:len(values)] for buffer in buffers)
     np.copyto(x, values)
     # scaled in x_tilde, rounded to float32, then widened back into it
     np.copyto(x_tilde, round_trip_rows(values, x, probe_bit_width, x_tilde))
-    picked = (np.arange(len(x)), dataset.labels[chunk])
+    picked = (np.arange(len(x)), labels)
     r, r_tilde = model.probabilities(x), model.probabilities(x_tilde)
     r[picked] -= 1.0  # r = p - onehot(y)
     r_tilde[picked] -= 1.0
@@ -140,28 +139,29 @@ def _chunk_scores(dataset, model: LogisticModel, chunk: slice,
     return np.where(insensitive, 0.0, 1.0 - np.clip(cosine, -1.0, 1.0))
 
 
-def _scores(dataset, model: LogisticModel, chunks, probe_bit_width: int) -> np.ndarray:
-    """The scores of the rows that chunks, consecutive slices, cover."""
-    rows = min(chunks[0].stop, len(dataset)) - chunks[0].start if chunks else 0
-    buffers = [np.empty((rows, dataset.shape.element_count)) for _ in range(2)]
-    scores = [_chunk_scores(dataset, model, chunk, probe_bit_width, buffers)
-              for chunk in chunks]
+def _scores(rows, model: LogisticModel, slices, probe_bit_width: int) -> np.ndarray:
+    """The scores of the rows that slices, consecutive row chunks, cover."""
+    size = min(slices[0].stop, rows.labels.size) - slices[0].start if slices else 0
+    buffers = [np.empty((size, rows.shape.element_count)) for _ in range(2)]
+    scores = [_chunk_scores(values, rows.labels[chunk], model, probe_bit_width, buffers)
+              for chunk, values in rows.chunks(slices)]
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
-def score_dataset(dataset, model: LogisticModel,
+def score_dataset(rows, model: LogisticModel,
                   probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
-    """Score every sample; output index i corresponds to sample i. With
-    two row chunks or more, a forked child scores the second half of
-    them where parallel.started forks (see the module docstring)."""
-    chunks = row_chunks(len(dataset), dataset.shape.element_count)
+    """Score every sample of rows, a dataset.Dataset or DatasetRows;
+    output index i is sample i's. With two row chunks or more, a forked
+    child scores the second half of them where parallel.started forks
+    (see the module docstring)."""
+    chunks = row_chunks(rows.labels.size, rows.shape.element_count)
     half = len(chunks) // 2
 
     def second_half() -> bytes:
-        return _scores(dataset, model, chunks[half:], probe_bit_width).tobytes()
+        return _scores(rows, model, chunks[half:], probe_bit_width).tobytes()
 
     with parallel.started(second_half, half > 0) as result:
-        first = _scores(dataset, model, chunks[:half], probe_bit_width)
+        first = _scores(rows, model, chunks[:half], probe_bit_width)
         return np.concatenate([first, np.frombuffer(result())])
 
 

@@ -21,11 +21,12 @@ the arms run at once or one after the other.
 
 Memory: _moments() is the one owner of the per-feature mean and std: it
 sums the squared deviations a row chunk (quantizer.row_chunks) at a time
-in row order, from float32 rows or a float64 matrix alike. train() holds
-no float64 copy of its training rows: it standardizes each batch as it
-gathers it from the float32 rows, bit for bit as on a standardized
-matrix, so it peaks at one float64 chunk (8 MiB) plus the model;
-fit_scoring_model(), score's one-epoch fit, is this path. compare()'s
+in row order, from float32 rows or a float64 matrix alike. train() and
+fit_scoring_model(), score's one-epoch fit, take the float32 rows and
+labels as arrays, so a Dataset's are not copied, and hold no float64
+copy: each batch is standardized as it is gathered, bit for bit as on a
+standardized matrix, so they peak at one float64 chunk (8 MiB) plus the
+model. compare()'s
 30-epoch fits gather each batch from one float64 matrix, standardized in
 place, which is cheaper per step and peaks at 8 bytes per trained
 element plus one chunk. No one-hot label rows: a step subtracts 1 from
@@ -40,9 +41,8 @@ probability of its own class. From it the epoch's loss is summed at the
 epoch's end, one batch per row of one reshape, then batch after batch in
 order. Each epoch adds its permutation and each row's flat class
 position in its batch's probabilities: beyond the model, at most 32
-bytes per row next to the 8·D bytes of a matrix row. The weights, bias
-and loss curve are the same bits as when every step allocated its
-temporaries afresh.
+bytes per row next to the 8·D bytes of a matrix row. The results are the
+same bits as when every step allocated its temporaries afresh.
 compare() streams the dataset file, so the float32 dataset never exists
 in full, and orders its work so that no process holds more than one
 matrix, and none holds the test split beside one:
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .dataset import Dataset, DatasetRows
+from .dataset import DatasetRows
 from .qds import QdsRecords
 from .quantizer import row_chunks
 from .sensitivity import LogisticModel
@@ -155,7 +155,6 @@ class _StandardizedRows:
         self.mean, self.std = _moments(values)
 
     def take(self, batch, axis: int = 0) -> np.ndarray:
-        """The rows batch (axis is 0, as _descend passes it)."""
         x = self._values[batch].astype(np.float64)
         x -= self.mean
         x /= self.std
@@ -238,18 +237,20 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     return LogisticModel(weights, bias), tuple(losses)
 
 
-def _fit(dataset: Dataset, config: TrainConfig):
-    """Train on dataset; returns the model and its per-epoch mean losses."""
-    if len(dataset) == 0:
+def _fit(values, labels, num_classes: int, config: TrainConfig):
+    """Train on the float32 rows values, labelled labels; returns the
+    model and its per-epoch mean losses."""
+    if len(values) == 0:
         raise ValueError("cannot train on an empty dataset")
-    x = _StandardizedRows(dataset.values)
-    return _descend(x, x.mean, x.std, dataset.labels, dataset.num_classes, config)
+    x = _StandardizedRows(values)
+    return _descend(x, x.mean, x.std, labels, num_classes, config)
 
 
-def train(dataset: Dataset, config: TrainConfig) -> LogisticModel:
-    """Fit the constant recipe on dataset; with epochs=0 this is the
-    seeded initialization folded through the normalization."""
-    model, _ = _fit(dataset, config)
+def train(values, labels, num_classes: int, config: TrainConfig) -> LogisticModel:
+    """Fit the constant recipe on the float32 rows values, labelled labels;
+    with epochs=0 this is the seeded initialization folded through the
+    normalization."""
+    model, _ = _fit(values, labels, num_classes, config)
     return model
 
 
@@ -273,12 +274,13 @@ def stratified_split(labels: np.ndarray, seed: int):
     return np.flatnonzero(~test), np.flatnonzero(test)
 
 
-def fit_scoring_model(dataset: Dataset, seed: int = 42) -> LogisticModel:
+def fit_scoring_model(values, labels, num_classes: int, seed: int = 42) -> LogisticModel:
     """Model state used for sensitivity scoring: one SGD pass over the
-    full-precision data from the seeded initialization. OpenBLAS runs on
-    one thread, which is faster for its batch-sized products."""
+    float32 rows values, labelled labels, from the seeded initialization.
+    OpenBLAS runs on one thread, which is faster for its batch-sized
+    products."""
     with parallel.one_blas_thread():
-        return train(dataset, TrainConfig(epochs=1, seed=seed))
+        return train(values, labels, num_classes, TrainConfig(epochs=1, seed=seed))
 
 
 def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,

@@ -1,12 +1,12 @@
 """Reference code shared by the tests: an independent bit encoder and
 decoder, the row quantizer as first written, the half-noise fixture of
 the acceptance gate, the hostile copies of valid stage files that the
-file property tests read, read_rows, which reads a dataset file by
-rows, the whole-body dataset file reader that the row reader must match,
-a row subset of a dataset, and the whole-array ingest decoders and
-dataset file writer that the streamed ingest must match byte for byte.
-No pipeline stage uses them, so they live here rather than in the dsquant
-package."""
+file property tests read, read_rows and take_rows, which read a dataset
+file by rows as compare and score do, the whole-body dataset file reader
+that the row reader must match, a row subset of a dataset, and the
+whole-array ingest decoders and dataset file writer that the streamed
+ingest must match byte for byte. No pipeline stage uses them, so they
+live here rather than in the dsquant package."""
 
 import struct
 
@@ -125,9 +125,16 @@ def read_rows(path):
         pass
 
 
+def take_rows(path) -> np.ndarray:
+    """Read a dataset file the way score's fit does: DatasetRows reads the
+    header and labels, then take() gathers every value row."""
+    rows = DatasetRows(path)
+    return rows.take(np.arange(rows.labels.size), np.float32)
+
+
 def reference_read_dataset(path) -> Dataset:
-    """read_dataset_file as first written: the header, then the whole
-    body in two reads, decoded by np.frombuffer."""
+    """The whole-file dataset reader as first written: the header, then
+    the whole body in two reads, decoded by np.frombuffer."""
     with open(path, "rb") as fh:
         _, _, n, h, w, c, num_classes = struct.unpack("<4sHQIIII", fh.read(30))
         shape = SampleShape(h, w, c)

@@ -204,7 +204,7 @@ def test_criterion_8_end_to_end_comparability(tmp_path):
         write_qds(dset, uniform, path)
         ok &= abs(compare(dsr, path, config).accuracy_delta) <= 0.01
 
-        model = fit_scoring_model(dset, seed=42 + seed)
+        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
         adaptive = allocate(scores, AllocationConfig((8, 0)))
         ok &= adaptive.compression_ratio == 0.875
@@ -221,7 +221,7 @@ def test_criterion_9_adaptive_beats_fixed(tmp_path):
         dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
         dsr = tmp_path / f"half-noise-{seed}.dsr"
         write_dataset_file(dset, dsr)
-        model = fit_scoring_model(dset, seed=42 + seed)
+        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
         adaptive = allocate(scores, AllocationConfig((8, 0)))
         fixed = allocate(scores, AllocationConfig((4,)))
@@ -241,7 +241,7 @@ def test_criterion_10_probe_fidelity_ordering():
     ok = True
     for seed in range(5):
         dset = synth_blobs(3, 32, 100, 0.5, seed=seed)
-        model = fit_scoring_model(dset, seed=42 + seed)
+        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, seed=42 + seed)
         fine = score_dataset(dset, model, 16)
         coarse = score_dataset(dset, model, 4)
         ok &= float(fine.mean()) < float(coarse.mean())

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import hostile_copy, hostile_files, read_rows
+from reference import hostile_copy, hostile_files, read_rows, take_rows
 
 from dsquant.allocator import AllocationPlan, write_plan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from dsquant.dataset import Dataset, read_dataset_file, synth_blobs, write_dataset_file
+from dsquant.dataset import Dataset, synth_blobs, write_dataset_file
 from dsquant.qds import (
     HEADER_BYTES,
     PREFIX_BYTES,
@@ -75,7 +75,7 @@ def check_records(path):
          at=RECORD_0_SCALE_HIGH_BYTE, to=0, bit=6)  # record 0's scale -> NaN
 def test_readers_raise_only_value_error(valid, kind, other, how, at, to, bit):
     path = hostile_copy(valid, kind, other, how, at, to, bit)
-    readers = ((read_dataset_file, read_rows) if kind == "data.dsr" else
+    readers = ((take_rows, read_rows) if kind == "data.dsr" else
                (QdsRecords, check_records, storage_report, materialize_training_set))
     for reader in readers:
         try:

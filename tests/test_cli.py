@@ -427,7 +427,7 @@ class TestPipelineStages:
 
     @pytest.mark.parametrize("fault, message", [
         ("nan-in-last-row", "sample values must be finite"),
-        ("label-out-of-range", "label out of range"),
+        ("label-out-of-range", "record 299: label 3 out of range for 3 classes"),
     ])
     def test_compare_rejects_a_fault_in_the_last_record(self, tmp_path, capsys, synth_file,
                                                         monkeypatch, fault, message):
@@ -543,7 +543,7 @@ class TestPipelineStages:
                                                                   synth_file, monkeypatch,
                                                                   forks, bits):
         called = []
-        monkeypatch.setattr(dataset, "read_dataset_file", lambda *args: called.append("read"))
+        monkeypatch.setattr(dataset, "DatasetRows", lambda *args: called.append("read"))
         monkeypatch.setattr(trainer, "fit_scoring_model", lambda *args: called.append("fit"))
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         out_dir = tmp_path / "out"
@@ -567,6 +567,34 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert (out, err) == ("", "error: the child's half failed\n")
         assert len(forks) == 1 and list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_score_rejects_a_file_truncated_after_the_fit(self, tmp_path, capsys, synth_file,
+                                                         monkeypatch, forks, fork):
+        # the fit gathers every row; the scoring pass reads the file again,
+        # a row chunk at a time, and its last chunk (the child's, forked)
+        # meets the cut
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
+        fit = trainer.fit_scoring_model
+
+        def fit_then_truncate(*args):
+            model = fit(*args)
+            with open(synth_file, "r+b") as fh:  # cut off the labels and the last value
+                fh.truncate(synth_file.stat().st_size - 300 * 4 - 4)
+            return model
+
+        monkeypatch.setattr(trainer, "fit_scoring_model", fit_then_truncate)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "score", "--dataset", str(synth_file),
+                             "--out", str(out_dir / "scores.tsv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {synth_file}: truncated dataset body\n")
+        assert len(forks) == int(fork) and list(out_dir.iterdir()) == []
+        for pid in forks:  # reaped, not left running
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
     def test_signal_kills_and_reaps_the_scoring_child(self, tmp_path, capsys, synth_file,
@@ -754,9 +782,9 @@ def test_raw_ingest_round_trip(tmp_path, capsys):
     assert code == EXIT_OK
     assert porcelain(out)["samples"] == "5"
 
-    from dsquant.dataset import read_dataset_file
-    dset = read_dataset_file(tmp_path / "d.bin")
-    np.testing.assert_array_equal(dset.values, values)
+    rows = dataset.DatasetRows(tmp_path / "d.bin")
+    np.testing.assert_array_equal(rows.take(np.arange(5), np.float32), values)
+    np.testing.assert_array_equal(rows.labels, labels)
 
 
 @pytest.fixture(scope="module")

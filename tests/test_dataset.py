@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import read_rows, reference_read_dataset, synth_half_noise
+from reference import read_rows, reference_read_dataset, synth_half_noise, take_rows
 
 from dsquant import dataset, quantizer
 from dsquant.dataset import (
@@ -12,7 +12,6 @@ from dsquant.dataset import (
     DatasetRows,
     RawRows,
     SampleShape,
-    read_dataset_file,
     synth_blobs,
     write_dataset_file,
 )
@@ -234,8 +233,8 @@ def test_dataset_file_round_trip(tmp_path):
     dset = synth_blobs(3, 8, 10, 0.5, seed=42)
     path = tmp_path / "data.bin"
     write_dataset_file(dset, path)
-    again = read_dataset_file(path)
-    np.testing.assert_array_equal(again.values, dset.values)
+    again = DatasetRows(path)
+    np.testing.assert_array_equal(take_rows(path), dset.values)
     np.testing.assert_array_equal(again.labels, dset.labels)
     assert again.shape == dset.shape
     assert again.num_classes == dset.num_classes
@@ -270,7 +269,7 @@ def test_dataset_validation():
         SampleShape(0, 1, 1)
 
 
-READERS = [read_dataset_file, read_rows]
+READERS = [take_rows, read_rows]
 
 
 def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
@@ -287,9 +286,9 @@ def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
 
 
 class TestDatasetRows:
-    """The row reader, and read_dataset_file built on it, must read what
-    the whole-body reference reads, and refuse a hostile file with a
-    one-line message."""
+    """The row reader, and the gather of every row through take() that
+    score's fit makes, must read what the whole-body reference reads, and
+    refuse a hostile file with a one-line message."""
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_reads_what_was_written(self, tmp_path, monkeypatch, n):
@@ -306,10 +305,10 @@ class TestDatasetRows:
         assert np.array_equal(values, dset.values)
         assert np.array_equal(rows.labels, dset.labels)
         assert (rows.shape, rows.num_classes) == (dset.shape, dset.num_classes)
-        whole, reference = read_dataset_file(path), reference_read_dataset(path)
-        assert np.array_equal(whole.values, reference.values)
-        assert np.array_equal(whole.labels, reference.labels)
-        assert (whole.shape, whole.num_classes) == (reference.shape, reference.num_classes)
+        reference = reference_read_dataset(path)
+        assert np.array_equal(take_rows(path), reference.values)
+        assert np.array_equal(rows.labels, reference.labels)
+        assert (rows.shape, rows.num_classes) == (reference.shape, reference.num_classes)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_reads_from_every_starting_chunk(self, tmp_path, monkeypatch, n):
@@ -393,7 +392,7 @@ class TestDatasetRows:
 
     @pytest.mark.parametrize("fault, message", [
         ("nan-in-last-row", "sample values must be finite"),
-        ("label-out-of-range", "label out of range"),
+        ("label-out-of-range", "record 29: label 3 out of range for 3 classes"),
         ("no-classes", "num_classes must be positive"),
     ])
     def test_rejects_what_read_dataset_file_rejects(self, tmp_path, monkeypatch,

@@ -10,6 +10,7 @@ from reference import reference_pack, reference_quantize_rows, reference_unpack
 from dsquant import _bitpack_py
 from dsquant.quantizer import (
     EPSILON,
+    F32_MAX,
     PackedCodes,
     dequantize_rows,
     max_code,
@@ -87,6 +88,32 @@ class TestQuantizeDequantize:
     def test_dequantize_endpoints_multiply_back(self):
         restored = dequantize_rows(*quantize_rows([[-1.0, 1.0]], 8))
         np.testing.assert_allclose(restored, [[-1.0, 1.0]], rtol=1e-6)
+
+    @pytest.mark.parametrize("bit_width", range(2, 17))
+    def test_dequantize_is_the_float64_product_cast_to_float32(self, bit_width):
+        # the rule as first written: scale * code in float64, then one cast
+        q, rng = max_code(bit_width), np.random.default_rng(bit_width)
+        # positive finite float32 scales of every exponent, subnormals too,
+        # each with scale * q <= float32 max as the reader requires, and the
+        # extremes: the smallest subnormal and normal, and the largest scales
+        scales = rng.integers(1, 0x7F800000, 4000, dtype=np.uint32).view(np.float32)
+        largest = np.float32(F32_MAX / q)
+        while largest.astype(np.float64) * q > F32_MAX:
+            largest = np.nextafter(largest, np.float32(0))
+        below = [np.nextafter(largest, np.float32(0))]
+        below.append(np.nextafter(below[0], np.float32(0)))
+        extremes = [np.finfo(np.float32).smallest_subnormal,
+                    np.finfo(np.float32).tiny, largest, *below]
+        scales = np.concatenate([scales[scales.astype(np.float64) * q <= F32_MAX],
+                                 np.array(extremes, np.float32)])
+        ends = [-q, -q + 1, -1, 0, 1, q - 1, q]
+        codes = rng.integers(-q, q + 1, (scales.size, 57), dtype=np.int32)
+        codes = np.concatenate([codes, np.tile(np.array(ends, np.int32), (scales.size, 1))], 1)
+        expected = (scales.astype(np.float64)[:, None] * codes.astype(np.float64)).astype(
+            np.float32)
+        ours = dequantize_rows(codes, scales)
+        assert ours.dtype == np.float32 and ours.shape == codes.shape
+        assert np.array_equal(ours.view(np.uint32), expected.view(np.uint32))
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from([2, 4, 8, 16]))

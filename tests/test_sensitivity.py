@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import row_subset
+from reference import reference_read_dataset, row_subset
 
-from dsquant import parallel, sensitivity
-from dsquant.dataset import Dataset, SampleShape, synth_blobs
+from dsquant import parallel, quantizer, sensitivity
+from dsquant.dataset import Dataset, DatasetRows, SampleShape, synth_blobs, write_dataset_file
 from dsquant.quantizer import dequantize_rows, quantize_rows
 from dsquant.sensitivity import (
     NORM_FLOOR,
@@ -68,7 +68,7 @@ class TestScoreDataset:
 
     def test_finer_probe_scores_lower_on_average(self):
         dset = synth_blobs(3, 16, 40, 0.5, seed=6)
-        model = fit_scoring_model(dset, 42)
+        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, 42)
         coarse = score_dataset(dset, model, 4)
         fine = score_dataset(dset, model, 16)
         assert fine.mean() < coarse.mean()
@@ -194,6 +194,48 @@ class TestForkedScoring:
         with pytest.raises(ValueError, match="^the child's half failed$"):
             score_dataset(*chunked, 4)
         assert len(forks) == 1
+
+
+class TestStreamedScoring:
+    """score_dataset reads a DatasetRows a row chunk at a time in each
+    process, and scores it as it scores the whole-array Dataset."""
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
+    def test_equals_the_whole_array_scores(self, tmp_path, monkeypatch, forks, n, fork):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
+        rng = np.random.default_rng(n)
+        path = tmp_path / "data.dsr"
+        write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
+                                   rng.standard_normal((n, 16), dtype=np.float32),
+                                   rng.integers(0, 5, n)), path)
+        model = random_model(5, 16, seed=n)
+        streamed = score_dataset(DatasetRows(path), model, 4)
+        whole = score_dataset(reference_read_dataset(path), model, 4)
+        assert streamed.shape == (n,) and np.array_equal(streamed, whole)
+        assert n == 0 or streamed.max() > 0
+        assert len(forks) == (2 if fork and n > 64 else 0)  # two row chunks or more
+
+    def test_holds_one_row_chunk_of_values(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)  # 21 rows of 3072
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        rng = np.random.default_rng(6)
+        dset = Dataset(SampleShape(32, 32, 3), 10,
+                       rng.standard_normal((2000, 3072), dtype=np.float32),
+                       rng.integers(0, 10, 2000))
+        path = tmp_path / "data.dsr"
+        write_dataset_file(dset, path)
+        rows, model = DatasetRows(path), LogisticModel.seeded(10, 3072, 1)
+        tracemalloc.start()
+        try:
+            score_dataset(rows, model, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk's read buffer and temporaries (24 bytes per element,
+        # 1.5 MiB) and the scores, against the file's 23 MiB of values
+        assert peak < dset.values.nbytes // 4
 
 
 class TestGradientCheck:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import row_subset, synth_half_noise
+from reference import reference_read_dataset, row_subset, synth_half_noise
 
 from dsquant import parallel, quantizer, trainer
 from dsquant.allocator import AllocationConfig, AllocationPlan, allocate
@@ -14,7 +14,6 @@ from dsquant.dataset import (
     Dataset,
     DatasetRows,
     SampleShape,
-    read_dataset_file,
     synth_blobs,
     write_dataset_file,
 )
@@ -39,14 +38,19 @@ def blobs():
     return synth_blobs(3, 16, 100, 0.01, seed=2)
 
 
+def arrays(dset):
+    """What a fit takes of a dataset: its rows, labels and class count."""
+    return dset.values, dset.labels, dset.num_classes
+
+
 class TestTrain:
     def test_separable_blobs_fit_almost_perfectly(self, blobs):
-        model = train(blobs, TrainConfig(epochs=10))
+        model = train(*arrays(blobs), TrainConfig(epochs=10))
         assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
 
     def test_zero_epochs_returns_initialization(self, blobs):
         config = TrainConfig(epochs=0)
-        model = train(blobs, config)
+        model = train(*arrays(blobs), config)
         init = LogisticModel.seeded(3, 16, config.seed)
         x = blobs.values.astype(np.float64)
         mean, std = x.mean(axis=0), x.std(axis=0)
@@ -57,8 +61,8 @@ class TestTrain:
         np.testing.assert_array_equal(model.bias, init.bias - weights @ mean)
 
     def test_bitwise_deterministic(self, blobs):
-        a = train(blobs, TrainConfig(epochs=3))
-        b = train(blobs, TrainConfig(epochs=3))
+        a = train(*arrays(blobs), TrainConfig(epochs=3))
+        b = train(*arrays(blobs), TrainConfig(epochs=3))
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
 
@@ -66,17 +70,17 @@ class TestTrain:
         empty = Dataset(SampleShape(1, 1, 2), 2,
                         np.zeros((0, 2), np.float32), np.zeros(0, np.int64))
         with pytest.raises(ValueError, match="empty"):
-            train(empty, TrainConfig())
+            train(*arrays(empty), TrainConfig())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported(self, blobs, monkeypatch):
         monkeypatch.setattr(trainer, "LEARNING_RATE", 1e200)
         monkeypatch.setattr(trainer, "WEIGHT_DECAY", 1.0)
         with pytest.raises(RuntimeError, match="diverged"):
-            train(blobs, TrainConfig(epochs=3))
+            train(*arrays(blobs), TrainConfig(epochs=3))
 
     def test_loss_mostly_non_increasing(self, blobs):
-        _, curve = _fit(blobs, TrainConfig(epochs=15))
+        _, curve = _fit(*arrays(blobs), TrainConfig(epochs=15))
         violations = sum(b > a for a, b in zip(curve, curve[1:]))
         assert violations <= 2
 
@@ -176,7 +180,7 @@ class TestFitOracle:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
         config = TrainConfig(epochs=2, seed=3)
         trained = dset if rows is None else row_subset(dset, rows)
-        model, curve = _fit(trained, config)
+        model, curve = _fit(*arrays(trained), config)
         ref_model, ref_curve = reference_fit(trained, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
@@ -207,7 +211,7 @@ class TestFitOracle:
         dset = _varied(n, dim)
         tracemalloc.start()
         try:
-            _fit(dset, TrainConfig(epochs=1))
+            _fit(*arrays(dset), TrainConfig(epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -229,13 +233,13 @@ class TestStreamingFit:
         rows = (np.random.default_rng(2).permutation(1000)[:700] if subset
                 else np.arange(1000))
         config = TrainConfig(epochs=epochs, seed=7)
-        model, curve = _fit(row_subset(dset, rows) if subset else dset, config)
+        model, curve = _fit(*arrays(row_subset(dset, rows) if subset else dset), config)
         ref_model, ref_curve = _descend(*_standardized(dset.values[rows].astype(np.float64)),
                                         dset.labels[rows], dset.num_classes, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
-        trained = train(row_subset(dset, rows) if subset else dset, config)
+        trained = train(*arrays(row_subset(dset, rows) if subset else dset), config)
         assert np.array_equal(trained.weights, model.weights)
 
     def test_scoring_fit_holds_no_float64_matrix(self):
@@ -243,7 +247,7 @@ class TestStreamingFit:
         dset = _varied(n, dim)
         tracemalloc.start()
         try:
-            fit_scoring_model(dset)
+            fit_scoring_model(*arrays(dset))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -267,7 +271,7 @@ class TestStreamingFit:
         before = get()
         set_(3)
         try:
-            fit_scoring_model(blobs)
+            fit_scoring_model(*arrays(blobs))
             assert get() == 3
         finally:
             set_(before)
@@ -284,11 +288,11 @@ class TestEvaluate:
         assert _accuracy(model, values, np.array([0] * 5 + [1] * 5)) == 0.5
 
     def test_perfect_model_on_train_set(self, blobs):
-        model = train(blobs, TrainConfig(epochs=10))
+        model = train(*arrays(blobs), TrainConfig(epochs=10))
         assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
 
     def test_order_invariant(self, blobs):
-        model = train(blobs, TrainConfig(epochs=2))
+        model = train(*arrays(blobs), TrainConfig(epochs=2))
         perm = np.random.default_rng(0).permutation(len(blobs))
         assert (_accuracy(model, blobs.values, blobs.labels)
                 == _accuracy(model, blobs.values[perm], blobs.labels[perm]))
@@ -341,15 +345,15 @@ def reference_compare(dataset_path, quantized_path, config):
     def evaluate(model, dset):
         return _accuracy(model, dset.values, dset.labels)
 
-    original = read_dataset_file(dataset_path)
+    original = reference_read_dataset(dataset_path)
     stored = QdsRecords(quantized_path)
     train_idx, test_idx = stratified_split(original.labels, config.seed)
     test_set = row_subset(original, test_idx)
-    baseline_acc = evaluate(train(row_subset(original, train_idx), config), test_set)
+    baseline_acc = evaluate(train(*arrays(row_subset(original, train_idx)), config), test_set)
     kept = train_idx[stored.widths[train_idx] > 0]
     quant_train = Dataset(original.shape, original.num_classes,
                           stored.dequantized(kept, np.float32), stored.labels[kept])
-    quant_model, curve = _fit(quant_train, config)
+    quant_model, curve = _fit(*arrays(quant_train), config)
     quant_acc = evaluate(quant_model, test_set)
     return EvalReport(evaluate(quant_model, quant_train), quant_acc, curve,
                       quant_acc - baseline_acc, baseline_acc)
@@ -360,7 +364,7 @@ def pruned(tmp_path_factory):
     """A dataset file and a QDS file of it at widths 8, 4 and 0."""
     tmp_path = tmp_path_factory.mktemp("pruned")
     dset = synth_blobs(4, 48, 150, 2.0, seed=3)
-    scores = score_dataset(dset, fit_scoring_model(dset), 4)
+    scores = score_dataset(dset, fit_scoring_model(*arrays(dset)), 4)
     write_qds(dset, allocate(scores, AllocationConfig((8, 4, 0))), tmp_path / "data.qds")
     return _dataset_file(tmp_path, dset), tmp_path / "data.qds"
 
@@ -423,7 +427,7 @@ class TestCompare:
         monkeypatch.setattr(trainer, "_descend", recording_descend)
         monkeypatch.setattr(trainer, "_accuracy", recording_accuracy)
         compare(*pruned, TrainConfig(epochs=1, seed=5))
-        original = read_dataset_file(pruned[0])
+        original = reference_read_dataset(pruned[0])
         train_idx, test_idx = stratified_split(original.labels, 5)
         # inline, the baseline arm fits first; then the quantized arm is
         # scored on its dequantized train rows, and both arms on the test split
@@ -443,7 +447,7 @@ class TestCompare:
         # through take too, so they are made before it is recorded
         config = TrainConfig(epochs=1, seed=5)
         expected = reference_compare(*pruned, config)
-        _, test_idx = stratified_split(read_dataset_file(pruned[0]).labels, 5)
+        _, test_idx = stratified_split(DatasetRows(pruned[0]).labels, 5)
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
         parent, take, read = os.getpid(), DatasetRows.take, []
 
@@ -597,7 +601,7 @@ class TestCompare:
         for seed in range(2):
             dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
             dsr = _dataset_file(tmp_path, dset, f"half-noise{seed}.dsr")
-            model = fit_scoring_model(dset, seed=42 + seed)
+            model = fit_scoring_model(*arrays(dset), seed=42 + seed)
             scores = score_dataset(dset, model, 4)
             adaptive = allocate(scores, AllocationConfig((8, 0)))
             fixed = allocate(scores, AllocationConfig((4,)))
