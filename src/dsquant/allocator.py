@@ -6,9 +6,9 @@ group g bit level g. One level is uniform quantization; two or more are
 adaptive, highest scores getting the most bits.
 
 A random prune step (seeded) may drop a fraction of samples to 0 bits
-before allocation, or an explicit keep-list can pin the survivors so an
-external selector can be plugged in. The average bit-width b_avg counts
-dropped samples as 0 and the nominal compression ratio is 1 - b_avg/32.
+before allocation, or else (never both) an explicit keep-list pins the
+survivors so an external selector can be plugged in. The mean bit-width
+b_avg counts dropped samples as 0; the nominal ratio is 1 - b_avg/32.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ def allocate(scores, config: AllocationConfig, seed: int = 0,
     n = scores.size
     if n == 0:
         raise ValueError("empty score list")
+    if keep_indices is not None and config.prune_ratio > 0.0:
+        raise ValueError("a keep-list and a prune ratio exclude each other")
 
     if keep_indices is not None:
         survivors = np.unique(np.asarray(keep_indices, dtype=np.int64))

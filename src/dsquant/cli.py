@@ -5,7 +5,9 @@ Each stage reads the previous stage's file and writes its own output
 atomically (temp file + rename), so a failing or interrupted stage
 leaves neither a truncated artifact nor its temp file. Exit codes: 0
 success, 1 I/O failure or out of memory, 2 validation failure, 128 +
-signal number on SIGINT or SIGTERM. --porcelain prints key=value lines.
+signal number on SIGINT or SIGTERM. Each stage returns its fields and
+main alone prints them: aligned `key  value` columns, or key=value lines
+under --porcelain.
 
 ingest streams a --cifar or --raw source into the dataset file a row
 chunk at a time. quantize and score's scoring pass read the dataset file
@@ -34,17 +36,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 
 
-class _Emitter:
-    def __init__(self, porcelain: bool):
-        self.porcelain = porcelain
-
-    def kv(self, key, value):
-        if self.porcelain:
-            print(f"{key}={value}")
-        else:
-            print(f"{key}: {value}")
-
-
 def _parse_shape(text: str) -> ds.SampleShape:
     parts = text.lower().split("x")
     if len(parts) != 3:
@@ -53,7 +44,7 @@ def _parse_shape(text: str) -> ds.SampleShape:
     return ds.SampleShape(h, w, c)
 
 
-def _cmd_ingest(args, emit: _Emitter) -> int:
+def _cmd_ingest(args) -> dict:
     with contextlib.ExitStack() as files:
         if args.cifar:
             source = ds.CifarRecords(files.enter_context(open(args.cifar, "rb")),
@@ -74,13 +65,11 @@ def _cmd_ingest(args, emit: _Emitter) -> int:
                 raise ValueError("--synth sample count must divide evenly by classes")
             source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
         ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(source, tmp))
-    emit.kv("samples", source.labels.size)
-    emit.kv("shape", source.shape)
-    emit.kv("classes", source.num_classes)
-    return EXIT_OK
+    return {"samples": source.labels.size, "shape": source.shape,
+            "classes": source.num_classes}
 
 
-def _cmd_score(args, emit: _Emitter) -> int:
+def _cmd_score(args) -> dict:
     quantizer.max_code(args.probe_bits)  # refuse a bad width before reading or fitting
     rows = ds.DatasetRows(args.dataset)
     # the float32 rows are the fit's alone, freed when it returns
@@ -88,12 +77,11 @@ def _cmd_score(args, emit: _Emitter) -> int:
                                        rows.labels, rows.num_classes, args.seed)
     scores = sensitivity.score_dataset(rows, oracle, args.probe_bits)
     ds.write_atomically(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
-    emit.kv("samples", scores.size)
-    emit.kv("mean_score", f"{scores.mean():.9g}" if scores.size else "0")
-    return EXIT_OK
+    return {"samples": scores.size,
+            "mean_score": f"{scores.mean():.9g}" if scores.size else "0"}
 
 
-def _cmd_allocate(args, emit: _Emitter) -> int:
+def _cmd_allocate(args) -> dict:
     scores = sensitivity.read_scores(args.scores)
     # AllocationConfig parses and checks the levels and fractions
     config = allocator.AllocationConfig(
@@ -104,41 +92,28 @@ def _cmd_allocate(args, emit: _Emitter) -> int:
     keep = allocator.read_keep_list(args.keep_list) if args.keep_list else None
     plan = allocator.allocate(scores, config, seed=args.seed, keep_indices=keep)
     ds.write_atomically(args.out, lambda tmp: allocator.write_plan(plan, tmp))
-    emit.kv("samples", len(plan))
-    emit.kv("b_avg", f"{plan.b_avg:.9g}")
-    emit.kv("ratio", f"{plan.compression_ratio:.9g}")
-    return EXIT_OK
+    return {"samples": len(plan), "b_avg": f"{plan.b_avg:.9g}",
+            "ratio": f"{plan.compression_ratio:.9g}"}
 
 
-def _cmd_quantize(args, emit: _Emitter) -> int:
-    rows = ds.DatasetRows(args.dataset)
-    plan = allocator.read_plan(args.plan)
-    report = qds.write_qds(rows, plan, args.out)
-    for key, value in dataclasses.asdict(report).items():
-        emit.kv(key, value)
-    return EXIT_OK
+def _cmd_quantize(args) -> dict:
+    rows, plan = ds.DatasetRows(args.dataset), allocator.read_plan(args.plan)
+    return dataclasses.asdict(qds.write_qds(rows, plan, args.out))
 
 
-def _cmd_stats(args, emit: _Emitter) -> int:
-    report = dataclasses.asdict(qds.storage_report(args.qds))
-    width = max(map(len, report))
-    for key, value in report.items():
-        print(f"{key}={value}" if emit.porcelain else f"{key:<{width}}  {value}")
-    return EXIT_OK
+def _cmd_stats(args) -> dict:
+    return dataclasses.asdict(qds.storage_report(args.qds))
 
 
-def _cmd_compare(args, emit: _Emitter) -> int:
+def _cmd_compare(args) -> dict:
     report = trainer.compare(args.dataset, args.qds,
                              trainer.TrainConfig(args.epochs, args.seed))
-    emit.kv("train_accuracy", f"{report.train_accuracy:.9g}")
-    emit.kv("test_accuracy", f"{report.test_accuracy:.9g}")
-    emit.kv("baseline_test_accuracy", f"{report.baseline_test_accuracy:.9g}")
-    emit.kv("accuracy_delta", f"{report.accuracy_delta:.9g}")
     if args.loss_csv:
         lines = ["epoch,loss\n"]
         lines += [f"{i},{loss:.9g}\n" for i, loss in enumerate(report.loss_curve)]
         ds.write_atomically(args.loss_csv, lambda tmp: Path(tmp).write_text("".join(lines)))
-    return EXIT_OK
+    return {key: f"{getattr(report, key):.9g}" for key in (
+        "train_accuracy", "test_accuracy", "baseline_test_accuracy", "accuracy_delta")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,12 +183,15 @@ def _terminate(signum, frame):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    emit = _Emitter(args.porcelain)
     # only the main thread may set handlers; restore for in-process callers
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
-        return args.func(args, emit)
+        fields = args.func(args)
+        width = max(map(len, fields))
+        for key, value in fields.items():
+            print(f"{key}={value}" if args.porcelain else f"{key:<{width}}  {value}")
+        return EXIT_OK
     except KeyboardInterrupt as exc:
         print("error: interrupted", file=sys.stderr)
         return 128 + (exc.args[0] if exc.args else signal.SIGINT)

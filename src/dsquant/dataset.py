@@ -31,7 +31,7 @@ import contextlib
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -294,6 +294,9 @@ def write_dataset_file(source, path) -> None:
     values a row chunk at a time, then the labels, which a streamed
     source has filled in by then."""
     n, shape = source.labels.size, source.shape
+    for name, value in (*asdict(shape).items(), ("class count", source.num_classes)):
+        if value >= 1 << 32:
+            raise ValueError(f"{name} {value} does not fit the dataset header's u32 field")
     header = _DATASET_HEADER.pack(
         DATASET_MAGIC, DATASET_VERSION, n,
         shape.height, shape.width, shape.channels, source.num_classes,

@@ -16,6 +16,7 @@ g = [r (x) x, r], r = p - onehot(y): <g1, g2> = (r1.r2)(x1.x2 + 1) and
 ||g||^2 = ||r||^2 (||x||^2 + 1), so it never builds the C x D gradients.
 Its probe is quantizer.round_trip_rows, the quantize/dequantize round
 trip taken straight from the float64 rows the closed form needs anyway.
+_softmax, in place, serves this pass and trainer's SGD step alike.
 
 The scoring pass is elementwise work plus two small GEMMs per row chunk
 (quantizer.row_chunks), so it splits by rows: with two chunks or more,
@@ -50,10 +51,16 @@ NORM_FLOOR = 1e-12
 DEFAULT_PROBE_BIT_WIDTH = 4
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, row_stat: np.ndarray = None) -> np.ndarray:
+    """Softmax over logits' last axis, in place; row_stat, a (..., 1)
+    buffer for each row's max and then sum, may be passed by the caller."""
+    stat = np.empty(logits.shape[:-1] + (1,)) if row_stat is None else row_stat
+    np.maximum.reduce(logits, axis=-1, keepdims=True, out=stat)
+    logits -= stat
+    np.exp(logits, out=logits)
+    np.add.reduce(logits, axis=-1, keepdims=True, out=stat)
+    logits /= stat
+    return logits
 
 
 class LogisticModel:

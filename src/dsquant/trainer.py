@@ -21,28 +21,29 @@ the arms run at once or one after the other.
 
 Memory: _moments() is the one owner of the per-feature mean and std: it
 sums the squared deviations a row chunk (quantizer.row_chunks) at a time
-in row order, from float32 rows or a float64 matrix alike. train() and
-fit_scoring_model(), score's one-epoch fit, take the float32 rows and
-labels as arrays, so a Dataset's are not copied, and hold no float64
-copy: each batch is standardized as it is gathered, bit for bit as on a
-standardized matrix, so they peak at one float64 chunk (8 MiB) plus the
-model. compare()'s
+in row order, from float32 rows or a float64 matrix alike. train(), the
+one fit on float32 rows (fit_scoring_model(), score's one-epoch fit,
+keeps only its model), takes the rows and labels as arrays, so a
+Dataset's are not copied, and holds no float64 copy: each batch is
+standardized as it is gathered, bit for bit as on a standardized matrix,
+so it peaks at one float64 chunk (8 MiB) plus the model. compare()'s
 30-epoch fits gather each batch from one float64 matrix, standardized in
 place, which is cheaper per step and peaks at 8 bytes per trained
 element plus one chunk. No one-hot label rows: a step subtracts 1 from
 each row's own class probability in place, p - onehot(y) bit for bit, so
 beyond the model the class count sizes only per-row logits and
 probabilities. A step allocates only its gathered batch and one per-row
-vector. The batch's logits (which become its probabilities and then its
-residual, in place), each row's max or sum of them, and the gradient,
-velocity and weight-decay buffers are allocated once per fit, with their
-transposed and flat views, and so is one n-vector of each row's
-probability of its own class. From it the epoch's loss is summed at the
-epoch's end, one batch per row of one reshape, then batch after batch in
-order. Each epoch adds its permutation and each row's flat class
-position in its batch's probabilities: beyond the model, at most 32
-bytes per row next to the 8·D bytes of a matrix row. The results are the
-same bits as when every step allocated its temporaries afresh.
+vector. The batch's logits (which sensitivity._softmax turns into its
+probabilities in place, and the step into its residual), _softmax's
+per-row buffer, and the gradient, velocity and weight-decay buffers are
+allocated once per fit, with their transposed and flat views, and so is
+one n-vector of each row's probability of its own class. From it the
+epoch's loss is summed at the epoch's end, one batch per row of one
+reshape, then batch after batch in order. Each epoch adds its
+permutation and each row's flat class position in its batch's
+probabilities: beyond the model, at most 32 bytes per row next to the
+8·D bytes of a matrix row. The results are the same bits as when every
+step allocated its temporaries afresh.
 compare() streams the dataset file, so the float32 dataset never exists
 in full, and orders its work so that no process holds more than one
 matrix, and none holds the test split beside one:
@@ -55,11 +56,11 @@ matrix, and none holds the test split beside one:
      builds the quantized matrix straight from decoded QDS chunks, with
      no float32 training set, standardizes it and fits. Each process
      peaks at its own matrix + the QDS bytes + one row chunk.
-  3. After its fit the parent scores its model on the dequantized train
-     rows, then takes the float32 test split in one more pass and scores
-     its model and the child's on it. Each is cast to float64 in one piece
-     (in row chunks, BLAS can round a logit of a short final chunk
-     differently), one at a time, after the matrix is freed.
+  3. After its fit the parent frees its matrix and scores its model on
+     the dequantized train rows, then takes the test split as float64,
+     once for both models, in one more pass and scores its model and the
+     child's on it. Each is scored in one piece (in row chunks, BLAS can
+     round a logit of a short final chunk differently), one at a time.
 The sequential fallback runs the baseline arm first, and frees its
 matrix before the quantized one is built, so it peaks at the baseline
 matrix + the QDS bytes + one row chunk.
@@ -75,7 +76,7 @@ from . import parallel
 from .dataset import DatasetRows
 from .qds import QdsRecords
 from .quantizer import row_chunks
-from .sensitivity import LogisticModel
+from .sensitivity import LogisticModel, _softmax
 
 BATCH_SIZE = 64
 LEARNING_RATE = 0.1
@@ -204,11 +205,7 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
             xb = x.take(perm[rows], axis=0)
             np.dot(xb, weights_t, out=probs)
             probs += bias
-            np.maximum.reduce(probs, axis=1, keepdims=True, out=stat)
-            probs -= stat  # softmax, in place
-            np.exp(probs, out=probs)
-            np.add.reduce(probs, axis=1, keepdims=True, out=stat)
-            probs /= stat
+            _softmax(probs, stat)
             np.take(flat, own_b, out=picked_b)
             flat[own_b] = picked_b - 1.0  # probs - onehot(y)
             probs /= own_b.size  # the residual
@@ -237,21 +234,14 @@ def _descend(x, mean, std, y, classes: int, config: TrainConfig):
     return LogisticModel(weights, bias), tuple(losses)
 
 
-def _fit(values, labels, num_classes: int, config: TrainConfig):
-    """Train on the float32 rows values, labelled labels; returns the
-    model and its per-epoch mean losses."""
+def train(values, labels, num_classes: int, config: TrainConfig):
+    """Fit the constant recipe on the float32 rows values, labelled labels;
+    returns the model and its per-epoch mean losses. With epochs=0 the
+    model is the seeded initialization folded through the normalization."""
     if len(values) == 0:
         raise ValueError("cannot train on an empty dataset")
     x = _StandardizedRows(values)
     return _descend(x, x.mean, x.std, labels, num_classes, config)
-
-
-def train(values, labels, num_classes: int, config: TrainConfig) -> LogisticModel:
-    """Fit the constant recipe on the float32 rows values, labelled labels;
-    with epochs=0 this is the seeded initialization folded through the
-    normalization."""
-    model, _ = _fit(values, labels, num_classes, config)
-    return model
 
 
 def _accuracy(model: LogisticModel, values, labels) -> float:
@@ -280,7 +270,7 @@ def fit_scoring_model(values, labels, num_classes: int, seed: int = 42) -> Logis
     OpenBLAS runs on one thread, which is faster for its batch-sized
     products."""
     with parallel.one_blas_thread():
-        return train(values, labels, num_classes, TrainConfig(epochs=1, seed=seed))
+        return train(values, labels, num_classes, TrainConfig(epochs=1, seed=seed))[0]
 
 
 def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,
@@ -327,7 +317,7 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
         quant_model, curve = _descend(*_standardized(stored.dequantized(kept, np.float64)),
                                       labels, classes, config)
         train_acc = _accuracy(quant_model, stored.dequantized(kept, np.float64), labels)
-        test_split = original.take(test_idx, np.float32), original.labels[test_idx]
+        test_split = original.take(test_idx, np.float64), original.labels[test_idx]
         quant_acc = _accuracy(quant_model, *test_split)
         baseline = np.frombuffer(result()).reshape(classes, -1)
         baseline_acc = _accuracy(LogisticModel(baseline[:, :-1], baseline[:, -1]), *test_split)

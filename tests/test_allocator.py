@@ -64,6 +64,10 @@ def test_one_rule_matches_the_strategy_allocator(levels, strategies):
         keep = None
         if case % 4 == 1:  # every other keep-list is empty
             keep = rng.integers(0, n, size=int(rng.integers(0, n + 1)) if case % 8 == 1 else 0)
+        if keep is not None and config.prune_ratio > 0.0:
+            with pytest.raises(ValueError, match="exclude each other"):
+                allocate(scores, config, seed=case, keep_indices=keep)
+            continue
         plan = allocate(scores, config, seed=case, keep_indices=keep)
         for strategy in strategies:
             assignments, b_avg = reference_allocate(scores, strategy, config, case, keep)
@@ -184,11 +188,16 @@ class TestAllocate:
         assert plan.b_avg == 1.6
         assert plan.compression_ratio == 0.95
 
-    def test_keep_list_overrides_pruning(self):
+    def test_keep_list_pins_the_survivors(self):
         scores = np.arange(10, dtype=float)
-        cfg = AllocationConfig((8,), prune_ratio=0.5)
-        plan = allocate(scores, cfg, keep_indices=[1, 3])
+        plan = allocate(scores, AllocationConfig((8,)), keep_indices=[1, 3])
         assert set(np.flatnonzero(plan.assignments == 8)) == {1, 3}
+
+    @pytest.mark.parametrize("keep", [[1, 3], list(range(10)), []], ids=["some", "all", "none"])
+    def test_keep_list_and_prune_ratio_exclude_each_other(self, keep):
+        cfg = AllocationConfig((8,), prune_ratio=0.5)
+        with pytest.raises(ValueError, match="^a keep-list and a prune ratio exclude each other$"):
+            allocate(np.arange(10, dtype=float), cfg, keep_indices=keep)
 
     def test_keep_list_range_checked(self):
         cfg = AllocationConfig((8,))

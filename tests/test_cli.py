@@ -14,7 +14,7 @@ import pytest
 from reference import reference_dataset_bytes, reference_ingest_cifar, reference_ingest_raw
 
 import dsquant
-from dsquant import dataset, parallel, qds, sensitivity, trainer
+from dsquant import allocator, dataset, parallel, qds, sensitivity, trainer
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from dsquant.dataset import (
@@ -97,6 +97,25 @@ class TestIngest:
         assert code == EXIT_VALIDATION
         assert err == "error: invalid synthetic dataset sizes\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("shape, classes, message", [
+        ("1x1x2", 2 ** 32, "class count 4294967296"),
+        ("4294967296x1x1", 10, "height 4294967296"),
+    ], ids=["classes", "height"])
+    def test_a_header_field_beyond_u32_is_refused(self, tmp_path, capsys, shape, classes,
+                                                  message):
+        n = 1 if shape == "1x1x2" else 0
+        (tmp_path / "v.f32le").write_bytes(np.zeros(2 * n, "<f4").tobytes())
+        (tmp_path / "l.u32le").write_bytes(np.zeros(n, "<u4").tobytes())
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "ingest", "--raw", str(tmp_path / "v.f32le"),
+                             str(tmp_path / "l.u32le"), "--shape", shape,
+                             "--num-classes", str(classes), "--out", str(out_dir / "x.dsr"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {message} does not fit the dataset header's "
+                                  "u32 field\n")
+        assert list(out_dir.iterdir()) == []
 
 
 def _ingest_source(root, kind, n):
@@ -218,6 +237,20 @@ class TestPipelineStages:
                            "--out", str(tmp_path / "plan.tsv"))
         assert code == EXIT_OK
         assert porcelain(out)["ratio"] == "0.875"
+
+    def test_allocate_refuses_a_keep_list_with_a_prune_ratio(self, tmp_path, capsys):
+        scores, keep = tmp_path / "scores.tsv", tmp_path / "keep.txt"
+        scores.write_text("".join(f"{i}\t{i / 4}\n" for i in range(4)))
+        keep.write_text("0\n1\n2\n3\n")
+        argv = ("allocate", "--scores", str(scores), "--bits", "8", "--keep-list", str(keep),
+                "--out", str(tmp_path / "plan.tsv"))
+        code, out, err = run(capsys, *argv, "--prune-ratio", "0.5")
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: a keep-list and a prune ratio exclude each other\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["keep.txt", "scores.tsv"]
+        code, _, _ = run(capsys, *argv)  # the keep-list alone pins the survivors
+        assert code == EXIT_OK
+        assert allocator.read_plan(tmp_path / "plan.tsv").assignments.tolist() == [8] * 4
 
     def test_allocate_idempotent(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"
@@ -710,7 +743,7 @@ class TestPipelineStages:
                             "total_bytes", "nominal_ratio", "realized_ratio"]
         assert kv["total_bytes"] == str(qds.stat().st_size)
         assert out["quantize", True] == out["stats", True]
-        assert out["quantize", False] == "".join(f"{k}: {v}\n" for k, v in kv.items())
+        assert out["quantize", False] == out["stats", False]
         assert out["stats", False] == "".join(f"{k:<14}  {v}\n" for k, v in kv.items())
 
     def test_stats_porcelain_keys(self, tmp_path, capsys, synth_file):
@@ -767,6 +800,43 @@ def test_commands_are_the_pipeline_stages(capsys):
         main(["train", "--dataset", "data.dsr"])
     assert exit_info.value.code == 2  # argparse rejects an unknown command
     assert "invalid choice: 'train'" in capsys.readouterr().err
+
+
+# every stage's arguments and porcelain keys, in pipeline order, each
+# stage reading the files of the stages before it
+STAGES = {
+    "ingest": (["--synth", "3,16,300,0.5", "--seed", "7", "--out", "data.dsr"],
+               ["samples", "shape", "classes"]),
+    "score": (["--dataset", "data.dsr", "--out", "scores.tsv"], ["samples", "mean_score"]),
+    "allocate": (["--scores", "scores.tsv", "--bits", "8,4", "--out", "plan.tsv"],
+                 ["samples", "b_avg", "ratio"]),
+    "quantize": (["--dataset", "data.dsr", "--plan", "plan.tsv", "--out", "data.qds"],
+                 ["payload_bits", "scale_bits", "metadata_bits", "total_bytes",
+                  "nominal_ratio", "realized_ratio"]),
+    "stats": (["--qds", "data.qds"],
+              ["payload_bits", "scale_bits", "metadata_bits", "total_bytes",
+               "nominal_ratio", "realized_ratio"]),
+    "compare": (["--dataset", "data.dsr", "--qds", "data.qds", "--epochs", "2"],
+                ["train_accuracy", "test_accuracy", "baseline_test_accuracy",
+                 "accuracy_delta"]),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_human_output_is_the_porcelain_fields_aligned(tmp_path, monkeypatch, capsys, stage):
+    monkeypatch.chdir(tmp_path)
+    for name, (argv, _) in STAGES.items():
+        code, fields, _ = run(capsys, "--porcelain", name, *argv)
+        assert code == EXIT_OK
+        if name == stage:
+            break
+    argv, keys = STAGES[stage]
+    code, out, err = run(capsys, stage, *argv)  # the same run again, without --porcelain
+    assert (code, err) == (EXIT_OK, "")
+    pairs = [line.split("=", 1) for line in fields.splitlines()]
+    assert [key for key, _ in pairs] == keys
+    width = max(map(len, keys))
+    assert out == "".join(f"{key:<{width}}  {value}\n" for key, value in pairs)
 
 
 def test_raw_ingest_round_trip(tmp_path, capsys):

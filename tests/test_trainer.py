@@ -28,7 +28,6 @@ from dsquant.trainer import (
     train,
     _accuracy,
     _descend,
-    _fit,
     _standardized,
 )
 
@@ -45,12 +44,12 @@ def arrays(dset):
 
 class TestTrain:
     def test_separable_blobs_fit_almost_perfectly(self, blobs):
-        model = train(*arrays(blobs), TrainConfig(epochs=10))
+        model, _ = train(*arrays(blobs), TrainConfig(epochs=10))
         assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
 
     def test_zero_epochs_returns_initialization(self, blobs):
         config = TrainConfig(epochs=0)
-        model = train(*arrays(blobs), config)
+        model, _ = train(*arrays(blobs), config)
         init = LogisticModel.seeded(3, 16, config.seed)
         x = blobs.values.astype(np.float64)
         mean, std = x.mean(axis=0), x.std(axis=0)
@@ -61,8 +60,8 @@ class TestTrain:
         np.testing.assert_array_equal(model.bias, init.bias - weights @ mean)
 
     def test_bitwise_deterministic(self, blobs):
-        a = train(*arrays(blobs), TrainConfig(epochs=3))
-        b = train(*arrays(blobs), TrainConfig(epochs=3))
+        a, _ = train(*arrays(blobs), TrainConfig(epochs=3))
+        b, _ = train(*arrays(blobs), TrainConfig(epochs=3))
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
 
@@ -80,7 +79,7 @@ class TestTrain:
             train(*arrays(blobs), TrainConfig(epochs=3))
 
     def test_loss_mostly_non_increasing(self, blobs):
-        _, curve = _fit(*arrays(blobs), TrainConfig(epochs=15))
+        _, curve = train(*arrays(blobs), TrainConfig(epochs=15))
         violations = sum(b > a for a, b in zip(curve, curve[1:]))
         assert violations <= 2
 
@@ -91,6 +90,31 @@ class TestTrain:
     def test_config_is_epochs_and_seed(self):
         # the SGD recipe is constant; only the run length and seed vary
         assert [f.name for f in dataclasses.fields(TrainConfig)] == ["epochs", "seed"]
+
+
+def reference_softmax(logits):
+    """The softmax as first written, out of place."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmax:
+    """_softmax, in place, is the step's softmax and the scoring pass's."""
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 3), (64, 10), (17, 2)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("buffer", [False, True], ids=["allocated", "passed"])
+    def test_in_place_equals_the_first_softmax(self, shape, buffer):
+        logits = np.random.default_rng(4).standard_normal(shape) * 30.0
+        expected = reference_softmax(logits)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        row_stat = np.full(shape[:-1] + (1,), np.nan) if buffer else None
+        probs = _softmax(logits, row_stat)
+        assert probs is logits  # overwritten, not copied
+        assert np.array_equal(probs, expected)
+        if buffer:  # last holding each row's sum of exponentials
+            assert np.array_equal(row_stat, np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def reference_fit(dataset, config):
@@ -121,7 +145,7 @@ def reference_fit(dataset, config):
         for start in range(0, n, batch_size):
             batch = perm[start:start + batch_size]
             xb, tb = x[batch], onehot[batch]
-            probs = _softmax(xb @ weights.T + bias)
+            probs = reference_softmax(xb @ weights.T + bias)
             epoch_loss += -np.log(
                 np.maximum(probs[np.arange(len(batch)), y[batch]], 1e-300)
             ).sum()
@@ -156,7 +180,7 @@ def _oracle_case(n, dim, subset, classes=4):
 
 
 class TestFitOracle:
-    """_fit sums the mean and variance in row chunks and standardizes
+    """train sums the mean and variance in row chunks and standardizes
     each batch as it gathers it; its result must equal the full-temporary
     reference bit for bit."""
 
@@ -180,7 +204,7 @@ class TestFitOracle:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
         config = TrainConfig(epochs=2, seed=3)
         trained = dset if rows is None else row_subset(dset, rows)
-        model, curve = _fit(*arrays(trained), config)
+        model, curve = train(*arrays(trained), config)
         ref_model, ref_curve = reference_fit(trained, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
@@ -211,7 +235,7 @@ class TestFitOracle:
         dset = _varied(n, dim)
         tracemalloc.start()
         try:
-            _fit(*arrays(dset), TrainConfig(epochs=1))
+            train(*arrays(dset), TrainConfig(epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -233,13 +257,13 @@ class TestStreamingFit:
         rows = (np.random.default_rng(2).permutation(1000)[:700] if subset
                 else np.arange(1000))
         config = TrainConfig(epochs=epochs, seed=7)
-        model, curve = _fit(*arrays(row_subset(dset, rows) if subset else dset), config)
+        model, curve = train(*arrays(row_subset(dset, rows) if subset else dset), config)
         ref_model, ref_curve = _descend(*_standardized(dset.values[rows].astype(np.float64)),
                                         dset.labels[rows], dset.num_classes, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
-        trained = train(*arrays(row_subset(dset, rows) if subset else dset), config)
+        trained, _ = train(*arrays(row_subset(dset, rows) if subset else dset), config)
         assert np.array_equal(trained.weights, model.weights)
 
     def test_scoring_fit_holds_no_float64_matrix(self):
@@ -288,11 +312,11 @@ class TestEvaluate:
         assert _accuracy(model, values, np.array([0] * 5 + [1] * 5)) == 0.5
 
     def test_perfect_model_on_train_set(self, blobs):
-        model = train(*arrays(blobs), TrainConfig(epochs=10))
+        model, _ = train(*arrays(blobs), TrainConfig(epochs=10))
         assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
 
     def test_order_invariant(self, blobs):
-        model = train(*arrays(blobs), TrainConfig(epochs=2))
+        model, _ = train(*arrays(blobs), TrainConfig(epochs=2))
         perm = np.random.default_rng(0).permutation(len(blobs))
         assert (_accuracy(model, blobs.values, blobs.labels)
                 == _accuracy(model, blobs.values[perm], blobs.labels[perm]))
@@ -349,11 +373,11 @@ def reference_compare(dataset_path, quantized_path, config):
     stored = QdsRecords(quantized_path)
     train_idx, test_idx = stratified_split(original.labels, config.seed)
     test_set = row_subset(original, test_idx)
-    baseline_acc = evaluate(train(*arrays(row_subset(original, train_idx)), config), test_set)
+    baseline_acc = evaluate(train(*arrays(row_subset(original, train_idx)), config)[0], test_set)
     kept = train_idx[stored.widths[train_idx] > 0]
     quant_train = Dataset(original.shape, original.num_classes,
                           stored.dequantized(kept, np.float32), stored.labels[kept])
-    quant_model, curve = _fit(*arrays(quant_train), config)
+    quant_model, curve = train(*arrays(quant_train), config)
     quant_acc = evaluate(quant_model, test_set)
     return EvalReport(evaluate(quant_model, quant_train), quant_acc, curve,
                       quant_acc - baseline_acc, baseline_acc)
@@ -435,8 +459,9 @@ class TestCompare:
         for ours, theirs in zip(fits[0], expected):
             assert np.array_equal(ours, theirs)
         assert len(scored) == 3
+        assert scored[1][0] is scored[2][0]  # one float64 test split for both models
         for values, labels in scored[1:]:
-            assert values.dtype == np.float32
+            assert values.dtype == np.float64
             assert np.array_equal(values, original.values[test_idx])
             assert np.array_equal(labels, original.labels[test_idx])
 
@@ -460,12 +485,12 @@ class TestCompare:
         assert compare(*pruned, config) == expected
         assert len(forks) == 1
         assert len(read) == 1
-        assert np.array_equal(read[0][0], test_idx) and read[0][1] == np.float32
+        assert np.array_equal(read[0][0], test_idx) and read[0][1] == np.float64
 
     def test_peak_memory_is_the_baseline_matrix_and_test_split(self, tmp_path,
                                                                 monkeypatch):
-        # inline, the arms run one after the other: the peak is the
-        # baseline matrix next to the float32 test split and the QDS
+        # inline, the arms run one after the other: the peak is at most
+        # the baseline matrix, half the float64 test split and the QDS
         # bytes, with no float32 copy of the dataset beside them
         chunk = 1 << 14
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
