@@ -20,7 +20,6 @@ if the stage fails or is interrupted.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import signal
 import sys
@@ -45,26 +44,22 @@ def _parse_shape(text: str) -> ds.SampleShape:
 
 
 def _cmd_ingest(args) -> dict:
-    with contextlib.ExitStack() as files:
-        if args.cifar:
-            source = ds.CifarRecords(files.enter_context(open(args.cifar, "rb")),
-                                     args.num_classes)
-        elif args.raw:
-            if args.shape is None:
-                raise ValueError("--raw requires --shape HxWxC")
-            values_fh, labels_fh = (files.enter_context(open(p, "rb")) for p in args.raw)
-            source = ds.RawRows(values_fh, labels_fh, _parse_shape(args.shape),
-                                args.num_classes)
-        else:
-            parts = args.synth.split(",")
-            if len(parts) != 4:
-                raise ValueError("--synth takes CLASSES,DIM,COUNT,SPREAD")
-            classes, dim, total = int(parts[0]), int(parts[1]), int(parts[2])
-            spread = float(parts[3])
-            if classes < 2 or total % classes:
-                raise ValueError("--synth sample count must divide evenly by classes")
-            source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
-        ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(source, tmp))
+    if args.cifar:
+        source = ds.CifarRecords(args.cifar, args.num_classes)
+    elif args.raw:
+        if args.shape is None:
+            raise ValueError("--raw requires --shape HxWxC")
+        source = ds.RawRows(*args.raw, _parse_shape(args.shape), args.num_classes)
+    else:
+        parts = args.synth.split(",")
+        if len(parts) != 4:
+            raise ValueError("--synth takes CLASSES,DIM,COUNT,SPREAD")
+        classes, dim, total = int(parts[0]), int(parts[1]), int(parts[2])
+        spread = float(parts[3])
+        if classes < 2 or total % classes:
+            raise ValueError("--synth sample count must divide evenly by classes")
+        source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
+    ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(source, tmp))
     return {"samples": source.labels.size, "shape": source.shape,
             "classes": source.num_classes}
 

@@ -16,13 +16,15 @@ which takes its values a row chunk at a time from any row source (an
 object with shape, num_classes, labels and chunks(slices)): a Dataset, a
 CifarRecords or RawRows reading ingest's input files, or a DatasetRows.
 So ingest holds one row chunk of its source, except for --synth, whose
-synth_blobs builds the Dataset whole. The container has one header
-parser and one body reader, DatasetRows, which reads it a row chunk at a
-time: quantize and score's scoring pass stream it, and its take()
-gathers ascending rows into one matrix in one pass (compare's two
-splits, and every row for score's fit). check_labels is the one label
-check. The text stage files (scores, plans, keep-lists) share one codec:
-write_indexed, read_indexed and read_table.
+synth_blobs builds the Dataset whole. A file row source holds paths, and
+each chunks() call opens its file itself (_read_rows), so two readers,
+such as the two processes of parallel.halves, never share an offset.
+The container has one header parser and one body reader, DatasetRows,
+which reads it a row chunk at a time: quantize and score's scoring pass
+stream it, and its take() gathers ascending rows into one matrix in one
+pass (compare's two splits, and every row for score's fit). check_labels
+is the one label check. The text stage files (scores, plans, keep-lists)
+share one codec: write_indexed, read_indexed and read_table.
 """
 
 from __future__ import annotations
@@ -124,37 +126,44 @@ class Dataset:
             yield rows, self.values[rows]
 
 
-def _read_rows(fh, at, slices, n, width, dtype, truncated):
+def _read_rows(path, at, slices, n, width, dtype, truncated):
     """Yield (rows, table) for each of slices, consecutive row slices of
     the n-row table of width-element dtype rows that starts at byte at of
-    fh: table is those rows, read into one buffer that the next slice
-    overwrites. A short read raises ValueError(truncated)."""
+    the file at path, which each call opens itself: table is those rows,
+    read into one buffer that the next slice overwrites. A short read
+    raises ValueError(truncated)."""
     if not slices:
         return
     buffer = np.empty((min(slices[0].stop, n) - slices[0].start, width), dtype)
-    fh.seek(at + slices[0].start * width * buffer.itemsize)
-    for rows in slices:
-        table = buffer[:min(rows.stop, n) - rows.start]
-        if fh.readinto(table) != table.nbytes:
-            raise ValueError(truncated)
-        yield rows, table
+    with open(path, "rb") as fh:
+        fh.seek(at + slices[0].start * width * buffer.itemsize)
+        for rows in slices:
+            table = buffer[:min(rows.stop, n) - rows.start]
+            if fh.readinto(table) != table.nbytes:
+                raise ValueError(truncated)
+            yield rows, table
+
+
+def _file_size(path) -> int:
+    """The size of the file at path, found by seeking, which a pipe refuses."""
+    with open(path, "rb") as fh:
+        return fh.seek(0, os.SEEK_END)
 
 
 class CifarRecords:
-    """A CIFAR-10/100 binary batch, read from fh (a seekable binary file)
-    a row chunk at a time. Pixel bytes map to [0, 1] by division by 255
-    (0 -> 0.0, 255 -> 1.0 exactly); record order is preserved. labels
-    holds a record's label once chunks() has read it."""
+    """A CIFAR-10/100 binary batch, read from the file at path a row chunk
+    at a time. Pixel bytes map to [0, 1] by division by 255 (0 -> 0.0,
+    255 -> 1.0 exactly); record order is preserved. labels holds a
+    record's label once chunks() has read it."""
 
     shape = SampleShape(CIFAR_HEIGHT, CIFAR_WIDTH, CIFAR_CHANNELS)
 
-    def __init__(self, fh, num_classes: int):
+    def __init__(self, path, num_classes: int):
         if num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        self._fh, self.num_classes = fh, num_classes
+        self._path, self.num_classes = path, num_classes
         self._label_bytes = 2 if num_classes == 100 else 1
-        record_size = self._label_bytes + CIFAR_PIXEL_BYTES
-        size = fh.seek(0, os.SEEK_END)
+        record_size, size = self._label_bytes + CIFAR_PIXEL_BYTES, _file_size(path)
         if size % record_size != 0:
             raise ValueError(
                 f"truncated CIFAR stream: {size} bytes is not a multiple "
@@ -167,7 +176,7 @@ class CifarRecords:
         them; a label out of range names its record."""
         n, label_at = self.labels.size, self._label_bytes - 1
         values = None
-        for rows, records in _read_rows(self._fh, 0, slices, n,
+        for rows, records in _read_rows(self._path, 0, slices, n,
                                         label_at + 1 + CIFAR_PIXEL_BYTES, np.uint8,
                                         "truncated CIFAR stream: the file shrank while read"):
             labels = records[:, label_at]
@@ -183,29 +192,27 @@ class CifarRecords:
 
 
 class RawRows:
-    """A .f32le value file plus .u32le label file, from values_fh and
-    labels_fh (seekable binary files). Opening it reads and checks the
-    labels; chunks() then reads the values a row chunk at a time."""
+    """A .f32le value file plus .u32le label file, at values_path and
+    labels_path. Opening it reads and checks the labels; chunks() then
+    reads the values a row chunk at a time."""
 
-    def __init__(self, values_fh, labels_fh, shape: SampleShape, num_classes: int):
-        row_bytes, size = shape.element_count * 4, values_fh.seek(0, os.SEEK_END)
+    def __init__(self, values_path, labels_path, shape: SampleShape, num_classes: int):
+        row_bytes, size = shape.element_count * 4, _file_size(values_path)
         if size % row_bytes != 0:
             raise ValueError("value stream length is not a multiple of the sample size")
-        n, label_size = size // row_bytes, labels_fh.seek(0, os.SEEK_END)
+        n, label_size = size // row_bytes, _file_size(labels_path)
         if label_size != n * 4:
             raise ValueError(f"label stream holds {label_size // 4} entries, expected {n}")
-        labels_fh.seek(0)
-        data = labels_fh.read(label_size)
-        if len(data) != label_size:
-            raise ValueError("truncated label stream: the file shrank while read")
-        labels = np.frombuffer(data, dtype="<u4").astype(np.int64)
+        (_, labels), = _read_rows(labels_path, 0, [slice(0, n)], n, 1, "<u4",
+                                  "truncated label stream: the file shrank while read")
+        labels = labels[:, 0].astype(np.int64)
         check_labels(labels, num_classes)
-        self._fh, self.shape, self.num_classes = values_fh, shape, num_classes
+        self._path, self.shape, self.num_classes = values_path, shape, num_classes
         self.labels = labels
 
     def chunks(self, slices):
         """(rows, values) for each of slices, as DatasetRows.chunks gives them."""
-        for rows, values in _read_rows(self._fh, 0, slices, self.labels.size,
+        for rows, values in _read_rows(self._path, 0, slices, self.labels.size,
                                        self.shape.element_count, "<f4",
                                        "truncated value stream: the file shrank while read"):
             _check_finite(values)
@@ -357,11 +364,10 @@ class DatasetRows:
         first slice's row."""
         n, dim = self.labels.size, self.shape.element_count
         slices = row_chunks(n, dim) if slices is None else slices
-        with open(self._path, "rb") as fh:
-            for rows, values in _read_rows(fh, _DATASET_HEADER.size, slices, n, dim, "<f4",
-                                           f"{self._path}: truncated dataset body"):
-                _check_finite(values)
-                yield rows, values
+        for rows, values in _read_rows(self._path, _DATASET_HEADER.size, slices, n, dim,
+                                       "<f4", f"{self._path}: truncated dataset body"):
+            _check_finite(values)
+            yield rows, values
 
     def take(self, indices: np.ndarray, dtype) -> np.ndarray:
         """The rows at indices, strictly ascending, as one dtype matrix,

@@ -1,14 +1,16 @@
-"""Half of a stage's work in a forked child, one OpenBLAS thread each.
+"""Half of a stage's row work in a forked child, one OpenBLAS thread each.
 
-compare() trains its baseline arm in a child while the caller trains the
-quantized arm; score_dataset() scores the second half of its row chunks
-in a child while the caller scores the first; write_qds() encodes the
-second half of its row chunks in a child, which writes them into the
-output file itself. All three use started(), the one owner of that
-decision: it runs a function returning bytes in a forked child and hands
-those bytes back (or the child's exception), or runs it in the caller's
-process when forking does not pay, so a result is the same bit for bit
-either way.
+halves(chunks, work) is the one split of row work: work runs on the
+first half of a stage's row chunks (quantizer.row_chunks) here and on
+the second half in a forked child, each process reading its own rows
+through the row source's chunks(). score_dataset()'s child sends back
+its scores; write_qds()'s child writes its records into the output file
+itself and sends back nothing. compare() trains its baseline arm in a
+forked child, which sends back its model. All of them fork through
+started(), the one owner of that decision: it runs a function in a
+forked child and hands back its result or its exception, pickled, or
+runs it in the caller's process when forking does not pay, so a result
+is the same bit for bit either way.
 
 Forking pays only with two usable cores, and only when each process
 keeps OpenBLAS to one thread: two processes with a BLAS thread per core
@@ -93,8 +95,8 @@ def use_fork(one_blas_thread: bool) -> bool:
 
 
 def _run_child(work, reader: int, writer: int, mask):
-    """The forked child: run work, send back the bytes it returns or its
-    exception pickled, and leave without the parent's cleanup."""
+    """The forked child: run work, send back what it returns or its
+    exception, pickled, and leave without the parent's cleanup."""
     status = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -102,7 +104,7 @@ def _run_child(work, reader: int, writer: int, mask):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(reader)
         try:
-            message, status = work(), 0
+            message, status = pickle.dumps(work()), 0
         except Exception as exc:  # anything else exits with status 1
             message = pickle.dumps(exc)
         with open(writer, "wb") as fh:
@@ -113,12 +115,13 @@ def _run_child(work, reader: int, writer: int, mask):
 
 @contextlib.contextmanager
 def started(work, worth: bool = True):
-    """Start work(), which returns bytes, for the with block, with OpenBLAS
-    on one thread for the whole block: in a forked child if worth and
-    use_fork allow, else here and now. Yields result(), which returns its
-    bytes or raises its exception. Once a child starts no reference to
-    work is kept here, so the child's copy of its data is the only one
-    left; leaving the block kills and reaps a child still there."""
+    """Start work(), which returns a picklable value, for the with block,
+    with OpenBLAS on one thread for the whole block: in a forked child if
+    worth and use_fork allow, else here and now. Yields result(), which
+    returns that value or raises its exception. Once a child starts no
+    reference to work is kept here, so the child's copy of its data is
+    the only one left; leaving the block kills and reaps a child still
+    there."""
     with one_blas_thread() as pinned:
         if not (worth and use_fork(pinned)):
             value = work()
@@ -143,13 +146,13 @@ def started(work, worth: bool = True):
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a pending signal raises here
             del work
 
-            def result() -> bytes:
+            def result():
                 nonlocal pid
                 message = pipe.read()
                 _, status = os.waitpid(pid, 0)
                 pid, code = None, os.waitstatus_to_exitcode(status)
                 if code == 0:
-                    return message
+                    return pickle.loads(message)
                 if message:
                     raise pickle.loads(message)
                 raise RuntimeError(f"forked worker process exited with code {code}")
@@ -160,3 +163,12 @@ def started(work, worth: bool = True):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             pipe.close()
+
+
+def halves(chunks, work):
+    """(work(first half of chunks), work(second half)): the second half in
+    a forked child where started() forks, which it tries only with two
+    chunks or more."""
+    half = len(chunks) // 2
+    with started(lambda: work(chunks[half:]), half > 0) as second:
+        return work(chunks[:half]), second()

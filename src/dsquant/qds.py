@@ -31,14 +31,12 @@ record's offset, and the storage report. Decoding checks each record's
 scale and payload, and QdsRecords.dequantized is the one dequantizing
 loop. The bit layout lives in dsquant._bitpack_py; this module slices bytes.
 
-The writer takes its rows a chunk at a time from a Dataset or a
-dataset.DatasetRows, so from a file it holds one chunk of values. The
-plan alone gives every record's offset, and each chunk is written at its
-offset after the header, so the order of the chunks does not change the
-bytes: with two row chunks or more, parallel.started forks a child that
-encodes the second half of them while the caller encodes the first (no
-encoded bytes cross between the processes), and inline one process
-encodes the second half, then the first.
+The writer takes its rows a chunk at a time from a row source, so from a
+file it holds one chunk of values. The plan alone gives every record's
+offset, and each chunk is written at its offset after the header, so the
+order of the chunks does not change the bytes: parallel.halves may
+encode half of them in a forked child, which writes its own records (no
+encoded bytes cross between the processes).
 """
 
 from __future__ import annotations
@@ -118,7 +116,7 @@ def _build_report(shape: SampleShape, assignments) -> StorageReport:
     payload_bits = 8 * (total_bytes - HEADER_BYTES) - scale_bits - metadata_bits
     b_avg = int(assignments.sum()) / n if n else 0.0
     original_bits = n * shape.element_count * ORIGINAL_BITS
-    realized = 1.0 - 8 * total_bytes / original_bits if original_bits else 0.0
+    realized = (original_bits - 8 * total_bytes) / original_bits if original_bits else 0.0
     return StorageReport(payload_bits, scale_bits, metadata_bits, total_bytes,
                          compression_ratio(b_avg), realized)
 
@@ -139,9 +137,8 @@ def _write_at(fd: int, data, offset: int) -> None:
 
 def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     """Quantize per the plan and write the container atomically. dataset
-    is a Dataset or a dataset.DatasetRows; with two row chunks or more, a
-    forked child encodes the second half of them where parallel.started
-    forks (see the module docstring)."""
+    is a row source (a Dataset or a dataset.DatasetRows, CifarRecords or
+    RawRows); a forked child may encode half of it (parallel.halves)."""
     n = len(dataset.labels)
     if len(plan) != n:
         raise ValueError(f"plan covers {len(plan)} samples, dataset has {n}")
@@ -156,12 +153,10 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     elems = dataset.shape.element_count
     sizes = np.array(_record_sizes(elems))[widths]
     starts = HEADER_BYTES + np.cumsum(sizes) - sizes  # each record's file offset
-    chunks = row_chunks(n, elems)
-    half = len(chunks) // 2
 
-    def encode(slices, fd: int) -> bytes:
+    def encode(slices, fd: int) -> None:
         """Encode the records of slices, consecutive row chunks, writing
-        each chunk's records at their offset in fd; returns no bytes."""
+        each chunk's records at their offset in fd."""
         for chunk, values in dataset.chunks(slices):
             w, size = widths[chunk], sizes[chunk]
             at = np.cumsum(size) - size  # record starts within this chunk
@@ -174,15 +169,12 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
                 _scatter(out, at[rows] + _SCALE_AT, scales.astype("<f4"))
                 _scatter(out, at[rows] + _PAYLOAD_AT, pack_code_rows(codes, bits))
             _write_at(fd, out, int(starts[chunk.start]))
-        return b""
 
     def write(tmp):
         with open(tmp, "wb") as fh:
             fd = fh.fileno()
             _write_at(fd, header, 0)  # before a fork, so only the parent writes it
-            with parallel.started(lambda: encode(chunks[half:], fd), half > 0) as result:
-                encode(chunks[:half], fd)
-                result()
+            parallel.halves(row_chunks(n, elems), lambda slices: encode(slices, fd))
 
     write_atomically(path, write)
     return _build_report(dataset.shape, widths)

@@ -19,23 +19,21 @@ trip taken straight from the float64 rows the closed form needs anyway.
 _softmax, in place, serves this pass and trainer's SGD step alike.
 
 The scoring pass is elementwise work plus two small GEMMs per row chunk
-(quantizer.row_chunks), so it splits by rows: with two chunks or more,
-on two usable cores, parallel.started forks a child that scores the
-second half of the chunks while the caller scores the first, each with
-OpenBLAS on one thread, and the child sends its float64 scores back as
-bytes. The scores are the same bit for bit either way.
+(quantizer.row_chunks), so it splits by rows through parallel.halves,
+and the child sends back its scores. The scores are the same bit for
+bit either way.
 
-Memory: each process reads its own row chunks through rows.chunks(), as
-qds.write_qds does, so from a DatasetRows it holds one chunk of float32
-rows in one reused buffer. Beyond that and the model, each process holds
-its half of the scores and one chunk's temporaries: at most two float64
-arrays and one float32 array of the chunk at once, 20 bytes per chunk
-element (20 MiB at quantizer.CHUNK_ELEMENTS, where the probe through
-int32 codes and dequantize_rows took 48 MiB). The two float64 arrays are
-buffers allocated once per process and reused by every chunk: allocated
-per chunk, glibc handed them back to the kernel and faulted them in
-again for each chunk (on a CIFAR-shaped batch, 105k minor faults in
-score against 22k).
+Memory: each process reads its own row chunks through rows.chunks(), so
+from a DatasetRows it holds one chunk of float32 rows in one reused
+buffer. Beyond that and the model, each process holds its half of the
+scores and one chunk's temporaries: at most two float64 arrays and one
+float32 array of the chunk at once, 20 bytes per chunk element (20 MiB
+at quantizer.CHUNK_ELEMENTS, where the probe through int32 codes and
+dequantize_rows took 48 MiB). The two float64 arrays are buffers
+allocated once per process and reused by every chunk: allocated per
+chunk, glibc handed them back to the kernel and faulted them in again
+for each chunk (on a CIFAR-shaped batch, 105k minor faults in score
+against 22k).
 """
 
 from __future__ import annotations
@@ -157,19 +155,12 @@ def _scores(rows, model: LogisticModel, slices, probe_bit_width: int) -> np.ndar
 
 def score_dataset(rows, model: LogisticModel,
                   probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
-    """Score every sample of rows, a dataset.Dataset or DatasetRows;
-    output index i is sample i's. With two row chunks or more, a forked
-    child scores the second half of them where parallel.started forks
-    (see the module docstring)."""
+    """Score every sample of rows, a row source (dataset.Dataset,
+    DatasetRows, CifarRecords or RawRows); output index i is sample i's.
+    A forked child may score half the rows (parallel.halves)."""
     chunks = row_chunks(rows.labels.size, rows.shape.element_count)
-    half = len(chunks) // 2
-
-    def second_half() -> bytes:
-        return _scores(rows, model, chunks[half:], probe_bit_width).tobytes()
-
-    with parallel.started(second_half, half > 0) as result:
-        first = _scores(rows, model, chunks[:half], probe_bit_width)
-        return np.concatenate([first, np.frombuffer(result())])
+    return np.concatenate(parallel.halves(
+        chunks, lambda slices: _scores(rows, model, slices, probe_bit_width)))
 
 
 def gradient_check(model: LogisticModel, values, label: int, step: float) -> float:

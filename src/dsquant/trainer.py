@@ -13,11 +13,10 @@ the original samples and one on their dequantized counterparts (index
 alignment through drop tombstones), and evaluates both on the same
 held-out split of the original data. The two fits are independent, so
 where it can compare() runs them at once through parallel.started: the
-baseline arm in a forked child, the quantized arm in the caller's
-process, each with OpenBLAS on one thread. The child sends back only its
-model, the bytes of its weights and bias, and the caller scores both
-models on the test split, so the report is the same bit for bit whether
-the arms run at once or one after the other.
+baseline arm in a forked child, which sends back only its model, and the
+quantized arm in the caller's process. The caller scores both models on
+the test split, so the report is the same bit for bit whether the arms
+run at once or one after the other.
 
 Memory: _moments() is the one owner of the per-feature mean and std: it
 sums the squared deviations a row chunk (quantizer.row_chunks) at a time
@@ -293,12 +292,11 @@ def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,
                          f"dataset has {labels[i]}")
 
 
-def _baseline_arm(original: DatasetRows, train_idx: np.ndarray, config: TrainConfig) -> bytes:
-    """Fit on the dataset file's train rows; returns the model as the
-    bytes of its (C, D + 1) rows of weights then bias."""
-    model, _ = _descend(*_standardized(original.take(train_idx, np.float64)),
-                        original.labels[train_idx], original.num_classes, config)
-    return np.column_stack([model.weights, model.bias]).tobytes()
+def _baseline_arm(original: DatasetRows, train_idx: np.ndarray,
+                  config: TrainConfig) -> LogisticModel:
+    """The model fit on the dataset file's train rows."""
+    return _descend(*_standardized(original.take(train_idx, np.float64)),
+                    original.labels[train_idx], original.num_classes, config)[0]
 
 
 def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
@@ -319,8 +317,7 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
         train_acc = _accuracy(quant_model, stored.dequantized(kept, np.float64), labels)
         test_split = original.take(test_idx, np.float64), original.labels[test_idx]
         quant_acc = _accuracy(quant_model, *test_split)
-        baseline = np.frombuffer(result()).reshape(classes, -1)
-        baseline_acc = _accuracy(LogisticModel(baseline[:, :-1], baseline[:, -1]), *test_split)
+        baseline_acc = _accuracy(result(), *test_split)
     return EvalReport(
         train_accuracy=train_acc,
         test_accuracy=quant_acc,

@@ -160,6 +160,17 @@ class TestAllocationConfig:
         cfg = AllocationConfig((10, 6, 2))
         assert cfg.group_fractions == pytest.approx((1 / 3,) * 3)
 
+    @pytest.mark.parametrize("levels, fractions, message", [
+        ((), None, "bit_levels must be non-empty"),
+        ((0, 0), None, "0 bits only allowed as the last level"),
+        ((8, 0), (1.0,), "group_fractions must match bit_levels"),
+        ((8, 4), (1.5, -0.5), "group fractions must be positive"),
+        ((8, 4), (1.0, 0.0), "group fractions must be positive"),
+    ])
+    def test_refusals(self, levels, fractions, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AllocationConfig(levels, group_fractions=fractions)
+
     def test_prune_ratio_range(self):
         with pytest.raises(ValueError):
             AllocationConfig((8, 0), prune_ratio=1.0)

@@ -1,5 +1,4 @@
 import argparse
-import io
 import os
 import signal
 import subprocess
@@ -89,6 +88,38 @@ class TestIngest:
                          "--out", str(tmp_path / "d.bin"))
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("source, message", [
+        (["--raw", "v.f32le", "l.u32le"], "--raw requires --shape HxWxC"),
+        (["--raw", "v.f32le", "l.u32le", "--shape", "4x4"], "shape must be HxWxC, got '4x4'"),
+        (["--synth", "3,16,300"], "--synth takes CLASSES,DIM,COUNT,SPREAD"),
+    ], ids=["no-shape", "bad-shape", "synth-fields"])
+    def test_a_malformed_source_argument_is_one_line(self, tmp_path, capsys, source,
+                                                     message):
+        code, out, err = run(capsys, "ingest", *source, "--out", str(tmp_path / "d.bin"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, at", [("cifar10", 0), ("raw", 0), ("raw", 1)],
+                             ids=["cifar", "raw-values", "raw-labels"])
+    def test_a_pipe_source_is_one_line(self, tmp_path, capsys, kind, at):
+        # a row source reads by seeking, so it needs a file, not a pipe
+        args, _ = _ingest_source(tmp_path, kind, 4)
+        reader, writer = os.pipe()
+        try:
+            os.write(writer, Path(args[at]).read_bytes())
+            args[at] = f"/dev/fd/{reader}"
+            out_dir = tmp_path / "out"
+            out_dir.mkdir()
+            code, out, err = run(capsys, "ingest", "--raw" if kind == "raw" else "--cifar",
+                                 *args, "--out", str(out_dir / "d.dsr"))
+        finally:
+            os.close(reader)
+            os.close(writer)
+        assert code == EXIT_IO
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("spread", ["nan", "inf", "1e309", "-inf", "0"])
     def test_a_spread_that_is_not_positive_and_finite_is_refused(self, tmp_path, capsys,
                                                                   spread):
@@ -158,12 +189,11 @@ class TestStreamedIngest:
         assert code == EXIT_OK
         assert porcelain(out)["samples"] == str(n)
         assert (tmp_path / "d.dsr").read_bytes() == reference_dataset_bytes(expected)
-        # the same decoders over in-memory streams
-        first = io.BytesIO(Path(args[0]).read_bytes())
+        # the same decoders called as a library
         if kind == "raw":
-            again = RawRows(first, io.BytesIO(Path(args[1]).read_bytes()), expected.shape, 5)
+            again = RawRows(args[0], args[1], expected.shape, 5)
         else:
-            again = CifarRecords(first, expected.num_classes)
+            again = CifarRecords(args[0], expected.num_classes)
         write_dataset_file(again, tmp_path / "again.dsr")
         assert (tmp_path / "again.dsr").read_bytes() == reference_dataset_bytes(expected)
 

@@ -1,11 +1,20 @@
-import io
+import contextlib
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import read_rows, reference_read_dataset, synth_half_noise, take_rows
+from reference import (
+    read_rows,
+    reference_ingest_cifar,
+    reference_read_dataset,
+    synth_half_noise,
+    take_rows,
+)
 
-from dsquant import dataset, quantizer
+from dsquant import dataset, parallel, quantizer
+from dsquant.allocator import AllocationPlan
 from dsquant.dataset import (
     CifarRecords,
     Dataset,
@@ -15,6 +24,8 @@ from dsquant.dataset import (
     synth_blobs,
     write_dataset_file,
 )
+from dsquant.qds import write_qds
+from dsquant.sensitivity import LogisticModel, score_dataset
 
 
 def _cifar_record(label, pixels, coarse=None):
@@ -31,12 +42,25 @@ def _decoded(source) -> Dataset:
     return Dataset(source.shape, source.num_classes, values, source.labels)
 
 
+@contextlib.contextmanager
+def _files(*contents):
+    """A temporary directory holding each of contents in a file; yields
+    their paths."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root, str(i)) for i in range(len(contents))]
+        for path, data in zip(paths, contents):
+            path.write_bytes(data)
+        yield paths
+
+
 def _read_cifar(data, num_classes):
-    return _decoded(CifarRecords(io.BytesIO(data), num_classes))
+    with _files(data) as (path,):
+        return _decoded(CifarRecords(path, num_classes))
 
 
 def _read_raw(values, labels, shape, num_classes):
-    return _decoded(RawRows(io.BytesIO(values), io.BytesIO(labels), shape, num_classes))
+    with _files(values, labels) as paths:
+        return _decoded(RawRows(*paths, shape, num_classes))
 
 
 class TestCifarIngestion:
@@ -81,6 +105,10 @@ class TestCifarIngestion:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
             _read_cifar(_cifar_record(11, [0] * 3072), 10)
+
+    def test_one_class_is_refused(self):
+        with pytest.raises(ValueError, match="^num_classes must be at least 2$"):
+            _read_cifar(_cifar_record(0, [0] * 3072), 1)
 
 
 class TestRawIngestion:
@@ -265,6 +293,8 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(SampleShape(1, 1, 2), 2, np.zeros((2, 2), np.float32),
                 np.array([0, 5]))
+    with pytest.raises(ValueError, match="^labels must be a 1-D array matching values$"):
+        Dataset(SampleShape(1, 1, 2), 2, np.zeros((2, 2), np.float32), np.zeros(3))
     with pytest.raises(ValueError):
         SampleShape(0, 1, 1)
 
@@ -283,6 +313,58 @@ def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
         path.write_bytes(data[:-1])
         with pytest.raises(ValueError, match="truncated"):
             reader(path)
+
+
+def _file_source(root, kind, n):
+    """An n-row "cifar", "raw" or "dsr" file source written under root:
+    (the row source reading it, the Dataset of its rows)."""
+    rng = np.random.default_rng(n)
+    if kind == "cifar":
+        records = rng.integers(0, 256, (n, 1 + 3072), dtype=np.uint8)
+        records[:, 0] = rng.integers(0, 10, n)
+        (root / "batch.bin").write_bytes(records.tobytes())
+        return CifarRecords(root / "batch.bin", 10), reference_ingest_cifar(records.tobytes(), 10)
+    dset = Dataset(SampleShape(2, 4, 2), 5, rng.standard_normal((n, 16), dtype=np.float32),
+                   rng.integers(0, 5, n))
+    if kind == "raw":
+        (root / "v.f32le").write_bytes(dset.values.astype("<f4").tobytes())
+        (root / "l.u32le").write_bytes(dset.labels.astype("<u4").tobytes())
+        return RawRows(root / "v.f32le", root / "l.u32le", dset.shape, 5), dset
+    write_dataset_file(dset, root / "data.dsr")
+    return DatasetRows(root / "data.dsr"), dset
+
+
+class TestFileRowSources:
+    """Each chunks() call of a file row source opens the file itself, so
+    two readers of one source, such as two passes at once or the two
+    processes of parallel.halves, never share a file offset."""
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
+    def test_two_interleaved_passes_each_read_every_row(self, tmp_path, kind):
+        source, dset = _file_source(tmp_path, kind, 50)
+        slices = [slice(start, start + 8) for start in range(0, 50, 8)]
+        for (rows, first), (again, second) in zip(source.chunks(slices),
+                                                  source.chunks(slices)):
+            assert rows == again
+            assert np.array_equal(first, dset.values[rows])
+            assert np.array_equal(second, dset.values[rows])
+        assert np.array_equal(source.labels, dset.labels)
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw"])
+    def test_forked_stages_read_the_rows_of_the_dataset(self, tmp_path, monkeypatch, forks,
+                                                        kind):
+        source, dset = _file_source(tmp_path, kind, 300)
+        dim = dset.shape.element_count
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 16 * dim)  # 19 chunks of 16 rows
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        model = LogisticModel.seeded(dset.num_classes, dim, 1)
+        scores = score_dataset(source, model, 4)
+        assert scores.max() > 0 and np.array_equal(scores, score_dataset(dset, model, 4))
+        plan = AllocationPlan.from_assignments(np.random.default_rng(2).choice([0, 2, 8], 300))
+        write_qds(source, plan, tmp_path / "source.qds")
+        write_qds(dset, plan, tmp_path / "dataset.qds")
+        assert (tmp_path / "source.qds").read_bytes() == (tmp_path / "dataset.qds").read_bytes()
+        assert len(forks) == 4
 
 
 class TestDatasetRows:

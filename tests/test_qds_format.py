@@ -73,6 +73,12 @@ class TestWriteQds:
         with pytest.raises(ValueError, match="plan covers"):
             write_qds(small_dataset(n=3), plan_of([8, 8]), tmp_path / "x.qds")
 
+    @pytest.mark.parametrize("bits", [1, 17, -2])
+    def test_plan_with_an_invalid_width(self, tmp_path, bits):
+        with pytest.raises(ValueError, match="^plan has an invalid bit width$"):
+            write_qds(small_dataset(n=3), plan_of([8, bits, 4]), tmp_path / "x.qds")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_partial_file_on_failure(self, tmp_path):
         target = tmp_path / "out.qds"
         with pytest.raises(ValueError):
@@ -273,6 +279,16 @@ class TestHostileInput:
         for reader in (read_qds, storage_report, materialize_training_set):
             with pytest.raises(QdsFormatError, match="unsupported flags 0xffff"):
                 reader(path)
+
+    def test_unsupported_version(self, tmp_path, capsys):
+        path, data = self._written(tmp_path)
+        struct.pack_into("<H", data, 4, 2)  # the version, after the magic
+        path.write_bytes(bytes(data))
+        for reader in (read_qds, storage_report, materialize_training_set):
+            with pytest.raises(QdsFormatError, match="^unsupported version 2$"):
+                reader(path)
+        assert main(["stats", "--qds", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: unsupported version 2\n")
 
     # the last one is finite, but 127 times it overflows a float32
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, 3e38])
