@@ -11,25 +11,28 @@ External formats:
   (little-endian uint32, one per sample).
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
-header over the same raw layout; see write_dataset_file, the one writer,
-which takes its values a row chunk at a time from any row source (an
-object with shape, num_classes, labels and chunks(slices)): a Dataset, a
-CifarRecords or RawRows reading ingest's input files, or a DatasetRows.
-So ingest holds one row chunk of its source, except for --synth, whose
-synth_blobs builds the Dataset whole. A file row source holds paths, and
-each chunks() call opens its file itself (_read_rows), so two readers,
-such as the two processes of parallel.halves, never share an offset.
-The container has one header parser and one body reader, DatasetRows,
-which reads it a row chunk at a time: quantize and score's scoring pass
-stream it, and its take() gathers ascending rows into one matrix in one
-pass (compare's two splits, and every row for score's fit). check_labels
-is the one label check. The text stage files (scores, plans, keep-lists)
-share one codec: write_indexed, read_indexed and read_table.
+header over the same raw layout. write_dataset_file, the one writer,
+takes its values a row chunk at a time from any row source (shape,
+num_classes, labels and chunks(slices)): a Dataset (synth_blobs builds
+one whole for --synth) or a file row source, CifarRecords, RawRows or
+DatasetRows. These three are one reader (_FileRows) over fixed-width
+records and differ only in where the values and labels sit, the record
+dtype and width, the message for a file that shrank and CIFAR's
+pixel-to-float32 conversion. Opening one checks its size (_file_size,
+which refuses a pipe) and reads and checks every label (check_labels),
+so labels is complete before any row is read. chunks() reads the values
+a row chunk at a time and keeps no state: each call opens the file
+itself, so two readers, such as the two processes of parallel.halves,
+never share an offset. take() gathers strictly ascending rows in one
+pass (compare's two splits, and every row for score's fit). The text
+stage files (scores, plans, keep-lists) share one codec: write_indexed,
+read_indexed and read_table.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 import warnings
@@ -77,13 +80,13 @@ def _check_finite(values: np.ndarray) -> None:
             raise ValueError("sample values must be finite")
 
 
-def check_labels(labels: np.ndarray, num_classes: int, first: int = 0) -> None:
-    """Reject a label outside [0, num_classes); labels[i] is record first + i's."""
+def check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Reject a label outside [0, num_classes); labels[i] is record i's."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
     bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
     if bad.size:
-        raise ValueError(f"record {first + bad[0]}: label {labels[bad[0]]} "
+        raise ValueError(f"record {bad[0]}: label {labels[bad[0]]} "
                          f"out of range for {num_classes} classes")
 
 
@@ -126,7 +129,7 @@ class Dataset:
             yield rows, self.values[rows]
 
 
-def _read_rows(path, at, slices, n, width, dtype, truncated):
+def _read_rows(path, at, n, width, dtype, truncated, slices):
     """Yield (rows, table) for each of slices, consecutive row slices of
     the n-row table of width-element dtype rows that starts at byte at of
     the file at path, which each call opens itself: table is those rows,
@@ -145,56 +148,93 @@ def _read_rows(path, at, slices, n, width, dtype, truncated):
 
 
 def _file_size(path) -> int:
-    """The size of the file at path, found by seeking, which a pipe refuses."""
+    """The size of the file at path, found by seeking; a pipe, which
+    cannot seek, is an OSError naming path."""
     with open(path, "rb") as fh:
-        return fh.seek(0, os.SEEK_END)
+        try:
+            return fh.seek(0, os.SEEK_END)
+        except io.UnsupportedOperation:
+            raise OSError(f"{path}: a row source must be a seekable file, not a pipe") from None
 
 
-class CifarRecords:
-    """A CIFAR-10/100 binary batch, read from the file at path a row chunk
-    at a time. Pixel bytes map to [0, 1] by division by 255 (0 -> 0.0,
-    255 -> 1.0 exactly); record order is preserved. labels holds a
-    record's label once chunks() has read it."""
+class _FileRows:
+    """The file row source of the module docstring: table and labels are
+    _read_rows' (path, byte offset, record count, record width, dtype,
+    message on a short read) of the value and the label records, and a
+    label record holds its label at column."""
+
+    def __init__(self, shape, num_classes, table, labels, column=0):
+        n, width = labels[2:4]
+        read = np.empty(n, dtype=np.int64)
+        for rows, records in _read_rows(*labels, row_chunks(n, width)):
+            read[rows] = records[:, column]
+        check_labels(read, num_classes)
+        read.setflags(write=False)
+        self.shape, self.num_classes, self.labels, self._table = shape, num_classes, read, table
+
+    def _values(self, tables):
+        """(rows, values) for each (rows, float32 values) of tables, checked finite."""
+        for rows, values in tables:
+            _check_finite(values)
+            yield rows, values
+
+    def chunks(self, slices=None):
+        """Yield (rows, values) for each of slices, consecutive row_chunks
+        slices (default: all of them) from the first slice's row on: values
+        is those rows as float32, in one buffer that the next chunk overwrites."""
+        if slices is None:
+            slices = row_chunks(self.labels.size, self.shape.element_count)
+        return self._values(_read_rows(*self._table, slices))
+
+    def take(self, indices: np.ndarray, dtype) -> np.ndarray:
+        """The rows at indices, strictly ascending in [0, n), as one dtype
+        matrix, from one pass over every value row (so a bad value anywhere
+        is an error); a chunk whose rows are all wanted is copied whole."""
+        n = self.labels.size
+        if (np.diff(indices, prepend=-1) <= 0).any() or (indices[-1:] >= n).any():
+            raise ValueError(f"row indices must be strictly ascending in [0, {n})")
+        out = np.empty((indices.size, self.shape.element_count), dtype)
+        for rows, values in self.chunks():
+            lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
+            out[lo:hi] = values if hi - lo == len(values) else values[indices[lo:hi] - rows.start]
+        return out
+
+
+class CifarRecords(_FileRows):
+    """A CIFAR-10/100 binary batch at path, read a row chunk at a time.
+    Pixel bytes map to [0, 1] by division by 255 (0 -> 0.0, 255 -> 1.0
+    exactly); record order is preserved."""
 
     shape = SampleShape(CIFAR_HEIGHT, CIFAR_WIDTH, CIFAR_CHANNELS)
 
     def __init__(self, path, num_classes: int):
         if num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        self._path, self.num_classes = path, num_classes
-        self._label_bytes = 2 if num_classes == 100 else 1
-        record_size, size = self._label_bytes + CIFAR_PIXEL_BYTES, _file_size(path)
+        label_bytes = 2 if num_classes == 100 else 1
+        record_size, size = label_bytes + CIFAR_PIXEL_BYTES, _file_size(path)
         if size % record_size != 0:
-            raise ValueError(
-                f"truncated CIFAR stream: {size} bytes is not a multiple "
-                f"of the {record_size}-byte record size"
-            )
-        self.labels = np.zeros(size // record_size, dtype=np.int64)
+            raise ValueError(f"truncated CIFAR stream: {size} bytes is not a multiple "
+                             f"of the {record_size}-byte record size")
+        records = (path, 0, size // record_size, record_size, np.uint8,
+                   "truncated CIFAR stream: the file shrank while read")
+        super().__init__(self.shape, num_classes, records, records, label_bytes - 1)
 
-    def chunks(self, slices):
-        """(rows, values) for each of slices, as DatasetRows.chunks gives
-        them; a label out of range names its record."""
-        n, label_at = self.labels.size, self._label_bytes - 1
+    def _values(self, tables):
+        """(rows, values) for each (rows, records) of tables: the pixels as float32."""
         values = None
-        for rows, records in _read_rows(self._path, 0, slices, n,
-                                        label_at + 1 + CIFAR_PIXEL_BYTES, np.uint8,
-                                        "truncated CIFAR stream: the file shrank while read"):
-            labels = records[:, label_at]
-            check_labels(labels, self.num_classes, rows.start)
-            self.labels[rows] = labels
+        for rows, records in tables:
             if values is None:
                 values = np.empty((len(records), CIFAR_PIXEL_BYTES), dtype=np.float32)
             chunk = values[:len(records)]
             # bitwise records.astype(np.float32) / np.float32(255)
-            np.copyto(chunk, records[:, label_at + 1:], casting="unsafe")
+            np.copyto(chunk, records[:, -CIFAR_PIXEL_BYTES:], casting="unsafe")
             chunk /= np.float32(255)
             yield rows, chunk
 
 
-class RawRows:
+class RawRows(_FileRows):
     """A .f32le value file plus .u32le label file, at values_path and
-    labels_path. Opening it reads and checks the labels; chunks() then
-    reads the values a row chunk at a time."""
+    labels_path."""
 
     def __init__(self, values_path, labels_path, shape: SampleShape, num_classes: int):
         row_bytes, size = shape.element_count * 4, _file_size(values_path)
@@ -203,20 +243,11 @@ class RawRows:
         n, label_size = size // row_bytes, _file_size(labels_path)
         if label_size != n * 4:
             raise ValueError(f"label stream holds {label_size // 4} entries, expected {n}")
-        (_, labels), = _read_rows(labels_path, 0, [slice(0, n)], n, 1, "<u4",
-                                  "truncated label stream: the file shrank while read")
-        labels = labels[:, 0].astype(np.int64)
-        check_labels(labels, num_classes)
-        self._path, self.shape, self.num_classes = values_path, shape, num_classes
-        self.labels = labels
-
-    def chunks(self, slices):
-        """(rows, values) for each of slices, as DatasetRows.chunks gives them."""
-        for rows, values in _read_rows(self._path, 0, slices, self.labels.size,
-                                       self.shape.element_count, "<f4",
-                                       "truncated value stream: the file shrank while read"):
-            _check_finite(values)
-            yield rows, values
+        super().__init__(
+            shape, num_classes,
+            (values_path, 0, n, shape.element_count, "<f4",
+             "truncated value stream: the file shrank while read"),
+            (labels_path, 0, n, 1, "<u4", "truncated label stream: the file shrank while read"))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int,
@@ -298,8 +329,7 @@ def read_indexed(path, dtype, header_fields: int = 0):
 
 def write_dataset_file(source, path) -> None:
     """Write the DSR1 stage container from a row source: the header, the
-    values a row chunk at a time, then the labels, which a streamed
-    source has filled in by then."""
+    values a row chunk at a time, then the labels."""
     n, shape = source.labels.size, source.shape
     for name, value in (*asdict(shape).items(), ("class count", source.num_classes)):
         if value >= 1 << 32:
@@ -315,11 +345,12 @@ def write_dataset_file(source, path) -> None:
         fh.write(np.ascontiguousarray(source.labels, "<u4"))
 
 
-def _read_dataset_header(fh, path):
-    """(sample count, shape, class count) of the DSR1 file open at fh,
-    after checking its magic, version, shape and body size; fh is left at
-    the first value."""
-    raw = fh.read(_DATASET_HEADER.size)
+def _read_dataset_header(path):
+    """(sample count, shape, class count) of the DSR1 file at path, after
+    checking its magic, version, shape and body size."""
+    size = _file_size(path)
+    with open(path, "rb") as fh:
+        raw = fh.read(_DATASET_HEADER.size)
     if len(raw) != _DATASET_HEADER.size:
         raise ValueError(f"{path}: truncated dataset header")
     magic, version, n, h, w, c, num_classes = _DATASET_HEADER.unpack(raw)
@@ -328,7 +359,7 @@ def _read_dataset_header(fh, path):
     if version != DATASET_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {version}")
     shape = SampleShape(h, w, c)
-    body = os.fstat(fh.fileno()).st_size - _DATASET_HEADER.size
+    body = size - _DATASET_HEADER.size
     expected = n * (shape.element_count + 1) * 4
     if body != expected:
         problem = "truncated" if body < expected else "trailing bytes after"
@@ -336,46 +367,14 @@ def _read_dataset_header(fh, path):
     return n, shape, num_classes
 
 
-class DatasetRows:
+class DatasetRows(_FileRows):
     """A DSR1 stage container read by rows, the one body reader: quantize
     and score's scoring pass stream it, compare and score's fit gather
-    rows of it with take(). Opening it reads and checks the header, the
-    body size and the labels; chunks() then reads the values a row chunk
-    at a time, so no more than one chunk of them is ever held."""
+    rows of it with take()."""
 
     def __init__(self, path):
-        self._path = path
-        with open(path, "rb") as fh:
-            n, self.shape, self.num_classes = _read_dataset_header(fh, path)
-            fh.seek(n * self.shape.element_count * 4, os.SEEK_CUR)
-            data = fh.read(n * 4)
-        if len(data) != n * 4:  # the file shrank after its size was checked
-            raise ValueError(f"{path}: truncated dataset body")
-        labels = np.frombuffer(data, dtype="<u4").astype(np.int64)
-        check_labels(labels, self.num_classes)
-        labels.setflags(write=False)
-        self.labels = labels
-
-    def chunks(self, slices=None):
-        """Yield (rows, values) for each of slices, consecutive
-        quantizer.row_chunks slices (default: all of them): values is
-        those rows as a float32 array, checked finite and read into one
-        buffer that the next chunk overwrites. Reading starts at the
-        first slice's row."""
-        n, dim = self.labels.size, self.shape.element_count
-        slices = row_chunks(n, dim) if slices is None else slices
-        for rows, values in _read_rows(self._path, _DATASET_HEADER.size, slices, n, dim,
-                                       "<f4", f"{self._path}: truncated dataset body"):
-            _check_finite(values)
-            yield rows, values
-
-    def take(self, indices: np.ndarray, dtype) -> np.ndarray:
-        """The rows at indices, strictly ascending, as one dtype matrix,
-        from one pass over every value row a row chunk at a time, so a
-        non-finite value anywhere in the file is an error. A chunk whose
-        rows are all wanted is copied whole."""
-        out = np.empty((indices.size, self.shape.element_count), dtype)
-        for rows, values in self.chunks():
-            lo, hi = np.searchsorted(indices, (rows.start, rows.stop))
-            out[lo:hi] = values if hi - lo == len(values) else values[indices[lo:hi] - rows.start]
-        return out
+        n, shape, num_classes = _read_dataset_header(path)
+        at, dim = _DATASET_HEADER.size, shape.element_count
+        truncated = f"{path}: truncated dataset body"
+        super().__init__(shape, num_classes, (path, at, n, dim, "<f4", truncated),
+                         (path, at + n * dim * 4, n, 1, "<u4", truncated))

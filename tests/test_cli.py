@@ -21,6 +21,7 @@ from dsquant.dataset import (
     Dataset,
     RawRows,
     SampleShape,
+    synth_blobs,
     write_dataset_file,
 )
 from dsquant.qds import write_qds
@@ -100,24 +101,29 @@ class TestIngest:
         assert (out, err) == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("kind, at", [("cifar10", 0), ("raw", 0), ("raw", 1)],
-                             ids=["cifar", "raw-values", "raw-labels"])
+    @pytest.mark.parametrize("kind, at", [("cifar10", 0), ("raw", 0), ("raw", 1), ("dsr", 0)],
+                             ids=["cifar", "raw-values", "raw-labels", "score-dataset"])
     def test_a_pipe_source_is_one_line(self, tmp_path, capsys, kind, at):
         # a row source reads by seeking, so it needs a file, not a pipe
-        args, _ = _ingest_source(tmp_path, kind, 4)
+        if kind == "dsr":
+            args, command = [str(tmp_path / "d.dsr")], ["score", "--dataset"]
+            write_dataset_file(synth_blobs(3, 4, 10, 0.5, seed=1), args[0])
+        else:
+            args, _ = _ingest_source(tmp_path, kind, 4)
+            command = ["ingest", "--raw" if kind == "raw" else "--cifar"]
         reader, writer = os.pipe()
         try:
             os.write(writer, Path(args[at]).read_bytes())
             args[at] = f"/dev/fd/{reader}"
             out_dir = tmp_path / "out"
             out_dir.mkdir()
-            code, out, err = run(capsys, "ingest", "--raw" if kind == "raw" else "--cifar",
-                                 *args, "--out", str(out_dir / "d.dsr"))
+            code, out, err = run(capsys, *command, *args, "--out", str(out_dir / "out"))
         finally:
             os.close(reader)
             os.close(writer)
         assert code == EXIT_IO
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and err.startswith(f"error: /dev/fd/{reader}: ")
+        assert err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("spread", ["nan", "inf", "1e309", "-inf", "0"])

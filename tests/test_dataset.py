@@ -337,7 +337,8 @@ def _file_source(root, kind, n):
 class TestFileRowSources:
     """Each chunks() call of a file row source opens the file itself, so
     two readers of one source, such as two passes at once or the two
-    processes of parallel.halves, never share a file offset."""
+    processes of parallel.halves, never share a file offset. Its labels
+    are read whole when it opens, and no pass changes them."""
 
     @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
     def test_two_interleaved_passes_each_read_every_row(self, tmp_path, kind):
@@ -365,6 +366,33 @@ class TestFileRowSources:
         write_qds(dset, plan, tmp_path / "dataset.qds")
         assert (tmp_path / "source.qds").read_bytes() == (tmp_path / "dataset.qds").read_bytes()
         assert len(forks) == 4
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
+    def test_forked_stages_keep_every_label(self, tmp_path, monkeypatch, forks, kind):
+        source, dset = _file_source(tmp_path, kind, 100)
+        dim = dset.shape.element_count
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 16 * dim)  # 7 chunks of 16 rows
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        score_dataset(source, LogisticModel.seeded(dset.num_classes, dim, 1), 4)
+        assert np.array_equal(source.labels, dset.labels)
+        source, _ = _file_source(tmp_path, kind, 100)
+        write_qds(source, AllocationPlan.from_assignments(np.full(100, 8)), tmp_path / "d.qds")
+        assert np.array_equal(source.labels, dset.labels)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
+    def test_take_gathers_the_rows_of_every_source(self, tmp_path, monkeypatch, kind):
+        source, dset = _file_source(tmp_path, kind, 50)
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * dset.shape.element_count)
+        for indices in (np.arange(50), np.arange(3, 50, 7), np.arange(0)):
+            assert np.array_equal(source.take(indices, np.float64), dset.values[indices])
+
+    def test_a_bad_cifar_label_is_refused_at_open(self, tmp_path):
+        records = np.zeros((5, 1 + 3072), dtype=np.uint8)
+        records[3, 0] = 10
+        (tmp_path / "batch.bin").write_bytes(records.tobytes())
+        with pytest.raises(ValueError, match="^record 3: label 10 out of range for 10 classes$"):
+            CifarRecords(tmp_path / "batch.bin", 10)
 
 
 class TestDatasetRows:
@@ -426,6 +454,18 @@ class TestDatasetRows:
             assert taken.dtype == dtype and taken.shape == (indices.size, 16)
             assert np.array_equal(taken, whole[indices])
 
+    @pytest.mark.parametrize("indices", [[7, 2], [-1, 2], [2, 2], [28, 30], [30]],
+                             ids=["descending", "negative", "repeated", "past-the-end",
+                                  "only-past-the-end"])
+    def test_take_refuses_indices_not_strictly_ascending_in_range(self, tmp_path,
+                                                                   monkeypatch, indices):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 4 * 8)  # 4 rows of 8
+        path = tmp_path / "data.bin"
+        write_dataset_file(synth_blobs(3, 8, 10, 0.5, seed=1), path)
+        with pytest.raises(ValueError,
+                           match=r"^row indices must be strictly ascending in \[0, 30\)$"):
+            DatasetRows(path).take(np.array(indices), np.float32)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("row", [0, 15, 29], ids=["first-chunk", "middle-chunk", "last-chunk"])
     def test_take_rejects_a_non_finite_row_it_does_not_select(self, tmp_path, monkeypatch,
@@ -444,13 +484,13 @@ class TestDatasetRows:
     def test_labels_truncated_after_the_size_check_are_one_line(self, tmp_path,
                                                                 monkeypatch, reader):
         path = tmp_path / "data.bin"
-        # 1,000 rows of 8: larger than the 8 KiB read buffer, so the label
-        # read goes to the shrunken file rather than to buffered bytes
+        # the labels are read after the header check, so from the
+        # shrunken file
         write_dataset_file(synth_blobs(2, 8, 500, 0.5, seed=1), path)
         read_header = dataset._read_dataset_header
 
-        def shrinking(fh, where):
-            header = read_header(fh, where)
+        def shrinking(where):
+            header = read_header(where)
             with open(path, "r+b") as out:  # lose the last two labels
                 out.truncate(path.stat().st_size - 8)
             return header
