@@ -9,7 +9,6 @@ from .allocator import (
     split_by_score,
 )
 from .dataset import (
-    Dataset,
     SampleShape,
     synth_blobs,
 )
@@ -17,19 +16,12 @@ from .qds import (
     QdsFormatError,
     QdsHeader,
     StorageReport,
-    materialize_training_set,
-    read_qds,
     storage_report,
     write_qds,
 )
 from .quantizer import (
-    PackedCodes,
-    QuantizedSample,
     max_code,
-    pack_codes,
     quantize_rows,
-    quantize_sample,
-    unpack_codes,
 )
 from .sensitivity import (
     LogisticModel,

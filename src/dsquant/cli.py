@@ -9,12 +9,12 @@ signal number on SIGINT or SIGTERM. Each stage returns its fields and
 main alone prints them: aligned `key  value` columns, or key=value lines
 under --porcelain.
 
-ingest streams a --cifar or --raw source into the dataset file a row
-chunk at a time. quantize and score's scoring pass read the dataset file
-a row chunk at a time (dataset.DatasetRows); compare and score's fit
-gather the rows they train on. score, quantize and compare may fork a
-child for half their work (dsquant.parallel), which is killed and reaped
-if the stage fails or is interrupted.
+ingest streams a --cifar, --raw or --synth source into the dataset file
+a row chunk at a time. quantize and score's scoring pass read the
+dataset file a row chunk at a time (dataset.DatasetRows); compare and
+score's fit gather the rows they train on. score, quantize and compare
+may fork a child for half their work (dsquant.parallel), which is
+killed and reaped if the stage fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def _cmd_score(args) -> dict:
                                        rows.labels, rows.num_classes, args.seed)
     scores = sensitivity.score_dataset(rows, oracle, args.probe_bits)
     ds.write_atomically(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
-    return {"samples": scores.size,
-            "mean_score": f"{scores.mean():.9g}" if scores.size else "0"}
+    return {"samples": scores.size, "mean_score": f"{scores.mean():.9g}"}
 
 
 def _cmd_allocate(args) -> dict:

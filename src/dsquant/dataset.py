@@ -1,4 +1,5 @@
-"""In-memory datasets, ingestion from external formats, and synthetic data.
+"""Row sources: ingestion from external formats, the stage container and
+synthetic data.
 
 External formats:
 
@@ -11,27 +12,28 @@ External formats:
   (little-endian uint32, one per sample).
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
-header over the same raw layout. write_dataset_file, the one writer,
-takes its values a row chunk at a time from any row source (shape,
-num_classes, labels and chunks(slices)): a Dataset (synth_blobs builds
-one whole for --synth) or a file row source, CifarRecords, RawRows or
-DatasetRows. These three are one reader (_FileRows) over fixed-width
-records and differ only in where the values and labels sit, the record
-dtype and width, the message for a file that shrank and CIFAR's
-pixel-to-float32 conversion. Opening one checks its size (_file_size,
-which refuses a pipe) and reads and checks every label (check_labels),
-so labels is complete before any row is read. chunks() reads the values
-a row chunk at a time and keeps no state: each call opens the file
-itself, so two readers, such as the two processes of parallel.halves,
-never share an offset. take() gathers strictly ascending rows in one
-pass (compare's two splits, and every row for score's fit). The text
-stage files (scores, plans, keep-lists) share one codec: write_indexed,
-read_indexed and read_table.
+header over the same raw layout. Every stage takes its samples from a
+row source (_RowSource): shape, num_classes, labels, chunks(slices) and
+take(). Its labels are complete and checked (check_labels) when it is
+made. chunks() yields the float32 values a row chunk at a time, checked
+finite, and keeps no state: each call starts afresh, so two passes, such
+as the two processes of parallel.halves, never share a file offset or a
+random stream. take() gathers strictly ascending rows in one pass
+(compare's two splits, and every row for score's fit). CifarRecords,
+RawRows and DatasetRows read fixed-width records from files and differ
+only in where the values and labels sit, the record dtype and width, the
+message for a file that shrank and CIFAR's pixel-to-float32 conversion.
+Opening one checks its size (_file_size, which refuses a pipe) and reads
+every label. synth_blobs (--synth) generates its rows a chunk at a time
+instead of reading them. write_dataset_file, the one writer, writes any
+row source a chunk at a time. The text stage files (scores, plans,
+keep-lists) share one codec: write_indexed, read_indexed and read_table.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
 import struct
@@ -90,45 +92,6 @@ def check_labels(labels: np.ndarray, num_classes: int) -> None:
                          f"out of range for {num_classes} classes")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable ordered collection of flattened samples.
-
-    values: (N, element_count) float32, finite.
-    labels: (N,) int64, each in [0, num_classes).
-    The row index is the canonical sample identity.
-    """
-
-    shape: SampleShape
-    num_classes: int
-    values: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float32)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if values.ndim != 2 or values.shape[1] != self.shape.element_count:
-            raise ValueError(
-                f"values must be (N, {self.shape.element_count}), got {values.shape}"
-            )
-        if labels.shape != (values.shape[0],):
-            raise ValueError("labels must be a 1-D array matching values")
-        _check_finite(values)
-        check_labels(labels, self.num_classes)
-        values.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def chunks(self, slices):
-        """(rows, values) for each row slice, as DatasetRows.chunks gives them."""
-        for rows in slices:
-            yield rows, self.values[rows]
-
-
 def _read_rows(path, at, n, width, dtype, truncated, slices):
     """Yield (rows, table) for each of slices, consecutive row slices of
     the n-row table of width-element dtype rows that starts at byte at of
@@ -157,20 +120,26 @@ def _file_size(path) -> int:
             raise OSError(f"{path}: a row source must be a seekable file, not a pipe") from None
 
 
-class _FileRows:
-    """The file row source of the module docstring: table and labels are
-    _read_rows' (path, byte offset, record count, record width, dtype,
-    message on a short read) of the value and the label records, and a
-    label record holds its label at column."""
+def _read_labels(records, column: int = 0) -> np.ndarray:
+    """The int64 labels at column of the label records that records,
+    _read_rows' first arguments, describe."""
+    n, width = records[2:4]
+    labels = np.empty(n, dtype=np.int64)
+    for rows, table in _read_rows(*records, row_chunks(n, width)):
+        labels[rows] = table[:, column]
+    return labels
 
-    def __init__(self, shape, num_classes, table, labels, column=0):
-        n, width = labels[2:4]
-        read = np.empty(n, dtype=np.int64)
-        for rows, records in _read_rows(*labels, row_chunks(n, width)):
-            read[rows] = records[:, column]
-        check_labels(read, num_classes)
-        read.setflags(write=False)
-        self.shape, self.num_classes, self.labels, self._table = shape, num_classes, read, table
+
+class _RowSource:
+    """The row source of the module docstring: labels, checked here, and
+    tables(slices), which yields (rows, table) for each of slices, table
+    being those rows, which _values turns into float32 values."""
+
+    def __init__(self, shape, num_classes, labels, tables):
+        check_labels(labels, num_classes)
+        labels.setflags(write=False)
+        self.shape, self.num_classes, self.labels = shape, num_classes, labels
+        self._tables = tables
 
     def _values(self, tables):
         """(rows, values) for each (rows, float32 values) of tables, checked finite."""
@@ -184,7 +153,7 @@ class _FileRows:
         is those rows as float32, in one buffer that the next chunk overwrites."""
         if slices is None:
             slices = row_chunks(self.labels.size, self.shape.element_count)
-        return self._values(_read_rows(*self._table, slices))
+        return self._values(self._tables(slices))
 
     def take(self, indices: np.ndarray, dtype) -> np.ndarray:
         """The rows at indices, strictly ascending in [0, n), as one dtype
@@ -200,7 +169,7 @@ class _FileRows:
         return out
 
 
-class CifarRecords(_FileRows):
+class CifarRecords(_RowSource):
     """A CIFAR-10/100 binary batch at path, read a row chunk at a time.
     Pixel bytes map to [0, 1] by division by 255 (0 -> 0.0, 255 -> 1.0
     exactly); record order is preserved."""
@@ -217,7 +186,8 @@ class CifarRecords(_FileRows):
                              f"of the {record_size}-byte record size")
         records = (path, 0, size // record_size, record_size, np.uint8,
                    "truncated CIFAR stream: the file shrank while read")
-        super().__init__(self.shape, num_classes, records, records, label_bytes - 1)
+        super().__init__(self.shape, num_classes, _read_labels(records, label_bytes - 1),
+                         functools.partial(_read_rows, *records))
 
     def _values(self, tables):
         """(rows, values) for each (rows, records) of tables: the pixels as float32."""
@@ -232,7 +202,7 @@ class CifarRecords(_FileRows):
             yield rows, chunk
 
 
-class RawRows(_FileRows):
+class RawRows(_RowSource):
     """A .f32le value file plus .u32le label file, at values_path and
     labels_path."""
 
@@ -242,35 +212,58 @@ class RawRows(_FileRows):
             raise ValueError("value stream length is not a multiple of the sample size")
         n, label_size = size // row_bytes, _file_size(labels_path)
         if label_size != n * 4:
-            raise ValueError(f"label stream holds {label_size // 4} entries, expected {n}")
-        super().__init__(
-            shape, num_classes,
-            (values_path, 0, n, shape.element_count, "<f4",
-             "truncated value stream: the file shrank while read"),
-            (labels_path, 0, n, 1, "<u4", "truncated label stream: the file shrank while read"))
+            raise ValueError(f"label stream is {label_size} bytes, expected {n * 4} "
+                             f"for {n} samples")
+        labels = _read_labels((labels_path, 0, n, 1, "<u4",
+                               "truncated label stream: the file shrank while read"))
+        super().__init__(shape, num_classes, labels, functools.partial(
+            _read_rows, values_path, 0, n, shape.element_count, "<f4",
+            "truncated value stream: the file shrank while read"))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int,
-                spread: float, seed: int) -> Dataset:
-    """Gaussian class blobs with pairwise-distinct means, shape 1x1xdim.
+                spread: float, seed: int) -> _RowSource:
+    """Gaussian class blobs with pairwise-distinct means, shape 1x1xdim,
+    generated a row chunk at a time.
 
     Deterministic in seed; values clipped to [-8, 8]. Samples are
     ordered class-major.
     """
     if num_classes < 2 or dim < 1 or per_class < 1 or not 0 < spread < np.inf:
         raise ValueError("invalid synthetic dataset sizes")
-    rng = np.random.default_rng(seed)
-    means = rng.uniform(-4.0, 4.0, size=(num_classes, dim))
-    values = np.empty((num_classes * per_class, dim), dtype=np.float32)
-    # one float64 class block at a time: the same draws and arithmetic as
-    # means[c] + spread * normals, clipped, then cast on assignment
-    for c, block in enumerate(np.split(values, num_classes)):
-        draws = rng.standard_normal((per_class, dim))
-        draws *= spread
-        draws += means[c]
-        block[...] = np.clip(draws, -8.0, 8.0, out=draws)
+    n = num_classes * per_class
+
+    def tables(slices):
+        """The rows of slices from one seeded stream: the class means, then
+        one normal draw per value in row order; the draws of the rows before
+        the first slice are made and discarded."""
+        if not slices:
+            return
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(-4.0, 4.0, size=(num_classes, dim))
+        # a whole slice's rows even where the first slice is the short last
+        # one, so the draws before it are discarded a chunk at a time
+        size = min(n, max(rows.stop - rows.start for rows in slices))
+        draws, values = np.empty((size, dim)), np.empty((size, dim), dtype=np.float32)
+        skip, flat = slices[0].start * dim, draws.reshape(-1)
+        for done in range(0, skip, flat.size):
+            rng.standard_normal(out=flat[:skip - done])
+        for rows in slices:
+            stop = min(rows.stop, n)
+            # one class segment at a time: the same draws and arithmetic as
+            # means[c] + spread * normals, clipped, then cast on assignment
+            for c in range(rows.start // per_class, (stop - 1) // per_class + 1):
+                segment = slice(max(rows.start, c * per_class) - rows.start,
+                                min(stop, (c + 1) * per_class) - rows.start)
+                block = draws[segment]
+                rng.standard_normal(out=block)
+                block *= spread
+                block += means[c]
+                values[segment] = np.clip(block, -8.0, 8.0, out=block)
+            yield rows, values[:stop - rows.start]
+
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    return Dataset(SampleShape(1, 1, dim), num_classes, values, labels)
+    return _RowSource(SampleShape(1, 1, dim), num_classes, labels, tables)
 
 
 def write_atomically(path, writer) -> None:
@@ -358,7 +351,10 @@ def _read_dataset_header(path):
         raise ValueError(f"{path}: not a DSR1 dataset file")
     if version != DATASET_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {version}")
-    shape = SampleShape(h, w, c)
+    try:
+        shape = SampleShape(h, w, c)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     body = size - _DATASET_HEADER.size
     expected = n * (shape.element_count + 1) * 4
     if body != expected:
@@ -367,7 +363,7 @@ def _read_dataset_header(path):
     return n, shape, num_classes
 
 
-class DatasetRows(_FileRows):
+class DatasetRows(_RowSource):
     """A DSR1 stage container read by rows, the one body reader: quantize
     and score's scoring pass stream it, compare and score's fit gather
     rows of it with take()."""
@@ -376,5 +372,6 @@ class DatasetRows(_FileRows):
         n, shape, num_classes = _read_dataset_header(path)
         at, dim = _DATASET_HEADER.size, shape.element_count
         truncated = f"{path}: truncated dataset body"
-        super().__init__(shape, num_classes, (path, at, n, dim, "<f4", truncated),
-                         (path, at + n * dim * 4, n, 1, "<u4", truncated))
+        super().__init__(shape, num_classes,
+                         _read_labels((path, at + n * dim * 4, n, 1, "<u4", truncated)),
+                         functools.partial(_read_rows, path, at, n, dim, "<f4", truncated))

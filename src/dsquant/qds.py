@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import parallel
 from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
-from .dataset import Dataset, SampleShape, check_labels, write_atomically
+from .dataset import SampleShape, check_labels, write_atomically
 from .quantizer import (
     F32_MAX,
     MAX_BIT_WIDTH,
@@ -137,8 +137,8 @@ def _write_at(fd: int, data, offset: int) -> None:
 
 def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     """Quantize per the plan and write the container atomically. dataset
-    is a row source (a Dataset or a dataset.DatasetRows, CifarRecords or
-    RawRows); a forked child may encode half of it (parallel.halves)."""
+    is a row source (dataset.DatasetRows, CifarRecords, RawRows or
+    synth_blobs); a forked child may encode half of it (parallel.halves)."""
     n = len(dataset.labels)
     if len(plan) != n:
         raise ValueError(f"plan covers {len(plan)} samples, dataset has {n}")
@@ -286,9 +286,8 @@ def storage_report(path) -> StorageReport:
     return _build_report(stored.header.shape, stored.widths)
 
 
-def materialize_training_set(path) -> Dataset:
-    """Dequantize all surviving records into an in-memory Dataset."""
+def materialize_training_set(path):
+    """Dequantize all surviving records: (float32 values, int64 labels)."""
     stored = QdsRecords(path)
     kept = np.flatnonzero(stored.widths > 0)
-    return Dataset(stored.header.shape, stored.header.num_classes,
-                   stored.dequantized(kept, np.float32), stored.labels[kept])
+    return stored.dequantized(kept, np.float32), stored.labels[kept]

@@ -155,8 +155,8 @@ def _scores(rows, model: LogisticModel, slices, probe_bit_width: int) -> np.ndar
 
 def score_dataset(rows, model: LogisticModel,
                   probe_bit_width: int = DEFAULT_PROBE_BIT_WIDTH) -> np.ndarray:
-    """Score every sample of rows, a row source (dataset.Dataset,
-    DatasetRows, CifarRecords or RawRows); output index i is sample i's.
+    """Score every sample of rows, a row source (dataset.DatasetRows,
+    CifarRecords, RawRows or synth_blobs); output index i is sample i's.
     A forked child may score half the rows (parallel.halves)."""
     chunks = row_chunks(rows.labels.size, rows.shape.element_count)
     return np.concatenate(parallel.halves(

@@ -22,8 +22,8 @@ Memory: _moments() is the one owner of the per-feature mean and std: it
 sums the squared deviations a row chunk (quantizer.row_chunks) at a time
 in row order, from float32 rows or a float64 matrix alike. train(), the
 one fit on float32 rows (fit_scoring_model(), score's one-epoch fit,
-keeps only its model), takes the rows and labels as arrays, so a
-Dataset's are not copied, and holds no float64 copy: each batch is
+keeps only its model), takes the rows and labels as arrays, which it
+does not copy, and holds no float64 copy of them: each batch is
 standardized as it is gathered, bit for bit as on a standardized matrix,
 so it peaks at one float64 chunk (8 MiB) plus the model. compare()'s
 30-epoch fits gather each batch from one float64 matrix, standardized in

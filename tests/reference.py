@@ -2,18 +2,21 @@
 decoder, the row quantizer as first written, the half-noise fixture of
 the acceptance gate, the hostile copies of valid stage files that the
 file property tests read, read_rows and take_rows, which read a dataset
-file by rows as compare and score do, the whole-body dataset file reader
-that the row reader must match, a row subset of a dataset, and the
+file by rows as compare and score do, every_row, which gathers every row
+of a row source, raw_rows, the one way the tests make a row source of
+arrays they hold (a .f32le/.u32le pair opened by RawRows), the
+whole-body dataset file reader that the row reader must match, and the
 whole-array ingest decoders and dataset file writer that the streamed
 ingest must match byte for byte. No pipeline stage uses them, so they
 live here rather than in the dsquant package."""
 
 import struct
+import tempfile
 
 import numpy as np
 from hypothesis import strategies as st
 
-from dsquant.dataset import Dataset, DatasetRows, SampleShape
+from dsquant.dataset import DatasetRows, RawRows, SampleShape
 
 
 def reference_unpack(payload: bytes, count: int, bit_width: int) -> np.ndarray:
@@ -58,9 +61,10 @@ def synth_half_noise(num_classes: int, dim: int, per_class: int,
                      spread: float, seed: int,
                      noise_amplitude: float = 4.0,
                      spike_amplitude: float = 8.0,
-                     mean_scale: float = 0.3) -> Dataset:
-    """Signal samples with precision-hungry class structure, followed by
-    an equal number of pure-noise samples.
+                     mean_scale: float = 0.3):
+    """(float32 values, int64 labels) of 1x1xdim signal samples with
+    precision-hungry class structure, followed by an equal number of
+    pure-noise samples.
 
     Signal samples carry small-amplitude class means plus a few large
     random spikes, so their quantization range is dominated by the
@@ -83,8 +87,7 @@ def synth_half_noise(num_classes: int, dim: int, per_class: int,
     noise = noise_amplitude * rng.integers(-1, 2, size=(n_signal, dim)).astype(np.float64)
     labels_noise = rng.integers(0, num_classes, size=n_signal).astype(np.int64)
     values = np.concatenate([signal, noise]).astype(np.float32)
-    labels = np.concatenate([labels_signal, labels_noise])
-    return Dataset(SampleShape(1, 1, dim), num_classes, values, labels)
+    return values, np.concatenate([labels_signal, labels_noise])
 
 
 def mutate(data: bytes, other: bytes, how: str, at: int, to: int, bit: int) -> bytes:
@@ -128,50 +131,57 @@ def read_rows(path):
 def take_rows(path) -> np.ndarray:
     """Read a dataset file the way score's fit does: DatasetRows reads the
     header and labels, then take() gathers every value row."""
-    rows = DatasetRows(path)
-    return rows.take(np.arange(rows.labels.size), np.float32)
+    return every_row(DatasetRows(path))
 
 
-def reference_read_dataset(path) -> Dataset:
+def every_row(source) -> np.ndarray:
+    """Every row of a row source, as one float32 matrix."""
+    return source.take(np.arange(source.labels.size), np.float32)
+
+
+def raw_rows(root, values, labels, shape: SampleShape, num_classes: int) -> RawRows:
+    """A RawRows over the rows values, labelled labels, written as a
+    .f32le/.u32le pair in a new directory under root."""
+    directory = tempfile.mkdtemp(dir=root)
+    values_path, labels_path = f"{directory}/v.f32le", f"{directory}/l.u32le"
+    np.ascontiguousarray(values, "<f4").tofile(values_path)
+    np.ascontiguousarray(labels, "<u4").tofile(labels_path)
+    return RawRows(values_path, labels_path, shape, num_classes)
+
+
+def reference_read_dataset(path):
     """The whole-file dataset reader as first written: the header, then
-    the whole body in two reads, decoded by np.frombuffer."""
+    the whole body in two reads, decoded by np.frombuffer. Returns
+    (shape, class count, float32 values, int64 labels)."""
     with open(path, "rb") as fh:
         _, _, n, h, w, c, num_classes = struct.unpack("<4sHQIIII", fh.read(30))
         shape = SampleShape(h, w, c)
         values = np.frombuffer(fh.read(n * shape.element_count * 4), dtype="<f4")
         labels = np.frombuffer(fh.read(n * 4), dtype="<u4").astype(np.int64)
-    return Dataset(shape, num_classes, values.reshape(n, shape.element_count), labels)
+    return shape, num_classes, values.reshape(n, shape.element_count), labels
 
 
-def row_subset(dataset: Dataset, indices) -> Dataset:
-    """The rows of dataset at indices, in that order."""
-    return Dataset(dataset.shape, dataset.num_classes,
-                   dataset.values[indices], dataset.labels[indices])
-
-
-def reference_ingest_cifar(data: bytes, num_classes: int) -> Dataset:
+def reference_ingest_cifar(data: bytes, num_classes: int):
     """The CIFAR decoder as first written, on whole arrays: the records,
-    their labels, and one float32 cast of every pixel divided by 255."""
+    their labels, and one float32 cast of every pixel divided by 255.
+    Returns (float32 values, int64 labels)."""
     label_bytes = 2 if num_classes == 100 else 1
     records = np.frombuffer(data, dtype=np.uint8).reshape(-1, label_bytes + 3072)
     values = records[:, label_bytes:].astype(np.float32) / np.float32(255)
-    return Dataset(SampleShape(32, 32, 3), num_classes, values,
-                   records[:, label_bytes - 1].astype(np.int64))
+    return values, records[:, label_bytes - 1].astype(np.int64)
 
 
-def reference_ingest_raw(values_data: bytes, labels_data: bytes,
-                         shape: SampleShape, num_classes: int) -> Dataset:
-    """The .f32le/.u32le decoder as first written, on whole arrays."""
+def reference_ingest_raw(values_data: bytes, labels_data: bytes, shape: SampleShape):
+    """The .f32le/.u32le decoder as first written, on whole arrays:
+    (float32 values, int64 labels)."""
     values = np.frombuffer(values_data, dtype="<f4").reshape(-1, shape.element_count)
-    labels = np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
-    return Dataset(shape, num_classes, values, labels)
+    return values, np.frombuffer(labels_data, dtype="<u4").astype(np.int64)
 
 
-def reference_dataset_bytes(dataset: Dataset) -> bytes:
+def reference_dataset_bytes(shape: SampleShape, num_classes: int, values, labels) -> bytes:
     """The DSR1 file write_dataset_file wrote from whole arrays: the
     30-byte header, every value, then every label."""
-    shape = dataset.shape
-    header = struct.pack("<4sHQIIII", b"DSR1", 1, len(dataset),
-                         shape.height, shape.width, shape.channels, dataset.num_classes)
-    return (header + np.ascontiguousarray(dataset.values, "<f4").tobytes()
-            + np.ascontiguousarray(dataset.labels, "<u4").tobytes())
+    header = struct.pack("<4sHQIIII", b"DSR1", 1, len(labels),
+                         shape.height, shape.width, shape.channels, num_classes)
+    return (header + np.ascontiguousarray(values, "<f4").tobytes()
+            + np.ascontiguousarray(labels, "<u4").tobytes())

@@ -7,7 +7,7 @@ otherwise).
 
 import numpy as np
 import pytest
-from reference import reference_unpack, synth_half_noise
+from reference import every_row, raw_rows, reference_unpack, synth_half_noise
 
 from dsquant.allocator import (
     AllocationConfig,
@@ -16,7 +16,7 @@ from dsquant.allocator import (
     compression_ratio,
     largest_remainder_sizes,
 )
-from dsquant.dataset import Dataset, SampleShape, synth_blobs, write_dataset_file
+from dsquant.dataset import SampleShape, synth_blobs, write_dataset_file
 from dsquant.qds import HEADER_BYTES, read_qds, write_qds
 from dsquant.quantizer import (
     dequantize_rows,
@@ -155,8 +155,8 @@ def test_criterion_7_format_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     ok = True
 
-    empty = Dataset(SampleShape(1, 1, 4), 2,
-                    np.zeros((0, 4), np.float32), np.zeros(0, np.int64))
+    empty = raw_rows(tmp_path, np.zeros((0, 4), np.float32), np.zeros(0),
+                     SampleShape(1, 1, 4), 2)
     empty_path = tmp_path / "empty.qds"
     write_qds(empty, AllocationPlan(np.zeros(0, np.int32), 0.0, 1.0), empty_path)
     ok &= empty_path.stat().st_size == HEADER_BYTES == 34
@@ -165,9 +165,8 @@ def test_criterion_7_format_round_trip(tmp_path):
     for trial in range(100):
         n = int(rng.integers(1, 15))
         dim = int(rng.integers(1, 10))
-        dset = Dataset(SampleShape(1, 1, dim), 4,
-                       rng.standard_normal((n, dim)).astype(np.float32),
-                       rng.integers(0, 4, n))
+        values = rng.standard_normal((n, dim)).astype(np.float32)
+        dset = raw_rows(tmp_path, values, rng.integers(0, 4, n), SampleShape(1, 1, dim), 4)
         bits = rng.choice(widths, n).astype(np.int32)
         plan = AllocationPlan.from_assignments(bits)
         path = tmp_path / f"t{trial}.qds"
@@ -181,7 +180,7 @@ def test_criterion_7_format_round_trip(tmp_path):
             if b == 0:
                 ok &= records[i] is None
                 continue
-            codes, scales = quantize_rows(dset.values[i:i + 1], int(b))
+            codes, scales = quantize_rows(values[i:i + 1], int(b))
             ok &= bool(np.array_equal(records[i].codes, codes[0]))
             ok &= records[i].scale.tobytes() == scales[0].tobytes()
             ok &= bool(np.array_equal(
@@ -199,12 +198,13 @@ def test_criterion_8_end_to_end_comparability(tmp_path):
         write_dataset_file(dset, dsr)
         config = TrainConfig(epochs=10, seed=100 + seed)
 
-        uniform = allocate(np.zeros(len(dset)), AllocationConfig((16,)))
+        uniform = allocate(np.zeros(3000), AllocationConfig((16,)))
         path = tmp_path / f"u16-{seed}.qds"
         write_qds(dset, uniform, path)
         ok &= abs(compare(dsr, path, config).accuracy_delta) <= 0.01
 
-        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, seed=42 + seed)
+        model = fit_scoring_model(every_row(dset), dset.labels, dset.num_classes,
+                                  seed=42 + seed)
         scores = score_dataset(dset, model, 4)
         adaptive = allocate(scores, AllocationConfig((8, 0)))
         ok &= adaptive.compression_ratio == 0.875
@@ -218,10 +218,11 @@ def test_criterion_8_end_to_end_comparability(tmp_path):
 def test_criterion_9_adaptive_beats_fixed(tmp_path):
     margins = []
     for seed in range(5):
-        dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
+        values, labels = synth_half_noise(3, 32, 150, 0.05, seed=seed)
+        dset = raw_rows(tmp_path, values, labels, SampleShape(1, 1, 32), 3)
         dsr = tmp_path / f"half-noise-{seed}.dsr"
         write_dataset_file(dset, dsr)
-        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, seed=42 + seed)
+        model = fit_scoring_model(values, labels, 3, seed=42 + seed)
         scores = score_dataset(dset, model, 4)
         adaptive = allocate(scores, AllocationConfig((8, 0)))
         fixed = allocate(scores, AllocationConfig((4,)))
@@ -241,7 +242,8 @@ def test_criterion_10_probe_fidelity_ordering():
     ok = True
     for seed in range(5):
         dset = synth_blobs(3, 32, 100, 0.5, seed=seed)
-        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, seed=42 + seed)
+        model = fit_scoring_model(every_row(dset), dset.labels, dset.num_classes,
+                                  seed=42 + seed)
         fine = score_dataset(dset, model, 16)
         coarse = score_dataset(dset, model, 4)
         ok &= float(fine.mean()) < float(coarse.mean())

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import hostile_copy, hostile_files, read_rows, take_rows
+from reference import every_row, hostile_copy, hostile_files, raw_rows, read_rows, take_rows
 
 from dsquant.allocator import AllocationPlan, write_plan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from dsquant.dataset import Dataset, synth_blobs, write_dataset_file
+from dsquant.dataset import synth_blobs, write_dataset_file
 from dsquant.qds import (
     HEADER_BYTES,
     PREFIX_BYTES,
@@ -41,8 +41,9 @@ def valid(tmp_path_factory):
     gives exponent 255, a NaN."""
     root = tmp_path_factory.mktemp("valid")
     blobs = synth_blobs(3, 8, N_SAMPLES // 3, 0.5, seed=1)
-    values = blobs.values * np.float32(1.25 / np.abs(blobs.values[0]).max())
-    dataset = Dataset(blobs.shape, blobs.num_classes, values, blobs.labels)
+    values = every_row(blobs)
+    values *= np.float32(1.25 / np.abs(values[0]).max())
+    dataset = raw_rows(root, values, blobs.labels, blobs.shape, blobs.num_classes)
     write_dataset_file(dataset, root / "data.dsr")
     plan = AllocationPlan.from_assignments(np.resize(WIDTHS, N_SAMPLES))
     write_plan(plan, root / "plan.tsv")

@@ -10,7 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import reference_dataset_bytes, reference_ingest_cifar, reference_ingest_raw
+from reference import (
+    raw_rows,
+    reference_dataset_bytes,
+    reference_ingest_cifar,
+    reference_ingest_raw,
+)
 
 import dsquant
 from dsquant import allocator, dataset, parallel, qds, sensitivity, trainer
@@ -18,7 +23,6 @@ from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from dsquant.dataset import (
     CifarRecords,
-    Dataset,
     RawRows,
     SampleShape,
     synth_blobs,
@@ -126,6 +130,20 @@ class TestIngest:
         assert err.count("\n") == 1
         assert list(out_dir.iterdir()) == []
 
+    def test_a_label_file_of_the_wrong_size_names_its_bytes(self, tmp_path, capsys):
+        # 41 bytes holds 10 whole labels, so a count of labels hides the fault
+        (tmp_path / "v.f32le").write_bytes(bytes(10 * 4 * 4))
+        (tmp_path / "l.u32le").write_bytes(bytes(41))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "ingest", "--raw", str(tmp_path / "v.f32le"),
+                             str(tmp_path / "l.u32le"), "--shape", "1x1x4",
+                             "--out", str(out_dir / "d.dsr"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: label stream is 41 bytes, expected 40 "
+                                  "for 10 samples\n")
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("spread", ["nan", "inf", "1e309", "-inf", "0"])
     def test_a_spread_that_is_not_positive_and_finite_is_refused(self, tmp_path, capsys,
                                                                   spread):
@@ -157,24 +175,25 @@ class TestIngest:
 
 def _ingest_source(root, kind, n):
     """Write an n-record --cifar (CIFAR-10 or -100) or --raw source under
-    root: (its ingest arguments, the Dataset the whole-array decoders make
-    of it)."""
+    root: (its ingest arguments, (its shape, its class count, and the
+    values and labels the whole-array decoders make of it))."""
     rng = np.random.default_rng(n)
     if kind == "raw":
         values = rng.standard_normal((n, 16)).astype("<f4").tobytes()
         labels = rng.integers(0, 5, n).astype("<u4").tobytes()
         (root / "v.f32le").write_bytes(values)
         (root / "l.u32le").write_bytes(labels)
+        shape = SampleShape(2, 4, 2)
         return ([str(root / "v.f32le"), str(root / "l.u32le"), "--shape", "2x4x2",
                  "--num-classes", "5"],
-                reference_ingest_raw(values, labels, SampleShape(2, 4, 2), 5))
+                (shape, 5, *reference_ingest_raw(values, labels, shape)))
     classes = 100 if kind == "cifar100" else 10
     label_bytes = 2 if classes == 100 else 1
     records = rng.integers(0, 256, (n, label_bytes + 3072), dtype=np.uint8)
     records[:, label_bytes - 1] = rng.integers(0, classes, n)
     (root / "batch.bin").write_bytes(records.tobytes())
     return ([str(root / "batch.bin"), "--num-classes", str(classes)],
-            reference_ingest_cifar(records.tobytes(), classes))
+            (CifarRecords.shape, classes, *reference_ingest_cifar(records.tobytes(), classes)))
 
 
 class TestStreamedIngest:
@@ -187,25 +206,25 @@ class TestStreamedIngest:
     def test_same_bytes_as_the_whole_array_decoders(self, tmp_path, capsys, monkeypatch,
                                                     kind, n):
         args, expected = _ingest_source(tmp_path, kind, n)
-        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS",
-                            4 * expected.shape.element_count)
+        shape, classes, _, _ = expected
+        monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 4 * shape.element_count)
         flag = "--raw" if kind == "raw" else "--cifar"
         code, out, _ = run(capsys, "--porcelain", "ingest", flag, *args,
                            "--out", str(tmp_path / "d.dsr"))
         assert code == EXIT_OK
         assert porcelain(out)["samples"] == str(n)
-        assert (tmp_path / "d.dsr").read_bytes() == reference_dataset_bytes(expected)
+        assert (tmp_path / "d.dsr").read_bytes() == reference_dataset_bytes(*expected)
         # the same decoders called as a library
         if kind == "raw":
-            again = RawRows(args[0], args[1], expected.shape, 5)
+            again = RawRows(args[0], args[1], shape, 5)
         else:
-            again = CifarRecords(args[0], expected.num_classes)
+            again = CifarRecords(args[0], classes)
         write_dataset_file(again, tmp_path / "again.dsr")
-        assert (tmp_path / "again.dsr").read_bytes() == reference_dataset_bytes(expected)
+        assert (tmp_path / "again.dsr").read_bytes() == reference_dataset_bytes(*expected)
 
     def test_cifar_ingest_holds_one_row_chunk(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS", 1 << 16)  # 21 rows
-        args, expected = _ingest_source(tmp_path, "cifar10", 2000)
+        args, (_, _, values, _) = _ingest_source(tmp_path, "cifar10", 2000)
         tracemalloc.start()
         try:
             code, _, _ = run(capsys, "ingest", "--cifar", *args, "--out", str(tmp_path / "d.dsr"))
@@ -215,7 +234,7 @@ class TestStreamedIngest:
         assert code == EXIT_OK
         # the whole-array path held the source, its float32 cast and the
         # divided copy: over 2.25 times the 23 MiB of output values
-        assert peak < expected.values.nbytes // 4
+        assert peak < values.nbytes // 4
 
     @pytest.mark.parametrize("fault, message", [
         ("cifar-label", "record 9: label 10 out of range for 10 classes"),
@@ -226,9 +245,10 @@ class TestStreamedIngest:
     def test_a_fault_in_the_last_chunk_is_one_line_and_leaves_no_file(
             self, tmp_path, capsys, monkeypatch, fault, message):
         kind = fault.split("-")[0]
-        args, expected = _ingest_source(tmp_path, "raw" if kind == "raw" else "cifar10", 12)
+        args, (shape, _, _, _) = _ingest_source(tmp_path, "raw" if kind == "raw" else "cifar10",
+                                                12)
         monkeypatch.setattr("dsquant.quantizer.CHUNK_ELEMENTS",
-                            4 * expected.shape.element_count)  # rows 8-11 come last
+                            4 * shape.element_count)  # rows 8-11 come last
         source = Path(args[0])
         data = bytearray(source.read_bytes())
         if fault == "cifar-label":  # the first bad record, not the largest label
@@ -623,6 +643,36 @@ class TestPipelineStages:
         assert (out, err) == ("", f"error: bit width must be in [2, 16], got {bits}\n")
         assert called == [] and forks == [] and list(out_dir.iterdir()) == []
 
+    def test_score_refuses_an_empty_dataset_in_one_line(self, tmp_path, capsys):
+        (tmp_path / "v.f32le").write_bytes(b"")
+        (tmp_path / "l.u32le").write_bytes(b"")
+        path = tmp_path / "empty.dsr"
+        code, _, _ = run(capsys, "ingest", "--raw", str(tmp_path / "v.f32le"),
+                         str(tmp_path / "l.u32le"), "--shape", "1x1x4", "--out", str(path))
+        assert code == EXIT_OK
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "score", "--dataset", str(path),
+                             "--out", str(out_dir / "scores.tsv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: cannot train on an empty dataset\n")
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("field, at", [("height", 14), ("width", 18), ("channels", 22)])
+    def test_a_zero_dimension_in_the_dataset_header_names_the_file(self, tmp_path, capsys,
+                                                                   synth_file, field, at):
+        data = bytearray(synth_file.read_bytes())
+        data[at:at + 4] = bytes(4)
+        synth_file.write_bytes(bytes(data))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "score", "--dataset", str(synth_file),
+                             "--out", str(out_dir / "scores.tsv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {synth_file}: {field} must be a positive integer, "
+                                  "got 0\n")
+        assert list(out_dir.iterdir()) == []
+
     def test_score_reports_an_error_in_the_child(self, tmp_path, capsys, synth_file,
                                                  monkeypatch, forks):
         def fail(*args):
@@ -901,9 +951,8 @@ def unbounded_classes(tmp_path_factory):
     depend on the host's overcommit setting."""
     root = tmp_path_factory.mktemp("classes")
     rng = np.random.default_rng(0)
-    dset = Dataset(SampleShape(256, 256, 1), 2 ** 32 - 1,
-                   rng.standard_normal((10, 1 << 16)).astype(np.float32),
-                   np.repeat([0, 7], 5))
+    dset = raw_rows(root, rng.standard_normal((10, 1 << 16)).astype(np.float32),
+                    np.repeat([0, 7], 5), SampleShape(256, 256, 1), 2 ** 32 - 1)
     write_dataset_file(dset, root / "data.dsr")
     write_qds(dset, AllocationPlan.from_assignments(np.full(10, 8)), root / "data.qds")
     return root

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference import (
+    every_row,
+    raw_rows,
     read_rows,
     reference_ingest_cifar,
     reference_read_dataset,
@@ -17,7 +19,6 @@ from dsquant import dataset, parallel, quantizer
 from dsquant.allocator import AllocationPlan
 from dsquant.dataset import (
     CifarRecords,
-    Dataset,
     DatasetRows,
     RawRows,
     SampleShape,
@@ -33,13 +34,14 @@ def _cifar_record(label, pixels, coarse=None):
     return prefix + bytes(pixels)
 
 
-def _decoded(source) -> Dataset:
-    """Every row of an ingest source, read a row chunk at a time."""
+def _decoded(source):
+    """(values, labels) of every row of an ingest source, read a row chunk
+    at a time."""
     n, dim = source.labels.size, source.shape.element_count
     values = np.empty((n, dim), dtype=np.float32)
     for rows, chunk in source.chunks(quantizer.row_chunks(n, dim)):
         values[rows] = chunk
-    return Dataset(source.shape, source.num_classes, values, source.labels)
+    return values, source.labels
 
 
 @contextlib.contextmanager
@@ -66,37 +68,37 @@ def _read_raw(values, labels, shape, num_classes):
 class TestCifarIngestion:
     def test_single_record_max_pixels(self):
         data = _cifar_record(7, [255] * 3072)
-        dset = _read_cifar(data, 10)
-        assert len(dset) == 1
-        assert dset.labels[0] == 7
-        assert np.all(dset.values == 1.0)
+        values, labels = _read_cifar(data, 10)
+        assert len(labels) == 1
+        assert labels[0] == 7
+        assert np.all(values == 1.0)
 
     def test_empty_stream(self):
-        dset = _read_cifar(b"", 10)
-        assert len(dset) == 0
+        values, labels = _read_cifar(b"", 10)
+        assert len(labels) == 0 and values.shape == (0, 3072)
 
     def test_pixel_endpoints_exact(self):
         data = _cifar_record(0, [0, 255] * 1536)
-        dset = _read_cifar(data, 10)
-        assert dset.values[0, 0] == np.float32(0.0)
-        assert dset.values[0, 1] == np.float32(1.0)
+        values, _ = _read_cifar(data, 10)
+        assert values[0, 0] == np.float32(0.0)
+        assert values[0, 1] == np.float32(1.0)
 
     def test_two_records_against_independent_decoder(self):
         rng = np.random.default_rng(3)
         pixels = [rng.integers(0, 256, 3072).tolist() for _ in range(2)]
         data = _cifar_record(2, pixels[0]) + _cifar_record(9, pixels[1])
-        dset = _read_cifar(data, 10)
+        values, labels = _read_cifar(data, 10)
         # independent byte-level decode
         for i in range(2):
             rec = data[i * 3073:(i + 1) * 3073]
-            assert dset.labels[i] == rec[0]
+            assert labels[i] == rec[0]
             expected = np.array(list(rec[1:]), dtype=np.float32) / 255.0
-            np.testing.assert_array_equal(dset.values[i], expected)
+            np.testing.assert_array_equal(values[i], expected)
 
     def test_cifar100_coarse_label_ignored(self):
         data = _cifar_record(42, [128] * 3072, coarse=13)
-        dset = _read_cifar(data, 100)
-        assert dset.labels[0] == 42
+        _, labels = _read_cifar(data, 100)
+        assert labels[0] == 42
 
     def test_truncated_stream_rejected(self):
         with pytest.raises(ValueError, match="truncated"):
@@ -113,28 +115,24 @@ class TestCifarIngestion:
 
 class TestRawIngestion:
     def test_empty_files(self):
-        dset = _read_raw(b"", b"", SampleShape(2, 2, 1), 4)
-        assert len(dset) == 0
+        values, labels = _read_raw(b"", b"", SampleShape(2, 2, 1), 4)
+        assert len(labels) == 0 and values.shape == (0, 4)
 
     def test_single_element_identity(self):
         values = np.array([0.5], dtype="<f4").tobytes()
         labels = np.array([0], dtype="<u4").tobytes()
-        dset = _read_raw(values, labels, SampleShape(1, 1, 1), 2)
-        assert dset.values[0, 0] == np.float32(0.5)
-        assert dset.labels[0] == 0
+        values, labels = _read_raw(values, labels, SampleShape(1, 1, 1), 2)
+        assert values[0, 0] == np.float32(0.5)
+        assert labels[0] == 0
 
     def test_round_trip_through_writer(self):
         rng = np.random.default_rng(11)
-        original = Dataset(
-            SampleShape(2, 2, 1), 3,
-            rng.standard_normal((3, 4)).astype(np.float32),
-            np.array([0, 2, 1]),
-        )
-        vdata = original.values.astype("<f4").tobytes()
-        ldata = original.labels.astype("<u4").tobytes()
-        again = _read_raw(vdata, ldata, original.shape, 3)
-        np.testing.assert_array_equal(again.values, original.values)
-        np.testing.assert_array_equal(again.labels, original.labels)
+        values = rng.standard_normal((3, 4)).astype(np.float32)
+        labels = np.array([0, 2, 1])
+        again = _read_raw(values.astype("<f4").tobytes(), labels.astype("<u4").tobytes(),
+                          SampleShape(2, 2, 1), 3)
+        np.testing.assert_array_equal(again[0], values)
+        np.testing.assert_array_equal(again[1], labels)
 
     def test_length_mismatch(self):
         values = np.zeros(4, dtype="<f4").tobytes()
@@ -160,25 +158,44 @@ class TestSyntheticBlobs:
     def test_deterministic_in_seed(self):
         a = synth_blobs(3, 8, 10, 0.5, seed=99)
         b = synth_blobs(3, 8, 10, 0.5, seed=99)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(every_row(a), every_row(b))
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_counts_per_class(self):
         dset = synth_blobs(3, 4, 100, 0.5, seed=1)
-        assert len(dset) == 300
+        assert dset.labels.size == 300
         assert all(np.sum(dset.labels == c) == 100 for c in range(3))
 
     def test_values_clipped(self):
-        dset = synth_blobs(2, 4, 50, 10.0, seed=5)
-        assert dset.values.min() >= -8.0 and dset.values.max() <= 8.0
+        values = every_row(synth_blobs(2, 4, 50, 10.0, seed=5))
+        assert values.min() >= -8.0 and values.max() <= 8.0
 
     def test_nearest_mean_separates_tight_blobs(self):
         dset = synth_blobs(3, 16, 100, 0.01, seed=2)
-        means = np.stack([dset.values[dset.labels == c].mean(axis=0)
+        values = every_row(dset)
+        means = np.stack([values[dset.labels == c].mean(axis=0)
                           for c in range(3)])
-        dists = ((dset.values[:, None, :] - means[None]) ** 2).sum(axis=2)
+        dists = ((values[:, None, :] - means[None]) ** 2).sum(axis=2)
         predictions = dists.argmin(axis=1)
         assert np.mean(predictions == dset.labels) >= 0.99
+
+    # 300 rows in 5 chunks with a short last one, one whole chunk, a last
+    # chunk of one row, and 7 chunks of 3072-wide rows; each crosses
+    # class boundaries inside a chunk
+    @pytest.mark.parametrize("args, chunk_rows", [
+        ((3, 16, 100, 0.5, 1), 64), ((2, 16, 32, 1.0, 2), 64), ((5, 16, 13, 2.0, 3), 64),
+        ((4, 3072, 5, 3.0, 7), 3),
+    ], ids=["300x16", "64x16", "65x16", "20x3072"])
+    def test_reads_from_every_starting_chunk(self, monkeypatch, args, chunk_rows):
+        dim = args[1]
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk_rows * dim)
+        whole, source = reference_synth_blobs(*args), synth_blobs(*args)
+        chunks = quantizer.row_chunks(len(whole), dim)
+        for first in range(len(chunks) + 1):  # the last start reads nothing
+            read = [(chunk, values.copy()) for chunk, values in source.chunks(chunks[first:])]
+            assert [chunk for chunk, _ in read] == chunks[first:]
+            values = np.concatenate([np.empty((0, dim), np.float32), *(v for _, v in read)])
+            assert np.array_equal(values, whole[first * chunk_rows:])
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -207,54 +224,47 @@ class TestSyntheticBlobsMemory:
         body = path.read_bytes()[30:]
         assert body == reference_synth_blobs(*args).tobytes() + labels.tobytes()
 
-    def test_peak_memory_is_the_output_plus_one_class_block(self):
+    def test_peak_memory_is_one_row_chunk(self, monkeypatch):
+        chunk = 1 << 16  # 256 rows of 256
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
         classes, dim, per_class = 8, 256, 512
         n = classes * per_class
+        np.random.default_rng(0)  # NumPy imports np.random on first use, not here
         tracemalloc.start()
         try:
-            synth_blobs(classes, dim, per_class, 1.0, seed=0)
+            for _ in synth_blobs(classes, dim, per_class, 1.0, seed=0).chunks():
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # float32 output, one float64 block, int64 labels, Dataset's isfinite
-        # mask and 64 KiB to spare; the reference peaks at about six outputs
-        assert peak <= n * dim * 4 + per_class * dim * 8 + n * 8 + n * dim + (1 << 16)
+        # one chunk's float64 draws, float32 values and isfinite mask, the
+        # class means, the int64 labels and 64 KiB to spare, against the
+        # 4 MiB of float32 values in all
+        assert peak <= chunk * (8 + 4 + 1) + classes * dim * 8 + n * 8 + (1 << 16)
 
 
 class TestDatasetFiniteCheck:
-    def test_checks_a_row_chunk_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)  # 21 rows of 3072
-        values = np.random.default_rng(0).standard_normal((2000, 3072), dtype=np.float32)
-        labels = np.zeros(2000, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            Dataset(SampleShape(32, 32, 3), 10, values, labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a whole-array isfinite mask alone is one byte per element
-        assert peak < values.size
-
     @pytest.mark.parametrize("row", [0, 1000, 1999])
-    def test_a_non_finite_value_in_any_chunk_is_rejected(self, monkeypatch, row):
+    def test_a_non_finite_value_in_any_chunk_is_rejected(self, tmp_path, monkeypatch, row):
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
         values = np.ones((2000, 16), dtype=np.float32)
         values[row, 15] = np.inf
+        source = raw_rows(tmp_path, values, np.zeros(2000), SampleShape(1, 1, 16), 2)
         with pytest.raises(ValueError, match="^sample values must be finite$"):
-            Dataset(SampleShape(1, 1, 16), 2, values, np.zeros(2000, dtype=np.int64))
+            list(source.chunks())
 
 
 class TestHalfNoise:
     def test_composition(self):
-        dset = synth_half_noise(3, 8, 50, 0.5, seed=4)
-        assert len(dset) == 300
-        noise = dset.values[150:]
+        values, labels = synth_half_noise(3, 8, 50, 0.5, seed=4)
+        assert len(values) == len(labels) == 300
+        noise = values[150:]
         assert set(np.unique(noise)) <= {-4.0, 0.0, 4.0}
 
     def test_deterministic(self):
-        a = synth_half_noise(3, 8, 50, 0.5, seed=4)
-        b = synth_half_noise(3, 8, 50, 0.5, seed=4)
-        np.testing.assert_array_equal(a.values, b.values)
+        a, _ = synth_half_noise(3, 8, 50, 0.5, seed=4)
+        b, _ = synth_half_noise(3, 8, 50, 0.5, seed=4)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -262,7 +272,7 @@ def test_dataset_file_round_trip(tmp_path):
     path = tmp_path / "data.bin"
     write_dataset_file(dset, path)
     again = DatasetRows(path)
-    np.testing.assert_array_equal(take_rows(path), dset.values)
+    np.testing.assert_array_equal(take_rows(path), every_row(dset))
     np.testing.assert_array_equal(again.labels, dset.labels)
     assert again.shape == dset.shape
     assert again.num_classes == dset.num_classes
@@ -270,31 +280,28 @@ def test_dataset_file_round_trip(tmp_path):
 
 def test_dataset_file_is_written_from_the_arrays(tmp_path):
     rng = np.random.default_rng(5)
-    dset = Dataset(SampleShape(32, 32, 3), 10,
-                   rng.standard_normal((2000, 3072), dtype=np.float32),
-                   rng.integers(0, 10, 2000))
+    values = rng.standard_normal((2000, 3072), dtype=np.float32)
+    labels = rng.integers(0, 10, 2000)
+    source = raw_rows(tmp_path, values, labels, SampleShape(32, 32, 3), 10)
     path = tmp_path / "data.bin"
     tracemalloc.start()
     try:
-        write_dataset_file(dset, path)
+        for _ in source.chunks():
+            pass
+        _, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_dataset_file(source, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # no bytes copy of the 24 MiB of values, only the 8 KiB of u32 labels
-    assert peak < dset.values.nbytes // 8
+    # beyond what a pass over the source holds (one 4 MiB chunk and its
+    # isfinite mask), no copy of the values, only the 8 KiB of u32 labels
+    assert peak < read_peak + labels.size * 4 + (1 << 16)
     body = path.read_bytes()[30:]
-    assert body == (dset.values.astype("<f4").tobytes()
-                    + dset.labels.astype("<u4").tobytes())
+    assert body == values.astype("<f4").tobytes() + labels.astype("<u4").tobytes()
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(SampleShape(1, 1, 2), 2, np.zeros((2, 3), np.float32), np.zeros(2))
-    with pytest.raises(ValueError):
-        Dataset(SampleShape(1, 1, 2), 2, np.zeros((2, 2), np.float32),
-                np.array([0, 5]))
-    with pytest.raises(ValueError, match="^labels must be a 1-D array matching values$"):
-        Dataset(SampleShape(1, 1, 2), 2, np.zeros((2, 2), np.float32), np.zeros(3))
     with pytest.raises(ValueError):
         SampleShape(0, 1, 1)
 
@@ -315,77 +322,88 @@ def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
             reader(path)
 
 
-def _file_source(root, kind, n):
-    """An n-row "cifar", "raw" or "dsr" file source written under root:
-    (the row source reading it, the Dataset of its rows)."""
+def _source(root, kind, n):
+    """An n-row "cifar", "raw" or "dsr" file source written under root, or
+    a "synth" one: (the row source, its float32 values, its labels)."""
     rng = np.random.default_rng(n)
     if kind == "cifar":
         records = rng.integers(0, 256, (n, 1 + 3072), dtype=np.uint8)
         records[:, 0] = rng.integers(0, 10, n)
         (root / "batch.bin").write_bytes(records.tobytes())
-        return CifarRecords(root / "batch.bin", 10), reference_ingest_cifar(records.tobytes(), 10)
-    dset = Dataset(SampleShape(2, 4, 2), 5, rng.standard_normal((n, 16), dtype=np.float32),
-                   rng.integers(0, 5, n))
-    if kind == "raw":
-        (root / "v.f32le").write_bytes(dset.values.astype("<f4").tobytes())
-        (root / "l.u32le").write_bytes(dset.labels.astype("<u4").tobytes())
-        return RawRows(root / "v.f32le", root / "l.u32le", dset.shape, 5), dset
-    write_dataset_file(dset, root / "data.dsr")
-    return DatasetRows(root / "data.dsr"), dset
+        return (CifarRecords(root / "batch.bin", 10),
+                *reference_ingest_cifar(records.tobytes(), 10))
+    if kind == "synth":
+        args = (5, 16, n // 5, 0.5, n)
+        return synth_blobs(*args), reference_synth_blobs(*args), np.arange(n) // (n // 5)
+    values = rng.standard_normal((n, 16), dtype=np.float32)
+    labels = rng.integers(0, 5, n)
+    source = raw_rows(root, values, labels, SampleShape(2, 4, 2), 5)
+    if kind == "dsr":
+        write_dataset_file(source, root / "data.dsr")
+        source = DatasetRows(root / "data.dsr")
+    return source, values, labels
 
 
 class TestFileRowSources:
-    """Each chunks() call of a file row source opens the file itself, so
+    """Each chunks() call of a row source starts afresh: a file source
+    opens the file itself and synth_blobs replays its seeded stream, so
     two readers of one source, such as two passes at once or the two
-    processes of parallel.halves, never share a file offset. Its labels
-    are read whole when it opens, and no pass changes them."""
+    processes of parallel.halves, never share a file offset or a random
+    stream. Its labels are complete when it is made, and no pass changes
+    them."""
 
-    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "synth"])
     def test_two_interleaved_passes_each_read_every_row(self, tmp_path, kind):
-        source, dset = _file_source(tmp_path, kind, 50)
+        source, values, labels = _source(tmp_path, kind, 50)
         slices = [slice(start, start + 8) for start in range(0, 50, 8)]
         for (rows, first), (again, second) in zip(source.chunks(slices),
                                                   source.chunks(slices)):
             assert rows == again
-            assert np.array_equal(first, dset.values[rows])
-            assert np.array_equal(second, dset.values[rows])
-        assert np.array_equal(source.labels, dset.labels)
+            assert np.array_equal(first, values[rows])
+            assert np.array_equal(second, values[rows])
+        assert np.array_equal(source.labels, labels)
 
-    @pytest.mark.parametrize("kind", ["cifar", "raw"])
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "synth"])
     def test_forked_stages_read_the_rows_of_the_dataset(self, tmp_path, monkeypatch, forks,
                                                         kind):
-        source, dset = _file_source(tmp_path, kind, 300)
-        dim = dset.shape.element_count
+        source, values, labels = _source(tmp_path, kind, 300)
+        dim = source.shape.element_count
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 16 * dim)  # 19 chunks of 16 rows
-        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
-        model = LogisticModel.seeded(dset.num_classes, dim, 1)
-        scores = score_dataset(source, model, 4)
-        assert scores.max() > 0 and np.array_equal(scores, score_dataset(dset, model, 4))
+        model = LogisticModel.seeded(source.num_classes, dim, 1)
         plan = AllocationPlan.from_assignments(np.random.default_rng(2).choice([0, 2, 8], 300))
-        write_qds(source, plan, tmp_path / "source.qds")
-        write_qds(dset, plan, tmp_path / "dataset.qds")
-        assert (tmp_path / "source.qds").read_bytes() == (tmp_path / "dataset.qds").read_bytes()
-        assert len(forks) == 4
-
-    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
-    def test_forked_stages_keep_every_label(self, tmp_path, monkeypatch, forks, kind):
-        source, dset = _file_source(tmp_path, kind, 100)
-        dim = dset.shape.element_count
-        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 16 * dim)  # 7 chunks of 16 rows
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
+        inline = score_dataset(source, model, 4)
+        write_qds(source, plan, tmp_path / "inline.qds")
+        # the inline calls see the rows of the dataset
+        expected = raw_rows(tmp_path, values, labels, source.shape, source.num_classes)
+        assert np.array_equal(score_dataset(expected, model, 4), inline)
+        assert forks == []
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
-        score_dataset(source, LogisticModel.seeded(dset.num_classes, dim, 1), 4)
-        assert np.array_equal(source.labels, dset.labels)
-        source, _ = _file_source(tmp_path, kind, 100)
-        write_qds(source, AllocationPlan.from_assignments(np.full(100, 8)), tmp_path / "d.qds")
-        assert np.array_equal(source.labels, dset.labels)
+        scores = score_dataset(source, model, 4)
+        assert scores.max() > 0 and np.array_equal(scores, inline)
+        write_qds(source, plan, tmp_path / "forked.qds")
+        assert (tmp_path / "forked.qds").read_bytes() == (tmp_path / "inline.qds").read_bytes()
         assert len(forks) == 2
 
-    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr"])
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "synth"])
+    def test_forked_stages_keep_every_label(self, tmp_path, monkeypatch, forks, kind):
+        source, _, labels = _source(tmp_path, kind, 100)
+        dim = source.shape.element_count
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 16 * dim)  # 7 chunks of 16 rows
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: True)
+        score_dataset(source, LogisticModel.seeded(source.num_classes, dim, 1), 4)
+        assert np.array_equal(source.labels, labels)
+        source, _, _ = _source(tmp_path, kind, 100)
+        write_qds(source, AllocationPlan.from_assignments(np.full(100, 8)), tmp_path / "d.qds")
+        assert np.array_equal(source.labels, labels)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "synth"])
     def test_take_gathers_the_rows_of_every_source(self, tmp_path, monkeypatch, kind):
-        source, dset = _file_source(tmp_path, kind, 50)
-        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * dset.shape.element_count)
+        source, values, _ = _source(tmp_path, kind, 50)
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * source.shape.element_count)
         for indices in (np.arange(50), np.arange(3, 50, 7), np.arange(0)):
-            assert np.array_equal(source.take(indices, np.float64), dset.values[indices])
+            assert np.array_equal(source.take(indices, np.float64), values[indices])
 
     def test_a_bad_cifar_label_is_refused_at_open(self, tmp_path):
         records = np.zeros((5, 1 + 3072), dtype=np.uint8)
@@ -403,32 +421,27 @@ class TestDatasetRows:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_reads_what_was_written(self, tmp_path, monkeypatch, n):
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
-        rng = np.random.default_rng(n)
-        dset = Dataset(SampleShape(2, 4, 2), 5,
-                       rng.standard_normal((n, 16), dtype=np.float32), rng.integers(0, 5, n))
+        source, written, labels = _source(tmp_path, "raw", n)
         path = tmp_path / "data.bin"
-        write_dataset_file(dset, path)
+        write_dataset_file(source, path)
         rows = DatasetRows(path)
         read = [(chunk, values.copy()) for chunk, values in rows.chunks()]
         assert [chunk for chunk, _ in read] == quantizer.row_chunks(n, 16)
         values = np.concatenate([np.empty((0, 16), np.float32), *(v for _, v in read)])
-        assert np.array_equal(values, dset.values)
-        assert np.array_equal(rows.labels, dset.labels)
-        assert (rows.shape, rows.num_classes) == (dset.shape, dset.num_classes)
-        reference = reference_read_dataset(path)
-        assert np.array_equal(take_rows(path), reference.values)
-        assert np.array_equal(rows.labels, reference.labels)
-        assert (rows.shape, rows.num_classes) == (reference.shape, reference.num_classes)
+        assert np.array_equal(values, written)
+        assert np.array_equal(rows.labels, labels)
+        assert (rows.shape, rows.num_classes) == (SampleShape(2, 4, 2), 5)
+        shape, num_classes, reference, reference_labels = reference_read_dataset(path)
+        assert np.array_equal(take_rows(path), reference)
+        assert np.array_equal(rows.labels, reference_labels)
+        assert (rows.shape, rows.num_classes) == (shape, num_classes)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_reads_from_every_starting_chunk(self, tmp_path, monkeypatch, n):
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
-        rng = np.random.default_rng(n)
         path = tmp_path / "data.bin"
-        write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
-                                   rng.standard_normal((n, 16), dtype=np.float32),
-                                   rng.integers(0, 5, n)), path)
-        whole, rows = reference_read_dataset(path).values, DatasetRows(path)
+        write_dataset_file(_source(tmp_path, "raw", n)[0], path)
+        whole, rows = reference_read_dataset(path)[2], DatasetRows(path)
         chunks = quantizer.row_chunks(n, 16)
         for first in range(len(chunks) + 1):  # the last start reads nothing
             read = [(chunk, values.copy()) for chunk, values in rows.chunks(chunks[first:])]
@@ -440,12 +453,9 @@ class TestDatasetRows:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
     def test_take_gathers_ascending_rows(self, tmp_path, monkeypatch, n, dtype):
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 16)  # 64 rows of 16
-        rng = np.random.default_rng(n)
         path = tmp_path / "data.bin"
-        write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
-                                   rng.standard_normal((n, 16), dtype=np.float32),
-                                   rng.integers(0, 5, n)), path)
-        whole, rows = reference_read_dataset(path).values, DatasetRows(path)
+        write_dataset_file(_source(tmp_path, "raw", n)[0], path)
+        whole, rows = reference_read_dataset(path)[2], DatasetRows(path)
         ends = sorted({row for chunk in quantizer.row_chunks(n, 16)
                        for row in (chunk.start, min(chunk.stop, n) - 1)})
         for indices in (np.arange(0), np.arange(n), np.arange(0, n, 2),  # none, all, every other
@@ -538,11 +548,10 @@ class TestDatasetRows:
 
     def test_holds_one_row_chunk_of_values(self, tmp_path):
         rng = np.random.default_rng(6)
-        dset = Dataset(SampleShape(32, 32, 3), 10,
-                       rng.standard_normal((2000, 3072), dtype=np.float32),
-                       rng.integers(0, 10, 2000))
+        values = rng.standard_normal((2000, 3072), dtype=np.float32)
         path = tmp_path / "data.bin"
-        write_dataset_file(dset, path)
+        write_dataset_file(raw_rows(tmp_path, values, rng.integers(0, 10, 2000),
+                                    SampleShape(32, 32, 3), 10), path)
         tracemalloc.start()
         try:
             read_rows(path)
@@ -551,4 +560,4 @@ class TestDatasetRows:
             tracemalloc.stop()
         # one 4 MiB float32 chunk and its 1 MiB finite mask, against the
         # file's 23 MiB of values
-        assert peak < dset.values.nbytes // 4
+        assert peak < values.nbytes // 4

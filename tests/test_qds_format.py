@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import every_row, raw_rows
 
 from dsquant import parallel, quantizer
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_VALIDATION, main
-from dsquant.dataset import Dataset, DatasetRows, SampleShape, synth_blobs, write_dataset_file
+from dsquant.dataset import DatasetRows, SampleShape, synth_blobs, write_dataset_file
 from dsquant.qds import (
     HEADER_BYTES,
     PREFIX_BYTES,
@@ -25,13 +26,11 @@ from dsquant.quantizer import dequantize_rows, pack_codes, quantize_rows, quanti
 from dsquant.trainer import stratified_split
 
 
-def small_dataset(n=3, dim=4, seed=0, num_classes=3):
+def small_dataset(root, n=3, dim=4, seed=0, num_classes=3):
+    """A row source of n seeded normal rows of 1x1xdim, written under root."""
     rng = np.random.default_rng(seed)
-    return Dataset(
-        SampleShape(1, 1, dim), num_classes,
-        rng.standard_normal((n, dim)).astype(np.float32),
-        rng.integers(0, num_classes, n),
-    )
+    return raw_rows(root, rng.standard_normal((n, dim)).astype(np.float32),
+                    rng.integers(0, num_classes, n), SampleShape(1, 1, dim), num_classes)
 
 
 def plan_of(bits):
@@ -40,7 +39,7 @@ def plan_of(bits):
 
 class TestWriteQds:
     def test_empty_dataset_is_header_only(self, tmp_path):
-        dset = small_dataset(n=0)
+        dset = small_dataset(tmp_path, n=0)
         path = tmp_path / "empty.qds"
         # an empty plan is invalid, so write via a 1-sample plan trimmed:
         # build the degenerate container directly through write_qds with
@@ -50,19 +49,19 @@ class TestWriteQds:
         assert path.stat().st_size == HEADER_BYTES == 34
 
     def test_single_8bit_record_size(self, tmp_path):
-        dset = small_dataset(n=1, dim=1)
+        dset = small_dataset(tmp_path, n=1, dim=1)
         path = tmp_path / "one.qds"
         write_qds(dset, plan_of([8]), path)
         assert path.stat().st_size == 34 + (1 + 4 + 4 + 1)
 
     def test_tombstone_is_five_bytes(self, tmp_path):
-        dset = small_dataset(n=1, dim=1)
+        dset = small_dataset(tmp_path, n=1, dim=1)
         path = tmp_path / "drop.qds"
         write_qds(dset, plan_of([0]), path)
         assert path.stat().st_size == 34 + 5
 
     def test_byte_deterministic(self, tmp_path):
-        dset = small_dataset(n=5, dim=7)
+        dset = small_dataset(tmp_path, n=5, dim=7)
         plan = plan_of([8, 0, 4, 16, 2])
         a, b = tmp_path / "a.qds", tmp_path / "b.qds"
         write_qds(dset, plan, a)
@@ -71,18 +70,20 @@ class TestWriteQds:
 
     def test_plan_dataset_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="plan covers"):
-            write_qds(small_dataset(n=3), plan_of([8, 8]), tmp_path / "x.qds")
+            write_qds(small_dataset(tmp_path, n=3), plan_of([8, 8]), tmp_path / "x.qds")
 
     @pytest.mark.parametrize("bits", [1, 17, -2])
     def test_plan_with_an_invalid_width(self, tmp_path, bits):
+        dset, out_dir = small_dataset(tmp_path, n=3), tmp_path / "out"
+        out_dir.mkdir()
         with pytest.raises(ValueError, match="^plan has an invalid bit width$"):
-            write_qds(small_dataset(n=3), plan_of([8, bits, 4]), tmp_path / "x.qds")
-        assert list(tmp_path.iterdir()) == []
+            write_qds(dset, plan_of([8, bits, 4]), out_dir / "x.qds")
+        assert list(out_dir.iterdir()) == []
 
     def test_no_partial_file_on_failure(self, tmp_path):
         target = tmp_path / "out.qds"
         with pytest.raises(ValueError):
-            write_qds(small_dataset(n=3), plan_of([8, 8]), target)
+            write_qds(small_dataset(tmp_path, n=3), plan_of([8, 8]), target)
         assert not target.exists()
 
     def test_no_temp_file_when_encoding_fails(self, tmp_path, monkeypatch):
@@ -90,20 +91,23 @@ class TestWriteQds:
             raise OSError("disk full")
 
         monkeypatch.setattr("dsquant.qds.pack_code_rows", fail)
+        dset, out_dir = small_dataset(tmp_path, n=3), tmp_path / "out"
+        out_dir.mkdir()
         with pytest.raises(OSError):
-            write_qds(small_dataset(n=3), plan_of([8, 0, 4]), tmp_path / "out.qds")
-        assert list(tmp_path.iterdir()) == []
+            write_qds(dset, plan_of([8, 0, 4]), out_dir / "out.qds")
+        assert list(out_dir.iterdir()) == []
 
     def test_matches_per_record_reference_writer(self, tmp_path):
         # more rows than one write chunk holds, in mixed widths
         rng = np.random.default_rng(21)
-        dset = small_dataset(n=2500, dim=700, seed=21, num_classes=5)
-        bits = rng.choice([0, 2, 3, 8, 11, 16], len(dset))
+        dset = small_dataset(tmp_path, n=2500, dim=700, seed=21, num_classes=5)
+        bits = rng.choice([0, 2, 3, 8, 11, 16], 2500)
         path = tmp_path / "batched.qds"
         write_qds(dset, plan_of(bits), path)
-        expected = [struct.pack("<4sHQIIIII", b"QDS1", 1, len(dset), 1, 1, 700, 5, 1)]
+        expected = [struct.pack("<4sHQIIIII", b"QDS1", 1, 2500, 1, 1, 700, 5, 1)]
+        rows = every_row(dset)
         for i, b in enumerate(bits):
-            values, label = dset.values[i], int(dset.labels[i])
+            values, label = rows[i], int(dset.labels[i])
             expected.append(struct.pack("<BI", b, label))
             if b:
                 q = quantize_sample(values, int(b), label)
@@ -116,7 +120,7 @@ class TestWriteQds:
         widths = [0] + list(range(2, 17))
         i, j = np.arange(2 * len(widths))[:, None], np.arange(37)[None, :]
         values = (((i * 7919 + j * 104729) % 2001 - 1000) / 37).astype(np.float32)
-        dset = Dataset(SampleShape(1, 1, 37), 3, values, np.arange(len(values)) % 3)
+        dset = raw_rows(tmp_path, values, np.arange(len(values)) % 3, SampleShape(1, 1, 37), 3)
         path = tmp_path / "pinned.qds"
         write_qds(dset, plan_of(widths * 2), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -133,26 +137,27 @@ class TestForkedWriter:
                                                    source):
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 37)  # 64 rows of 37
         rng = np.random.default_rng(13)
-        dset = small_dataset(n=300, dim=37, seed=13, num_classes=4)  # 5 row chunks
-        plan = plan_of(rng.choice([0, 2, 8, 16], len(dset)))
+        dset = small_dataset(tmp_path, n=300, dim=37, seed=13, num_classes=4)  # 5 row chunks
+        plan = plan_of(rng.choice([0, 2, 8, 16], 300))
         write_dataset_file(dset, tmp_path / "data.dsr")
-        written = {}
+        out_dir, written = tmp_path / "out", {}
+        out_dir.mkdir()
         for fork in (True, False):
             monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread, fork=fork: fork)
-            path = tmp_path / f"fork-{fork}.qds"
+            path = out_dir / f"fork-{fork}.qds"
             report = write_qds(dset if source == "dataset" else DatasetRows(tmp_path / "data.dsr"),
                                plan, path)
             written[fork] = (hashlib.sha256(path.read_bytes()).hexdigest(), report)
         assert len(forks) == 1
         assert written[True] == written[False]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "data.dsr", "fork-False.qds", "fork-True.qds"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fork-False.qds", "fork-True.qds"]
 
     def test_forks_on_two_cores(self, tmp_path, monkeypatch, forks):
         if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
             pytest.skip("needs two usable cores and a settable OpenBLAS")
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 64 * 37)  # 64 rows of 37
-        write_qds(small_dataset(n=128, dim=37), plan_of([8] * 128), tmp_path / "data.qds")
+        write_qds(small_dataset(tmp_path, n=128, dim=37), plan_of([8] * 128),
+                  tmp_path / "data.qds")
         assert len(forks) == 1
 
     def test_holds_one_row_chunk_of_values(self, tmp_path, monkeypatch):
@@ -162,12 +167,11 @@ class TestForkedWriter:
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
         rng = np.random.default_rng(6)
-        dset = Dataset(SampleShape(32, 32, 3), 10,
-                       rng.standard_normal((2000, 3072), dtype=np.float32),
-                       rng.integers(0, 10, 2000))
-        write_dataset_file(dset, tmp_path / "data.bin")
-        plan, values_bytes = plan_of(rng.choice([0, 2, 8, 16], 2000)), dset.values.nbytes
-        del dset
+        values = rng.standard_normal((2000, 3072), dtype=np.float32)
+        write_dataset_file(raw_rows(tmp_path, values, rng.integers(0, 10, 2000),
+                                    SampleShape(32, 32, 3), 10), tmp_path / "data.bin")
+        plan, values_bytes = plan_of(rng.choice([0, 2, 8, 16], 2000)), values.nbytes
+        del values
         rows = DatasetRows(tmp_path / "data.bin")
         tracemalloc.start()
         try:
@@ -180,14 +184,15 @@ class TestForkedWriter:
 
 class TestReadQds:
     def test_mixed_plan_round_trip(self, tmp_path):
-        dset = small_dataset(n=3, dim=6, seed=4)
+        dset = small_dataset(tmp_path, n=3, dim=6, seed=4)
         path = tmp_path / "mixed.qds"
         write_qds(dset, plan_of([8, 0, 4]), path)
         records, header = read_qds(path)
         assert header.sample_count == 3
         assert records[1] is None
+        rows = every_row(dset)
         for i, bits in ((0, 8), (2, 4)):
-            values, label = dset.values[i], int(dset.labels[i])
+            values, label = rows[i], int(dset.labels[i])
             expected = quantize_sample(values, bits, label)
             np.testing.assert_array_equal(records[i].codes, expected.codes)
             assert records[i].scale.tobytes() == expected.scale.tobytes()
@@ -195,7 +200,7 @@ class TestReadQds:
             assert records[i].bit_width == bits
 
     def test_corrupted_magic(self, tmp_path):
-        dset = small_dataset()
+        dset = small_dataset(tmp_path)
         path = tmp_path / "bad.qds"
         write_qds(dset, plan_of([8, 8, 8]), path)
         data = bytearray(path.read_bytes())
@@ -205,7 +210,7 @@ class TestReadQds:
             read_qds(path)
 
     def test_truncation_names_record(self, tmp_path):
-        dset = small_dataset()
+        dset = small_dataset(tmp_path)
         path = tmp_path / "trunc.qds"
         write_qds(dset, plan_of([8, 8, 8]), path)
         path.write_bytes(path.read_bytes()[:-3])
@@ -213,7 +218,7 @@ class TestReadQds:
             read_qds(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        dset = small_dataset()
+        dset = small_dataset(tmp_path)
         path = tmp_path / "extra.qds"
         write_qds(dset, plan_of([8, 8, 8]), path)
         path.write_bytes(path.read_bytes() + b"\x00")
@@ -226,17 +231,18 @@ class TestReadQds:
         for trial in range(25):
             n = int(rng.integers(1, 12))
             dim = int(rng.integers(1, 9))
-            dset = small_dataset(n=n, dim=dim, seed=trial)
+            dset = small_dataset(tmp_path, n=n, dim=dim, seed=trial)
             plan = plan_of(rng.choice(widths, n))
             path = tmp_path / f"t{trial}.qds"
             write_qds(dset, plan, path)
             records, _ = read_qds(path)
+            rows = every_row(dset)
             for i in range(n):
                 bits = int(plan.assignments[i])
                 if bits == 0:
                     assert records[i] is None
                     continue
-                values, label = dset.values[i], int(dset.labels[i])
+                values, label = rows[i], int(dset.labels[i])
                 expected = quantize_sample(values, bits, label)
                 np.testing.assert_array_equal(records[i].codes, expected.codes)
                 assert records[i].scale.tobytes() == expected.scale.tobytes()
@@ -246,7 +252,7 @@ class TestHostileInput:
     @staticmethod
     def _written(tmp_path, bits=(8, 0, 4)):
         path = tmp_path / "h.qds"
-        write_qds(small_dataset(n=len(bits), dim=6), plan_of(bits), path)
+        write_qds(small_dataset(tmp_path, n=len(bits), dim=6), plan_of(bits), path)
         return path, bytearray(path.read_bytes())
 
     def test_label_out_of_range(self, tmp_path):
@@ -293,7 +299,7 @@ class TestHostileInput:
     # the last one is finite, but 127 times it overflows a float32
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, 3e38])
     def test_scale_the_writer_cannot_produce(self, tmp_path, capsys, scale):
-        dset = small_dataset(n=10, dim=6)
+        dset = small_dataset(tmp_path, n=10, dim=6)
         record = stratified_split(dset.labels, 42)[0][0]  # one compare trains on
         dsr, path = tmp_path / "h.dsr", tmp_path / "h.qds"
         write_dataset_file(dset, dsr)
@@ -321,69 +327,69 @@ class TestHostileInput:
 
 class TestMaterialize:
     def test_all_dropped_gives_empty_dataset(self, tmp_path):
-        dset = small_dataset(n=4)
+        dset = small_dataset(tmp_path, n=4)
         path = tmp_path / "gone.qds"
         write_qds(dset, plan_of([0, 0, 0, 0]), path)
-        assert len(materialize_training_set(path)) == 0
+        values, labels = materialize_training_set(path)
+        assert values.shape == (0, 4) and values.dtype == np.float32
+        assert labels.shape == (0,) and labels.dtype == np.int64
 
     def test_drop_count(self, tmp_path):
-        dset = small_dataset(n=5)
+        dset = small_dataset(tmp_path, n=5)
         path = tmp_path / "some.qds"
         write_qds(dset, plan_of([8, 0, 8, 0, 8]), path)
-        out = materialize_training_set(path)
-        assert len(out) == 3
-        np.testing.assert_array_equal(out.labels, dset.labels[[0, 2, 4]])
+        values, labels = materialize_training_set(path)
+        assert len(values) == 3
+        np.testing.assert_array_equal(labels, dset.labels[[0, 2, 4]])
 
     def test_16bit_reconstruction_error_bound(self, tmp_path):
         dset = synth_blobs(3, 16, 20, 0.5, seed=8)
         path = tmp_path / "fine.qds"
-        write_qds(dset, plan_of([16] * len(dset)), path)
-        out = materialize_training_set(path)
-        for i in range(len(dset)):
-            scale = float(quantize_sample(dset.values[i], 16).scale)
-            err = np.abs(out.values[i].astype(np.float64)
-                         - dset.values[i].astype(np.float64)).max()
-            assert err <= scale / 2 + 4 * np.spacing(np.abs(dset.values[i]).max())
+        write_qds(dset, plan_of([16] * 60), path)
+        out, _ = materialize_training_set(path)
+        for i, values in enumerate(every_row(dset)):
+            scale = float(quantize_sample(values, 16).scale)
+            err = np.abs(out[i].astype(np.float64) - values.astype(np.float64)).max()
+            assert err <= scale / 2 + 4 * np.spacing(np.abs(values).max())
 
     def test_matches_in_memory_dequantization(self, tmp_path):
-        dset = small_dataset(n=6, dim=5, seed=3)
+        dset = small_dataset(tmp_path, n=6, dim=5, seed=3)
         bits = [8, 4, 0, 16, 2, 8]
         path = tmp_path / "eq.qds"
         write_qds(dset, plan_of(bits), path)
-        out = materialize_training_set(path)
+        out, _ = materialize_training_set(path)
         j = 0
-        for i, b in enumerate(bits):
+        for values, b in zip(every_row(dset), bits):
             if b == 0:
                 continue
-            values, label = dset.values[i], int(dset.labels[i])
             expected = dequantize_rows(*quantize_rows(values[None], b))[0]
-            np.testing.assert_array_equal(out.values[j], expected)
+            np.testing.assert_array_equal(out[j], expected)
             j += 1
 
     @pytest.mark.parametrize("bits", [8, 12, 16])
     def test_largest_float32_is_readable(self, tmp_path, bits):
         top = np.finfo(np.float32).max
-        dset = Dataset(SampleShape(1, 1, 2), 1, np.array([[top, -top]], np.float32),
-                       np.zeros(1, np.int64))
+        values = np.array([[top, -top]], np.float32)
+        dset = raw_rows(tmp_path, values, np.zeros(1), SampleShape(1, 1, 2), 1)
         path = tmp_path / "top.qds"
         write_qds(dset, plan_of([bits]), path)
         scale = float(read_qds(path)[0][0].scale)
-        restored = materialize_training_set(path).values.astype(np.float64)
-        assert (np.abs(restored - dset.values) <= scale / 2).all()
+        restored = materialize_training_set(path)[0].astype(np.float64)
+        assert (np.abs(restored - values) <= scale / 2).all()
 
     def test_dequantized_takes_rows_in_order_and_rejects_a_tombstone(self, tmp_path):
         path = tmp_path / "rows.qds"
-        write_qds(small_dataset(n=3), plan_of([8, 0, 4]), path)
+        write_qds(small_dataset(tmp_path, n=3), plan_of([8, 0, 4]), path)
         stored = QdsRecords(path)
         np.testing.assert_array_equal(stored.dequantized([2, 0], np.float64),
-                                      materialize_training_set(path).values[::-1])
+                                      materialize_training_set(path)[0][::-1])
         with pytest.raises(ValueError, match="record 1 was dropped"):
             stored.dequantized([0, 1], np.float64)
 
 
 class TestStorageReport:
     def test_accounting_identity(self, tmp_path):
-        dset = small_dataset(n=4, dim=5)
+        dset = small_dataset(tmp_path, n=4, dim=5)
         bits = [8, 0, 3, 16]
         path = tmp_path / "acct.qds"
         report = write_qds(dset, plan_of(bits), path)
@@ -395,7 +401,7 @@ class TestStorageReport:
         assert report.nominal_ratio == 1 - (sum(bits) / 4) / 32
 
     def test_report_recomputable_from_file(self, tmp_path):
-        dset = small_dataset(n=4, dim=5)
+        dset = small_dataset(tmp_path, n=4, dim=5)
         path = tmp_path / "re.qds"
         written = write_qds(dset, plan_of([8, 0, 3, 16]), path)
         assert storage_report(path) == written
@@ -403,7 +409,7 @@ class TestStorageReport:
     def test_realized_approaches_nominal_from_below(self, tmp_path):
         realized = []
         for dim in (8, 64, 512):
-            dset = small_dataset(n=10, dim=dim)
+            dset = small_dataset(tmp_path, n=10, dim=dim)
             path = tmp_path / f"n{dim}.qds"
             report = write_qds(dset, plan_of([8] * 10), path)
             assert report.realized_ratio < report.nominal_ratio == 0.75

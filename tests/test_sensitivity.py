@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import reference_read_dataset, row_subset
+from reference import every_row, raw_rows, reference_read_dataset
 
 from dsquant import parallel, quantizer, sensitivity
-from dsquant.dataset import Dataset, DatasetRows, SampleShape, synth_blobs, write_dataset_file
+from dsquant.dataset import DatasetRows, SampleShape, synth_blobs, write_dataset_file
 from dsquant.quantizer import dequantize_rows, quantize_rows
 from dsquant.sensitivity import (
     NORM_FLOOR,
@@ -60,15 +60,15 @@ class TestSensitivityScore:
 
 
 class TestScoreDataset:
-    def test_all_zero_samples_score_zero(self):
-        dset = Dataset(SampleShape(1, 1, 4), 2,
-                       np.zeros((5, 4), np.float32), np.zeros(5, np.int64))
+    def test_all_zero_samples_score_zero(self, tmp_path):
+        dset = raw_rows(tmp_path, np.zeros((5, 4), np.float32), np.zeros(5),
+                        SampleShape(1, 1, 4), 2)
         scores = score_dataset(dset, random_model(2, 4), 4)
         assert np.all(scores == 0.0)
 
     def test_finer_probe_scores_lower_on_average(self):
         dset = synth_blobs(3, 16, 40, 0.5, seed=6)
-        model = fit_scoring_model(dset.values, dset.labels, dset.num_classes, 42)
+        model = fit_scoring_model(every_row(dset), dset.labels, dset.num_classes, 42)
         coarse = score_dataset(dset, model, 4)
         fine = score_dataset(dset, model, 16)
         assert fine.mean() < coarse.mean()
@@ -81,10 +81,10 @@ class TestScoreDataset:
         b = score_dataset(dset, model, 4)
         np.testing.assert_array_equal(a, b)
 
-    def test_closed_form_matches_per_sample_gradients(self):
+    def test_closed_form_matches_per_sample_gradients(self, tmp_path):
         dset = synth_blobs(3, 8, 30, 0.5, seed=6)
         model = random_model(3, 8, seed=1)
-        values = dset.values.copy()
+        values = every_row(dset)
         # probing at 4 bits reproduces these two exactly (scale 1.0)
         values[0] = 0.0
         values[2] = [7, -7, -5, 7, -5, 2, 4, -4]
@@ -93,11 +93,9 @@ class TestScoreDataset:
         values[1] = 30.0 * model.weights[2] / np.linalg.norm(model.weights[2])
         labels = dset.labels.copy()
         labels[1], labels[2] = 2, 0
-        dset = Dataset(dset.shape, 3, values, labels)
-        scores = score_dataset(dset, model, 4)
-        reference = np.zeros(len(dset))
-        for i in range(len(dset)):
-            x, y = dset.values[i], int(dset.labels[i])
+        scores = score_dataset(raw_rows(tmp_path, values, labels, dset.shape, 3), model, 4)
+        reference = np.zeros(len(values))
+        for i, (x, y) in enumerate(zip(values, labels.tolist())):
             probed = dequantize_rows(*quantize_rows(x[None], 4))[0]
             g, g_probed = model.gradient(x, y), model.gradient(probed, y)
             if i == 1:
@@ -111,7 +109,7 @@ class TestScoreDataset:
     def test_output_order_matches_dataset(self):
         dset = synth_blobs(2, 8, 5, 0.5, seed=6)
         scores = score_dataset(dset, random_model(2, 8), 4)
-        assert scores.shape == (len(dset),)
+        assert scores.shape == (10,)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +129,7 @@ class TestForkedScoring:
         forked = score_dataset(dset, model, 4)
         assert len(forks) == 1
         assert np.array_equal(forked, inline)
-        assert inline.shape == (len(dset),) and inline.min() > 0
+        assert inline.shape == (900,) and inline.min() > 0
 
     def test_two_cores_fork_once(self, chunked, forks):
         if len(os.sched_getaffinity(0)) < 2 or parallel.openblas_threads() is None:
@@ -141,7 +139,7 @@ class TestForkedScoring:
 
     def test_one_core_or_one_chunk_scores_inline(self, chunked, forks, monkeypatch):
         dset, model = chunked
-        score_dataset(row_subset(dset, np.arange(341)), model, 4)  # one row chunk
+        score_dataset(synth_blobs(3, 3072, 100, 0.5, seed=4), model, 4)  # one row chunk
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         score_dataset(dset, model, 4)
         assert forks == []
@@ -174,12 +172,18 @@ class TestForkedScoring:
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
         tracemalloc.start()
         try:
+            for _ in dset.chunks():
+                pass
+            _, source_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             score_dataset(dset, model, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # beyond what a pass over the source holds (synth_blobs generates
+        # each chunk in its own buffers)
         chunk = 341 * 3072
-        assert peak < (8 + 8 + 4) * chunk + 8 * len(dset) + (1 << 20)
+        assert peak < source_peak + (8 + 8 + 4) * chunk + 8 * 900 + (1 << 20)
 
     def test_child_error_is_raised_in_the_parent(self, chunked, forks, monkeypatch):
         parent, chunk_scores = os.getpid(), sensitivity._chunk_scores
@@ -198,7 +202,8 @@ class TestForkedScoring:
 
 class TestStreamedScoring:
     """score_dataset reads a DatasetRows a row chunk at a time in each
-    process, and scores it as it scores the whole-array Dataset."""
+    process, and scores it as it scores the rows the whole-body reference
+    reader reads."""
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
@@ -207,12 +212,12 @@ class TestStreamedScoring:
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
         rng = np.random.default_rng(n)
         path = tmp_path / "data.dsr"
-        write_dataset_file(Dataset(SampleShape(2, 4, 2), 5,
-                                   rng.standard_normal((n, 16), dtype=np.float32),
-                                   rng.integers(0, 5, n)), path)
+        write_dataset_file(raw_rows(tmp_path, rng.standard_normal((n, 16), dtype=np.float32),
+                                    rng.integers(0, 5, n), SampleShape(2, 4, 2), 5), path)
         model = random_model(5, 16, seed=n)
         streamed = score_dataset(DatasetRows(path), model, 4)
-        whole = score_dataset(reference_read_dataset(path), model, 4)
+        shape, num_classes, values, labels = reference_read_dataset(path)
+        whole = score_dataset(raw_rows(tmp_path, values, labels, shape, num_classes), model, 4)
         assert streamed.shape == (n,) and np.array_equal(streamed, whole)
         assert n == 0 or streamed.max() > 0
         assert len(forks) == (2 if fork and n > 64 else 0)  # two row chunks or more
@@ -221,11 +226,10 @@ class TestStreamedScoring:
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)  # 21 rows of 3072
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
         rng = np.random.default_rng(6)
-        dset = Dataset(SampleShape(32, 32, 3), 10,
-                       rng.standard_normal((2000, 3072), dtype=np.float32),
-                       rng.integers(0, 10, 2000))
+        values = rng.standard_normal((2000, 3072), dtype=np.float32)
         path = tmp_path / "data.dsr"
-        write_dataset_file(dset, path)
+        write_dataset_file(raw_rows(tmp_path, values, rng.integers(0, 10, 2000),
+                                    SampleShape(32, 32, 3), 10), path)
         rows, model = DatasetRows(path), LogisticModel.seeded(10, 3072, 1)
         tracemalloc.start()
         try:
@@ -235,7 +239,7 @@ class TestStreamedScoring:
             tracemalloc.stop()
         # one chunk's read buffer and temporaries (24 bytes per element,
         # 1.5 MiB) and the scores, against the file's 23 MiB of values
-        assert peak < dset.values.nbytes // 4
+        assert peak < values.nbytes // 4
 
 
 class TestGradientCheck:

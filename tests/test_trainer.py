@@ -6,12 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import reference_read_dataset, row_subset, synth_half_noise
+from reference import every_row, raw_rows, reference_read_dataset, synth_half_noise
 
 from dsquant import parallel, quantizer, trainer
 from dsquant.allocator import AllocationConfig, AllocationPlan, allocate
 from dsquant.dataset import (
-    Dataset,
     DatasetRows,
     SampleShape,
     synth_blobs,
@@ -32,26 +31,33 @@ from dsquant.trainer import (
 )
 
 
+def arrays(source):
+    """What a fit takes of a row source: its rows, labels and class count."""
+    return every_row(source), source.labels, source.num_classes
+
+
+def row_subset(data, rows):
+    """The rows of (values, labels, class count) data at rows."""
+    values, labels, classes = data
+    return values[rows], labels[rows], classes
+
+
 @pytest.fixture(scope="module")
 def blobs():
-    return synth_blobs(3, 16, 100, 0.01, seed=2)
-
-
-def arrays(dset):
-    """What a fit takes of a dataset: its rows, labels and class count."""
-    return dset.values, dset.labels, dset.num_classes
+    """(values, labels, class count) of three tight blobs."""
+    return arrays(synth_blobs(3, 16, 100, 0.01, seed=2))
 
 
 class TestTrain:
     def test_separable_blobs_fit_almost_perfectly(self, blobs):
-        model, _ = train(*arrays(blobs), TrainConfig(epochs=10))
-        assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
+        model, _ = train(*blobs, TrainConfig(epochs=10))
+        assert _accuracy(model, *blobs[:2]) >= 0.99
 
     def test_zero_epochs_returns_initialization(self, blobs):
         config = TrainConfig(epochs=0)
-        model, _ = train(*arrays(blobs), config)
+        model, _ = train(*blobs, config)
         init = LogisticModel.seeded(3, 16, config.seed)
-        x = blobs.values.astype(np.float64)
+        x = blobs[0].astype(np.float64)
         mean, std = x.mean(axis=0), x.std(axis=0)
         std[std < 1e-8] = 1.0
         # the initialization, folded through the normalization
@@ -60,26 +66,24 @@ class TestTrain:
         np.testing.assert_array_equal(model.bias, init.bias - weights @ mean)
 
     def test_bitwise_deterministic(self, blobs):
-        a, _ = train(*arrays(blobs), TrainConfig(epochs=3))
-        b, _ = train(*arrays(blobs), TrainConfig(epochs=3))
+        a, _ = train(*blobs, TrainConfig(epochs=3))
+        b, _ = train(*blobs, TrainConfig(epochs=3))
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
 
     def test_empty_dataset_rejected(self):
-        empty = Dataset(SampleShape(1, 1, 2), 2,
-                        np.zeros((0, 2), np.float32), np.zeros(0, np.int64))
         with pytest.raises(ValueError, match="empty"):
-            train(*arrays(empty), TrainConfig())
+            train(np.zeros((0, 2), np.float32), np.zeros(0, np.int64), 2, TrainConfig())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported(self, blobs, monkeypatch):
         monkeypatch.setattr(trainer, "LEARNING_RATE", 1e200)
         monkeypatch.setattr(trainer, "WEIGHT_DECAY", 1.0)
         with pytest.raises(RuntimeError, match="diverged"):
-            train(*arrays(blobs), TrainConfig(epochs=3))
+            train(*blobs, TrainConfig(epochs=3))
 
     def test_loss_mostly_non_increasing(self, blobs):
-        _, curve = train(*arrays(blobs), TrainConfig(epochs=15))
+        _, curve = train(*blobs, TrainConfig(epochs=15))
         violations = sum(b > a for a, b in zip(curve, curve[1:]))
         assert violations <= 2
 
@@ -117,17 +121,16 @@ class TestSoftmax:
             assert np.array_equal(row_stat, np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def reference_fit(dataset, config):
+def reference_fit(values, labels, classes, config):
     """The fit as first written, with full-size float64 temporaries:
     astype, np.std and (x - mean) / std. The hyper-parameters are the
     literal defaults TrainConfig had when they were still fields (batch
     64, learning rate 0.1, momentum 0.9, weight decay 2e-4, normalized),
     so this also checks that the constant recipe is that configuration."""
     batch_size, learning_rate, momentum, weight_decay = 64, 0.1, 0.9, 2e-4
-    x = dataset.values.astype(np.float64)
-    y = dataset.labels
+    x = values.astype(np.float64)
+    y = labels
     n, dim = x.shape
-    classes = dataset.num_classes
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std < 1e-8] = 1.0
@@ -163,14 +166,15 @@ def reference_fit(dataset, config):
 
 
 def _varied(n, dim, seed=0, classes=4):
-    """Features with distinct offsets and scales; column 0 is constant
-    and column 1's std is nonzero but under the floor."""
+    """(values, labels, class count) of features with distinct offsets and
+    scales; column 0 is constant and column 1's std is nonzero but under
+    the floor."""
     rng = np.random.default_rng(seed)
     values = (rng.standard_normal((n, dim)) * rng.uniform(0.01, 20.0, dim)
               + rng.uniform(-5.0, 5.0, dim)).astype(np.float32)
     values[:, 0] = 0.75
     values[:, 1] = np.arange(n) % 2 * 1e-10
-    return Dataset(SampleShape(1, 1, dim), classes, values, rng.integers(0, classes, n))
+    return values, rng.integers(0, classes, n), classes
 
 
 def _oracle_case(n, dim, subset, classes=4):
@@ -204,8 +208,8 @@ class TestFitOracle:
             rows = np.sort(np.random.default_rng(1).permutation(n)[:max(1, 2 * n // 3)])
         config = TrainConfig(epochs=2, seed=3)
         trained = dset if rows is None else row_subset(dset, rows)
-        model, curve = train(*arrays(trained), config)
-        ref_model, ref_curve = reference_fit(trained, config)
+        model, curve = train(*trained, config)
+        ref_model, ref_curve = reference_fit(*trained, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
@@ -219,11 +223,11 @@ class TestFitOracle:
     def test_the_matrix_path_equals_the_reference(self, n, dim, classes):
         # compare's arms descend on a _standardized matrix, not a
         # _StandardizedRows
-        dset = _varied(n, dim, classes=classes)
+        values, labels, _ = dset = _varied(n, dim, classes=classes)
         config = TrainConfig(epochs=2, seed=3)
-        model, curve = _descend(*_standardized(dset.values.astype(np.float64)),
-                                dset.labels, classes, config)
-        ref_model, ref_curve = reference_fit(dset, config)
+        model, curve = _descend(*_standardized(values.astype(np.float64)),
+                                labels, classes, config)
+        ref_model, ref_curve = reference_fit(*dset, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
@@ -235,7 +239,7 @@ class TestFitOracle:
         dset = _varied(n, dim)
         tracemalloc.start()
         try:
-            train(*arrays(dset), TrainConfig(epochs=1))
+            train(*dset, TrainConfig(epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -253,17 +257,17 @@ class TestStreamingFit:
     @pytest.mark.parametrize("epochs", [1, 3])
     @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "row-subset"])
     def test_equals_the_matrix_fit(self, epochs, subset):
-        dset = _varied(1000, 3072)  # three row chunks
+        values, labels, classes = dset = _varied(1000, 3072)  # three row chunks
         rows = (np.random.default_rng(2).permutation(1000)[:700] if subset
                 else np.arange(1000))
         config = TrainConfig(epochs=epochs, seed=7)
-        model, curve = train(*arrays(row_subset(dset, rows) if subset else dset), config)
-        ref_model, ref_curve = _descend(*_standardized(dset.values[rows].astype(np.float64)),
-                                        dset.labels[rows], dset.num_classes, config)
+        model, curve = train(*(row_subset(dset, rows) if subset else dset), config)
+        ref_model, ref_curve = _descend(*_standardized(values[rows].astype(np.float64)),
+                                        labels[rows], classes, config)
         assert np.array_equal(model.weights, ref_model.weights)
         assert np.array_equal(model.bias, ref_model.bias)
         assert np.array_equal(np.array(curve), np.array(ref_curve))
-        trained, _ = train(*arrays(row_subset(dset, rows) if subset else dset), config)
+        trained, _ = train(*(row_subset(dset, rows) if subset else dset), config)
         assert np.array_equal(trained.weights, model.weights)
 
     def test_scoring_fit_holds_no_float64_matrix(self):
@@ -271,7 +275,7 @@ class TestStreamingFit:
         dset = _varied(n, dim)
         tracemalloc.start()
         try:
-            fit_scoring_model(*arrays(dset))
+            fit_scoring_model(*dset)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -295,7 +299,7 @@ class TestStreamingFit:
         before = get()
         set_(3)
         try:
-            fit_scoring_model(*arrays(blobs))
+            fit_scoring_model(*blobs)
             assert get() == 3
         finally:
             set_(before)
@@ -312,30 +316,31 @@ class TestEvaluate:
         assert _accuracy(model, values, np.array([0] * 5 + [1] * 5)) == 0.5
 
     def test_perfect_model_on_train_set(self, blobs):
-        model, _ = train(*arrays(blobs), TrainConfig(epochs=10))
-        assert _accuracy(model, blobs.values, blobs.labels) >= 0.99
+        model, _ = train(*blobs, TrainConfig(epochs=10))
+        assert _accuracy(model, *blobs[:2]) >= 0.99
 
     def test_order_invariant(self, blobs):
-        model, _ = train(*arrays(blobs), TrainConfig(epochs=2))
-        perm = np.random.default_rng(0).permutation(len(blobs))
-        assert (_accuracy(model, blobs.values, blobs.labels)
-                == _accuracy(model, blobs.values[perm], blobs.labels[perm]))
+        values, labels, _ = blobs
+        model, _ = train(*blobs, TrainConfig(epochs=2))
+        perm = np.random.default_rng(0).permutation(len(labels))
+        assert (_accuracy(model, values, labels)
+                == _accuracy(model, values[perm], labels[perm]))
 
 
 class TestStratifiedSplit:
     def test_disjoint_and_covering(self, blobs):
-        train_idx, test_idx = stratified_split(blobs.labels, seed=1)
+        train_idx, test_idx = stratified_split(blobs[1], seed=1)
         merged = np.sort(np.concatenate([train_idx, test_idx]))
-        np.testing.assert_array_equal(merged, np.arange(len(blobs)))
+        np.testing.assert_array_equal(merged, np.arange(300))
 
     def test_per_class_proportions(self, blobs):
-        _, test_idx = stratified_split(blobs.labels, seed=1)
+        _, test_idx = stratified_split(blobs[1], seed=1)
         for c in range(3):
-            assert np.sum(blobs.labels[test_idx] == c) == 20
+            assert np.sum(blobs[1][test_idx] == c) == 20
 
     def test_seeded(self, blobs):
-        a = stratified_split(blobs.labels, seed=5)
-        b = stratified_split(blobs.labels, seed=5)
+        a = stratified_split(blobs[1], seed=5)
+        b = stratified_split(blobs[1], seed=5)
         np.testing.assert_array_equal(a[0], b[0])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -356,30 +361,33 @@ class TestStratifiedSplit:
         np.testing.assert_array_equal(ours[1], np.sort(np.concatenate(test_idx)))
 
 
-def _dataset_file(tmp_path, dset, name="data.dsr"):
+def _dataset_file(tmp_path, source, name="data.dsr"):
     path = tmp_path / name
-    write_dataset_file(dset, path)
+    write_dataset_file(source, path)
     return path
+
+
+def _rows(tmp_path, data):
+    """A row source of (values, labels, class count) data of 1x1xD rows."""
+    values, labels, classes = data
+    return raw_rows(tmp_path, values, labels, SampleShape(1, 1, values.shape[1]), classes)
 
 
 def reference_compare(dataset_path, quantized_path, config):
     """compare as first written: one process, the baseline arm first,
-    a float32 dequantized training set, and the accuracy of a whole
-    Dataset throughout."""
-    def evaluate(model, dset):
-        return _accuracy(model, dset.values, dset.labels)
-
-    original = reference_read_dataset(dataset_path)
+    a float32 dequantized training set, and the accuracy of whole float32
+    arrays throughout."""
+    _, classes, values, labels = reference_read_dataset(dataset_path)
     stored = QdsRecords(quantized_path)
-    train_idx, test_idx = stratified_split(original.labels, config.seed)
-    test_set = row_subset(original, test_idx)
-    baseline_acc = evaluate(train(*arrays(row_subset(original, train_idx)), config)[0], test_set)
+    train_idx, test_idx = stratified_split(labels, config.seed)
+    test_set = values[test_idx], labels[test_idx]
+    baseline = train(values[train_idx], labels[train_idx], classes, config)[0]
+    baseline_acc = _accuracy(baseline, *test_set)
     kept = train_idx[stored.widths[train_idx] > 0]
-    quant_train = Dataset(original.shape, original.num_classes,
-                          stored.dequantized(kept, np.float32), stored.labels[kept])
-    quant_model, curve = train(*arrays(quant_train), config)
-    quant_acc = evaluate(quant_model, test_set)
-    return EvalReport(evaluate(quant_model, quant_train), quant_acc, curve,
+    quant_train = stored.dequantized(kept, np.float32), stored.labels[kept]
+    quant_model, curve = train(*quant_train, classes, config)
+    quant_acc = _accuracy(quant_model, *test_set)
+    return EvalReport(_accuracy(quant_model, *quant_train), quant_acc, curve,
                       quant_acc - baseline_acc, baseline_acc)
 
 
@@ -397,7 +405,7 @@ class TestCompare:
     def test_16bit_uniform_preserves_accuracy(self, tmp_path):
         dset = synth_blobs(3, 64, 1000, 0.5, seed=0)
         cfg = AllocationConfig((16,))
-        plan = allocate(np.zeros(len(dset)), cfg)
+        plan = allocate(np.zeros(3000), cfg)
         path = tmp_path / "u16.qds"
         write_qds(dset, plan, path)
         report = compare(_dataset_file(tmp_path, dset), path, TrainConfig(epochs=10))
@@ -408,7 +416,7 @@ class TestCompare:
     def test_everything_dropped_is_an_error(self, tmp_path, forks):
         dset = synth_blobs(3, 8, 20, 0.5, seed=0)
         from dsquant.allocator import AllocationPlan
-        plan = AllocationPlan.from_assignments(np.zeros(len(dset), np.int32))
+        plan = AllocationPlan.from_assignments(np.zeros(60, np.int32))
         path = tmp_path / "all0.qds"
         write_qds(dset, plan, path)
         with pytest.raises(ValueError, match="empty training set"):
@@ -451,19 +459,19 @@ class TestCompare:
         monkeypatch.setattr(trainer, "_descend", recording_descend)
         monkeypatch.setattr(trainer, "_accuracy", recording_accuracy)
         compare(*pruned, TrainConfig(epochs=1, seed=5))
-        original = reference_read_dataset(pruned[0])
-        train_idx, test_idx = stratified_split(original.labels, 5)
+        _, _, values, labels = reference_read_dataset(pruned[0])
+        train_idx, test_idx = stratified_split(labels, 5)
         # inline, the baseline arm fits first; then the quantized arm is
         # scored on its dequantized train rows, and both arms on the test split
-        expected = _standardized(original.values[train_idx].astype(np.float64))
+        expected = _standardized(values[train_idx].astype(np.float64))
         for ours, theirs in zip(fits[0], expected):
             assert np.array_equal(ours, theirs)
         assert len(scored) == 3
         assert scored[1][0] is scored[2][0]  # one float64 test split for both models
-        for values, labels in scored[1:]:
-            assert values.dtype == np.float64
-            assert np.array_equal(values, original.values[test_idx])
-            assert np.array_equal(labels, original.labels[test_idx])
+        for scored_values, scored_labels in scored[1:]:
+            assert scored_values.dtype == np.float64
+            assert np.array_equal(scored_values, values[test_idx])
+            assert np.array_equal(scored_labels, labels[test_idx])
 
     def test_the_parent_reads_only_the_test_split(self, pruned, forks, monkeypatch):
         # forked, the child reads the train rows; the parent decodes its
@@ -496,7 +504,7 @@ class TestCompare:
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
         n, dim = 2048, 256  # 32 row chunks
-        dset = _varied(n, dim)
+        dset = _rows(tmp_path, _varied(n, dim))
         dsr, qds = _dataset_file(tmp_path, dset), tmp_path / "data.qds"
         write_qds(dset, AllocationPlan.from_assignments(np.full(n, 8)), qds)
         train_idx, test_idx = stratified_split(dset.labels, 42)
@@ -522,7 +530,7 @@ class TestCompare:
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", chunk)
         monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)
         n, dim = 4096, 256  # 64 row chunks; the test split is 0.8 MiB
-        dset = _varied(n, dim)
+        dset = _rows(tmp_path, _varied(n, dim))
         dsr, qds = _dataset_file(tmp_path, dset), tmp_path / "data.qds"
         write_qds(dset, AllocationPlan.from_assignments(np.full(n, 8)), qds)
         train_idx, _ = stratified_split(dset.labels, 42)
@@ -624,9 +632,10 @@ class TestCompare:
         # while the fixed plan keeps degraded versions of everything
         margins = []
         for seed in range(2):
-            dset = synth_half_noise(3, 32, 150, 0.05, seed=seed)
+            values, labels = synth_half_noise(3, 32, 150, 0.05, seed=seed)
+            dset = _rows(tmp_path, (values, labels, 3))
             dsr = _dataset_file(tmp_path, dset, f"half-noise{seed}.dsr")
-            model = fit_scoring_model(*arrays(dset), seed=42 + seed)
+            model = fit_scoring_model(values, labels, 3, seed=42 + seed)
             scores = score_dataset(dset, model, 4)
             adaptive = allocate(scores, AllocationConfig((8, 0)))
             fixed = allocate(scores, AllocationConfig((4,)))
