@@ -182,10 +182,10 @@ class CifarRecords(_RowSource):
         label_bytes = 2 if num_classes == 100 else 1
         record_size, size = label_bytes + CIFAR_PIXEL_BYTES, _file_size(path)
         if size % record_size != 0:
-            raise ValueError(f"truncated CIFAR stream: {size} bytes is not a multiple "
-                             f"of the {record_size}-byte record size")
+            raise ValueError(f"{path}: truncated CIFAR stream: {size} bytes is not a "
+                             f"multiple of the {record_size}-byte record size")
         records = (path, 0, size // record_size, record_size, np.uint8,
-                   "truncated CIFAR stream: the file shrank while read")
+                   f"{path}: truncated CIFAR stream: the file shrank while read")
         super().__init__(self.shape, num_classes, _read_labels(records, label_bytes - 1),
                          functools.partial(_read_rows, *records))
 
@@ -209,16 +209,17 @@ class RawRows(_RowSource):
     def __init__(self, values_path, labels_path, shape: SampleShape, num_classes: int):
         row_bytes, size = shape.element_count * 4, _file_size(values_path)
         if size % row_bytes != 0:
-            raise ValueError("value stream length is not a multiple of the sample size")
+            raise ValueError(f"{values_path}: value stream of {size} bytes is not a multiple "
+                             f"of the {row_bytes}-byte sample size")
         n, label_size = size // row_bytes, _file_size(labels_path)
         if label_size != n * 4:
-            raise ValueError(f"label stream is {label_size} bytes, expected {n * 4} "
-                             f"for {n} samples")
-        labels = _read_labels((labels_path, 0, n, 1, "<u4",
-                               "truncated label stream: the file shrank while read"))
+            raise ValueError(f"{labels_path}: label stream is {label_size} bytes, "
+                             f"expected {n * 4} for {n} samples")
+        labels = _read_labels((labels_path, 0, n, 1, "<u4", f"{labels_path}: truncated "
+                               "label stream: the file shrank while read"))
         super().__init__(shape, num_classes, labels, functools.partial(
             _read_rows, values_path, 0, n, shape.element_count, "<f4",
-            "truncated value stream: the file shrank while read"))
+            f"{values_path}: truncated value stream: the file shrank while read"))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int,

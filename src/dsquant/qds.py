@@ -183,38 +183,43 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
 class QdsRecords:
     """A container read into memory with its structure checked: magic,
     version, flags, a sample count the file can hold, every record's width,
-    extent and label, and no trailing bytes. decode() checks the rest."""
+    extent and label, and no trailing bytes. decode() checks the rest. An
+    error (QdsFormatError) starts with the file's path."""
 
     def __init__(self, path):
+        self.path = path
         with open(path, "rb") as fh:
             raw = fh.read()
         if len(raw) < HEADER_BYTES:
-            raise QdsFormatError("truncated file: header")
+            raise self._error("truncated file: header")
         magic, version, count, h, w, c, num_classes, flags = _HEADER.unpack_from(raw)
         if magic != QDS_MAGIC:
-            raise QdsFormatError(f"bad magic {magic!r}, expected {QDS_MAGIC!r}")
+            raise self._error(f"bad magic {magic!r}, expected {QDS_MAGIC!r}")
         if version != QDS_VERSION:
-            raise QdsFormatError(f"unsupported version {version}")
+            raise self._error(f"unsupported version {version}")
         if flags != FLAG_LABELS:
-            raise QdsFormatError(f"unsupported flags {flags:#x}, expected {FLAG_LABELS}")
+            raise self._error(f"unsupported flags {flags:#x}, expected {FLAG_LABELS}")
         if count > (len(raw) - HEADER_BYTES) // PREFIX_BYTES:
-            raise QdsFormatError(f"header claims {count} records, more than "
-                                 f"a {len(raw)}-byte file holds")
-        self.header = QdsHeader(count, SampleShape(h, w, c), num_classes)
+            raise self._error(f"header claims {count} records, more than "
+                              f"a {len(raw)}-byte file holds")
+        try:
+            self.header = QdsHeader(count, SampleShape(h, w, c), num_classes)
+        except ValueError as exc:
+            raise self._error(exc) from None
         sizes = _record_sizes(self.header.shape.element_count)
         offsets, pos = [], HEADER_BYTES
         for i in range(count):
             if pos >= len(raw):
-                raise QdsFormatError(f"truncated file: record {i}")
+                raise self._error(f"truncated file: record {i}")
             size = sizes[raw[pos]] if raw[pos] <= MAX_BIT_WIDTH else 0
             if not size:
-                raise QdsFormatError(f"record {i}: invalid bit width {raw[pos]}")
+                raise self._error(f"record {i}: invalid bit width {raw[pos]}")
             if pos + size > len(raw):
-                raise QdsFormatError(f"truncated file: record {i}")
+                raise self._error(f"truncated file: record {i}")
             offsets.append(pos)
             pos += size
         if pos != len(raw):
-            raise QdsFormatError("trailing bytes after final record")
+            raise self._error("trailing bytes after final record")
         self.data = np.frombuffer(raw, dtype=np.uint8)
         self.offsets = np.array(offsets, dtype=np.int64)
         self.widths = self.data[self.offsets].astype(np.int64)  # 0 = dropped
@@ -223,7 +228,10 @@ class QdsRecords:
         try:
             check_labels(self.labels, num_classes)
         except ValueError as exc:
-            raise QdsFormatError(str(exc)) from None
+            raise self._error(exc) from None
+
+    def _error(self, message) -> QdsFormatError:
+        return QdsFormatError(f"{self.path}: {message}")
 
     def decode(self, rows):
         """Yield (positions, bit_width, codes, scales) for the stored
@@ -241,14 +249,14 @@ class QdsRecords:
                 try:
                     codes = unpack_code_rows(payload[at + _PAYLOAD_AT], count, bits)
                 except ValueError as exc:
-                    raise QdsFormatError(f"{bits}-bit record payload: {exc}") from exc
+                    raise self._error(f"{bits}-bit record payload: {exc}") from exc
                 scales = sliding_window_view(self.data, 4)[at + _SCALE_AT].view("<f4")[:, 0]
                 with np.errstate(invalid="ignore"):  # casting a signaling NaN
                     largest = scales.astype(np.float64) * max_code(bits)
                 bad = np.flatnonzero(~((scales > 0) & (largest <= F32_MAX)))
                 if bad.size:  # the writer's scales are positive, Q * scale a float32
-                    raise QdsFormatError(f"record {rows[positions[bad[0]]]}: scale "
-                                         f"{scales[bad[0]]} is out of range for {bits}-bit codes")
+                    raise self._error(f"record {rows[positions[bad[0]]]}: scale "
+                                      f"{scales[bad[0]]} is out of range for {bits}-bit codes")
                 yield positions, bits, codes, scales
 
     def dequantized(self, rows, dtype) -> np.ndarray:

@@ -3,7 +3,7 @@
 A sample is quantized with a single positive scale s derived from its
 maximum absolute value m: s = (m + 1e-12) / Q, stepped down one float32
 where rounding puts s * Q past float32 max. Codes are signed integers in
-[-Q, Q] with Q = 2^(b-1) - 1; reconstruction is s * code. Rounding is
+[-Q, Q] with Q = 2^(b-1) - 1, held as int16; reconstruction is s * code. Rounding is
 half-away-from-zero (one routine, _rounded, for the codes and for
 score's probe). Bit-width 0 means the sample is dropped; bit-width 1 is
 rejected (its code range would collapse to {0}).
@@ -59,7 +59,7 @@ def max_code(bit_width: int) -> int:
 
 @dataclass(frozen=True)
 class QuantizedSample:
-    codes: np.ndarray  # int32, |code| <= Q
+    codes: np.ndarray  # int16, |code| <= Q <= 2^15 - 1
     scale: np.float32
     bit_width: int
     label: int
@@ -98,13 +98,13 @@ def _rounded(scaled: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
 
 
 def quantize_rows(values, bit_width: int):
-    """Quantize each row of an (N, D) array; returns (int32 codes, float32 scales)."""
+    """Quantize each row of an (N, D) array; returns (int16 codes, float32 scales)."""
     q = max_code(bit_width)
     values = np.asarray(values)
     scales = _scales(values, q)
     scaled = values.astype(np.float64)
     scaled /= scales.astype(np.float64)[:, None]
-    return _rounded(scaled, values, q).astype(np.int32), scales
+    return _rounded(scaled, values, q).astype(np.int16), scales
 
 
 def dequantize_rows(codes, scales) -> np.ndarray:
@@ -117,9 +117,9 @@ def dequantize_rows(codes, scales) -> np.ndarray:
 def round_trip_rows(values: np.ndarray, x: np.ndarray, bit_width: int,
                     out: np.ndarray = None) -> np.ndarray:
     """dequantize_rows(*quantize_rows(values, bit_width)) without the
-    int32 codes, from x, values' float64 copy, which it only reads. The
+    int16 codes, from x, values' float64 copy, which it only reads. The
     two agree bit for bit except that a zero may keep the sign of the
-    value it came from (the int32 codes have no -0). The rows are scaled
+    value it came from (an integer code has no -0). The rows are scaled
     in out, a float64 array of x's shape, if given."""
     q = max_code(bit_width)
     scales = _scales(values, q).astype(np.float64)[:, None]
@@ -138,7 +138,7 @@ def pack_code_rows(codes, bit_width: int) -> np.ndarray:
 
 
 def unpack_code_rows(payload, count: int, bit_width: int) -> np.ndarray:
-    """Inverse of pack_code_rows; rejects nonzero pad bits and the sentinel."""
+    """Inverse of pack_code_rows (int16 codes); rejects nonzero pad bits and the sentinel."""
     bound, payload = max_code(bit_width), np.asarray(payload, dtype=np.uint8)
     offsets = _kernel.unpack_rows(payload, count, bit_width)
     pad_bits = payload.shape[1] * 8 - count * bit_width
@@ -147,7 +147,8 @@ def unpack_code_rows(payload, count: int, bit_width: int) -> np.ndarray:
     sentinel = (1 << bit_width) - 1
     if offsets.size and int(offsets.max()) >= sentinel:
         raise ValueError(f"reserved offset {sentinel} in payload")
-    return np.subtract(offsets, bound, dtype=np.int32)
+    # an offset past 2^15 - 1 wraps in the int16 cast; every code fits, so the sum is exact
+    return np.subtract(offsets, bound, dtype=np.int16, casting="unsafe")
 
 
 def quantize_sample(values, bit_width: int, label: int = 0) -> QuantizedSample:

@@ -140,8 +140,21 @@ class TestIngest:
                              str(tmp_path / "l.u32le"), "--shape", "1x1x4",
                              "--out", str(out_dir / "d.dsr"))
         assert code == EXIT_VALIDATION
-        assert (out, err) == ("", "error: label stream is 41 bytes, expected 40 "
-                                  "for 10 samples\n")
+        assert (out, err) == ("", f"error: {tmp_path / 'l.u32le'}: label stream is 41 bytes, "
+                                  "expected 40 for 10 samples\n")
+        assert list(out_dir.iterdir()) == []
+
+    def test_a_value_file_of_a_partial_row_names_its_bytes(self, tmp_path, capsys):
+        (tmp_path / "v.f32le").write_bytes(bytes(10))
+        (tmp_path / "l.u32le").write_bytes(bytes(4))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "ingest", "--raw", str(tmp_path / "v.f32le"),
+                             str(tmp_path / "l.u32le"), "--shape", "1x1x2",
+                             "--out", str(out_dir / "d.dsr"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {tmp_path / 'v.f32le'}: value stream of 10 bytes "
+                                  "is not a multiple of the 8-byte sample size\n")
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("spread", ["nan", "inf", "1e309", "-inf", "0"])
@@ -269,7 +282,8 @@ class TestStreamedIngest:
         code, _, err = run(capsys, "ingest", f"--{'raw' if kind == 'raw' else 'cifar'}",
                            *args, "--out", str(out_dir / "d.dsr"))
         assert code == EXIT_VALIDATION
-        assert err == f"error: {message}\n"
+        named = f"{source}: " if fault.endswith("shrunk") else ""  # the file that shrank
+        assert err == f"error: {named}{message}\n"
         assert list(out_dir.iterdir()) == []
 
 
@@ -467,7 +481,7 @@ class TestPipelineStages:
         for argv in (["stats"], ["compare", "--dataset", str(synth_file), "--epochs", "1"]):
             code, _, err = run(capsys, *argv, "--qds", str(qds_path))
             assert code == EXIT_VALIDATION
-            assert err == "error: unsupported flags 0xffff, expected 1\n"
+            assert err == f"error: {qds_path}: unsupported flags 0xffff, expected 1\n"
 
     @pytest.mark.parametrize("flag", [["--batch-size", "32"], ["--learning-rate", "1"],
                                       ["--momentum", "0"], ["--weight-decay", "0"],

@@ -1,4 +1,6 @@
 import contextlib
+import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -140,6 +142,21 @@ class TestRawIngestion:
             _read_raw(values, b"", SampleShape(2, 2, 1), 2)
         with pytest.raises(ValueError, match="multiple"):
             _read_raw(values[:-2], b"", SampleShape(2, 2, 1), 2)
+
+    def test_a_label_file_that_shrank_while_read_is_named(self, monkeypatch):
+        with _files(bytes(4 * 4), bytes(4 * 4)) as (values, labels):
+            sized = dataset._file_size
+
+            def size_then_shrink(path):
+                size = sized(path)
+                if Path(path) == labels:
+                    os.truncate(path, size - 1)
+                return size
+
+            monkeypatch.setattr(dataset, "_file_size", size_then_shrink)
+            message = f"{labels}: truncated label stream: the file shrank while read"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                RawRows(values, labels, SampleShape(1, 1, 1), 2)
 
     def test_non_finite_rejected(self):
         values = np.array([np.nan], dtype="<f4").tobytes()

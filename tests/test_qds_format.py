@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import every_row, raw_rows
+from reference import every_row, raw_rows, reference_pack
 
 from dsquant import parallel, quantizer
+from dsquant._bitpack_py import payload_bytes
 from dsquant.allocator import AllocationPlan
 from dsquant.cli import EXIT_VALIDATION, main
 from dsquant.dataset import DatasetRows, SampleShape, synth_blobs, write_dataset_file
@@ -22,7 +23,13 @@ from dsquant.qds import (
     storage_report,
     write_qds,
 )
-from dsquant.quantizer import dequantize_rows, pack_codes, quantize_rows, quantize_sample
+from dsquant.quantizer import (
+    dequantize_rows,
+    max_code,
+    pack_codes,
+    quantize_rows,
+    quantize_sample,
+)
 from dsquant.trainer import stratified_split
 
 
@@ -291,10 +298,11 @@ class TestHostileInput:
         struct.pack_into("<H", data, 4, 2)  # the version, after the magic
         path.write_bytes(bytes(data))
         for reader in (read_qds, storage_report, materialize_training_set):
-            with pytest.raises(QdsFormatError, match="^unsupported version 2$"):
+            with pytest.raises(QdsFormatError,
+                               match=f"^{re.escape(str(path))}: unsupported version 2$"):
                 reader(path)
         assert main(["stats", "--qds", str(path)]) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", "error: unsupported version 2\n")
+        assert capsys.readouterr() == ("", f"error: {path}: unsupported version 2\n")
 
     # the last one is finite, but 127 times it overflows a float32
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, 3e38])
@@ -309,10 +317,57 @@ class TestHostileInput:
         struct.pack_into("<f", data, HEADER_BYTES + record * record_bytes + PREFIX_BYTES,
                          scale)
         path.write_bytes(bytes(data))
-        message = f"record {record}: scale {np.float32(scale)} is out of range for 8-bit codes"
+        message = (f"{path}: record {record}: scale {np.float32(scale)} "
+                   "is out of range for 8-bit codes")
         for reader in (read_qds, storage_report, materialize_training_set):
-            with pytest.raises(QdsFormatError, match=re.escape(message)):
+            with pytest.raises(QdsFormatError, match=f"^{re.escape(message)}$"):
                 reader(path)
+        for argv in (["stats"], ["compare", "--dataset", str(dsr), "--epochs", "2"]):
+            assert main([*argv, "--qds", str(path)]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    def test_a_byte_path_sentinel_or_pad_bit_is_refused(self, tmp_path, bits):
+        # 7 codes leave 2 pad bits at 2 bits and 4 at 4 bits, none at 8 or 16
+        path, nbytes = tmp_path / "h.qds", payload_bytes(7, bits)
+        write_qds(small_dataset(tmp_path, n=3, dim=7), plan_of([bits] * 3), path)
+        good = path.read_bytes()
+        at = HEADER_BYTES + (PREFIX_BYTES + 4 + nbytes) + PREFIX_BYTES + 4  # record 1's payload
+        faults = []
+        for k in (0, 5, 6):
+            codes = [0] * 7
+            codes[k] = max_code(bits) + 1  # offset 2^b - 1: all ones
+            faults.append((good[:at] + reference_pack(codes, bits) + good[at + nbytes:],
+                           f"reserved offset {(1 << bits) - 1} in payload"))
+        if 7 * bits % 8:
+            padded = bytearray(good)
+            padded[at + nbytes - 1] |= 1
+            faults.append((bytes(padded), "nonzero trailing pad bits"))
+        for data, problem in faults:
+            path.write_bytes(data)
+            message = f"{path}: {bits}-bit record payload: {problem}"
+            with pytest.raises(QdsFormatError, match=f"^{re.escape(message)}$"):
+                storage_report(path)
+
+    @pytest.mark.parametrize("field, at", [("height", 14), ("width", 18), ("channels", 22)])
+    def test_a_zero_dimension_names_the_file(self, tmp_path, capsys, field, at):
+        path, data = self._written(tmp_path)
+        data[at:at + 4] = bytes(4)
+        path.write_bytes(bytes(data))
+        message = f"{path}: {field} must be a positive integer, got 0"
+        for reader in (read_qds, storage_report, materialize_training_set):
+            with pytest.raises(QdsFormatError, match=f"^{re.escape(message)}$"):
+                reader(path)
+        assert main(["stats", "--qds", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_truncated_file_is_named_by_stats_and_compare(self, tmp_path, capsys):
+        dset = small_dataset(tmp_path, n=10, dim=6)
+        dsr, path = tmp_path / "h.dsr", tmp_path / "h.qds"
+        write_dataset_file(dset, dsr)
+        write_qds(dset, plan_of([8] * 10), path)
+        path.write_bytes(path.read_bytes()[:40])
+        message = f"{path}: header claims 10 records, more than a 40-byte file holds"
         for argv in (["stats"], ["compare", "--dataset", str(dsr), "--epochs", "2"]):
             assert main([*argv, "--qds", str(path)]) == EXIT_VALIDATION
             assert capsys.readouterr().err == f"error: {message}\n"

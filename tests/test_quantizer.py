@@ -14,10 +14,12 @@ from dsquant.quantizer import (
     PackedCodes,
     dequantize_rows,
     max_code,
+    pack_code_rows,
     pack_codes,
     quantize_rows,
     quantize_sample,
     round_trip_rows,
+    unpack_code_rows,
     unpack_codes,
 )
 
@@ -113,6 +115,9 @@ class TestQuantizeDequantize:
             np.float32)
         ours = dequantize_rows(codes, scales)
         assert ours.dtype == np.float32 and ours.shape == codes.shape
+        assert np.array_equal(ours.view(np.uint32), expected.view(np.uint32))
+        # the int16 codes that quantize_rows and unpack_code_rows return
+        ours = dequantize_rows(codes.astype(np.int16), scales)
         assert np.array_equal(ours.view(np.uint32), expected.view(np.uint32))
 
     @given(st.integers(0, 2 ** 32 - 1),
@@ -281,6 +286,42 @@ class TestPacking:
                 np.testing.assert_array_equal(
                     reference_unpack(noise.tobytes(), n, bit_width),
                     got.astype(np.int64) - bound)
+
+    @pytest.mark.parametrize("bit_width", range(2, 17))
+    def test_codes_at_plus_and_minus_q_round_trip_as_int16(self, bit_width):
+        q = max_code(bit_width)
+        codes, _ = quantize_rows([[-2.0, 2.0, 0.0, -1.0, 1.0], [3.0] * 5], bit_width)
+        assert codes.dtype == np.int16
+        assert codes[0, :3].tolist() == [-q, q, 0] and codes[1].tolist() == [q] * 5
+        payload = pack_code_rows(codes, bit_width)
+        for row, got in zip(codes, payload):
+            assert got.tobytes() == reference_pack(row, bit_width)
+        back = unpack_code_rows(payload, 5, bit_width)
+        assert back.dtype == np.int16
+        np.testing.assert_array_equal(back, codes)
+
+    # the widths whose codes never straddle a byte, packed by byte moves
+    @pytest.mark.parametrize("bit_width", [2, 4, 8, 16])
+    def test_byte_path_rejects_the_sentinel_at_every_position(self, bit_width):
+        q, sentinel = max_code(bit_width), (1 << bit_width) - 1
+        for count in (1, 5, 8):
+            for k in range(count):
+                codes = np.zeros((3, count), np.int64)
+                codes[1, k] = q + 1  # offset 2^b - 1: all ones
+                payload = np.array([np.frombuffer(reference_pack(row, bit_width), np.uint8)
+                                    for row in codes])
+                with pytest.raises(ValueError, match=f"^reserved offset {sentinel} in payload$"):
+                    unpack_code_rows(payload, count, bit_width)
+
+    @pytest.mark.parametrize("bit_width, count", [(2, 1), (2, 2), (2, 3), (2, 5), (4, 1), (4, 3)])
+    def test_byte_path_rejects_nonzero_pad_bits(self, bit_width, count):
+        payload = np.frombuffer(reference_pack([0] * count, bit_width), np.uint8)
+        payload = np.tile(payload, (3, 1))
+        for bit in range(payload.shape[1] * 8 - count * bit_width):
+            bad = payload.copy()
+            bad[1, -1] |= 1 << bit
+            with pytest.raises(ValueError, match="^nonzero trailing pad bits$"):
+                unpack_code_rows(bad, count, bit_width)
 
     def test_trailing_pad_bits_are_zero(self):
         q = quantize_sample([1.0, -1.0, 0.5], 3)
