@@ -25,9 +25,10 @@ only in where the values and labels sit, the record dtype and width, the
 message for a file that shrank and CIFAR's pixel-to-float32 conversion.
 Opening one checks its size (_file_size, which refuses a pipe) and reads
 every label. synth_blobs (--synth) generates its rows a chunk at a time
-instead of reading them. write_dataset_file, the one writer, writes any
-row source a chunk at a time. The text stage files (scores, plans,
-keep-lists) share one codec: write_indexed, read_indexed and read_table.
+instead of reading them, and qds.QdsRecords decodes them from a QDS
+file. write_dataset_file, the one writer, writes any row source a chunk
+at a time. The text stage files (scores, plans, keep-lists) share one
+codec: write_indexed, read_indexed and read_table.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ def _check_finite(values: np.ndarray) -> None:
             raise ValueError("sample values must be finite")
 
 
-def check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Reject a label outside [0, num_classes); labels[i] is record i's."""
+def check_labels(labels: np.ndarray, num_classes: int, path) -> None:
+    """Reject a label outside [0, num_classes) of the file at path, whose
+    record i has labels[i]; the error starts with path."""
     if num_classes < 1:
-        raise ValueError("num_classes must be positive")
+        raise ValueError(f"{path}: num_classes must be positive")
     bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
     if bad.size:
-        raise ValueError(f"record {bad[0]}: label {labels[bad[0]]} "
+        raise ValueError(f"{path}: record {bad[0]}: label {labels[bad[0]]} "
                          f"out of range for {num_classes} classes")
 
 
@@ -120,23 +122,23 @@ def _file_size(path) -> int:
             raise OSError(f"{path}: a row source must be a seekable file, not a pipe") from None
 
 
-def _read_labels(records, column: int = 0) -> np.ndarray:
+def _read_labels(records, num_classes: int, column: int = 0) -> np.ndarray:
     """The int64 labels at column of the label records that records,
-    _read_rows' first arguments, describe."""
+    _read_rows' first arguments, describe, checked for num_classes."""
     n, width = records[2:4]
     labels = np.empty(n, dtype=np.int64)
     for rows, table in _read_rows(*records, row_chunks(n, width)):
         labels[rows] = table[:, column]
+    check_labels(labels, num_classes, records[0])
     return labels
 
 
 class _RowSource:
-    """The row source of the module docstring: labels, checked here, and
-    tables(slices), which yields (rows, table) for each of slices, table
-    being those rows, which _values turns into float32 values."""
+    """The row source of the module docstring: labels, checked by its
+    maker, and tables(slices), which yields (rows, table) for each of
+    slices, table being those rows, which _values turns into float32 values."""
 
     def __init__(self, shape, num_classes, labels, tables):
-        check_labels(labels, num_classes)
         labels.setflags(write=False)
         self.shape, self.num_classes, self.labels = shape, num_classes, labels
         self._tables = tables
@@ -186,8 +188,8 @@ class CifarRecords(_RowSource):
                              f"multiple of the {record_size}-byte record size")
         records = (path, 0, size // record_size, record_size, np.uint8,
                    f"{path}: truncated CIFAR stream: the file shrank while read")
-        super().__init__(self.shape, num_classes, _read_labels(records, label_bytes - 1),
-                         functools.partial(_read_rows, *records))
+        labels = _read_labels(records, num_classes, label_bytes - 1)
+        super().__init__(self.shape, num_classes, labels, functools.partial(_read_rows, *records))
 
     def _values(self, tables):
         """(rows, values) for each (rows, records) of tables: the pixels as float32."""
@@ -216,7 +218,7 @@ class RawRows(_RowSource):
             raise ValueError(f"{labels_path}: label stream is {label_size} bytes, "
                              f"expected {n * 4} for {n} samples")
         labels = _read_labels((labels_path, 0, n, 1, "<u4", f"{labels_path}: truncated "
-                               "label stream: the file shrank while read"))
+                               "label stream: the file shrank while read"), num_classes)
         super().__init__(shape, num_classes, labels, functools.partial(
             _read_rows, values_path, 0, n, shape.element_count, "<f4",
             f"{values_path}: truncated value stream: the file shrank while read"))
@@ -373,6 +375,6 @@ class DatasetRows(_RowSource):
         n, shape, num_classes = _read_dataset_header(path)
         at, dim = _DATASET_HEADER.size, shape.element_count
         truncated = f"{path}: truncated dataset body"
-        super().__init__(shape, num_classes,
-                         _read_labels((path, at + n * dim * 4, n, 1, "<u4", truncated)),
+        labels = _read_labels((path, at + n * dim * 4, n, 1, "<u4", truncated), num_classes)
+        super().__init__(shape, num_classes, labels,
                          functools.partial(_read_rows, path, at, n, dim, "<f4", truncated))

@@ -27,9 +27,10 @@ produce byte-identical files.
 Records are encoded and decoded one width group at a time, in fixed row
 chunks, as array operations. One width-to-record-size table serves the
 writer, the reader's walk over the record prefixes that finds every
-record's offset, and the storage report. Decoding checks each record's
-scale and payload, and QdsRecords.dequantized is the one dequantizing
-loop. The bit layout lives in dsquant._bitpack_py; this module slices bytes.
+record's offset, and the storage report. QdsRecords.decode alone unpacks
+records and checks their scales and payloads; a read container is a row
+source whose rows are the stored records, dequantized through decode.
+The bit layout lives in dsquant._bitpack_py; this module slices bytes.
 
 The writer takes its rows a chunk at a time from a row source, so from a
 file it holds one chunk of values. The plan alone gives every record's
@@ -51,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import parallel
 from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
-from .dataset import SampleShape, check_labels, write_atomically
+from .dataset import SampleShape, _RowSource, check_labels, write_atomically
 from .quantizer import (
     F32_MAX,
     MAX_BIT_WIDTH,
@@ -180,11 +181,12 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     return _build_report(dataset.shape, widths)
 
 
-class QdsRecords:
+class QdsRecords(_RowSource):
     """A container read into memory with its structure checked: magic,
     version, flags, a sample count the file can hold, every record's width,
-    extent and label, and no trailing bytes. decode() checks the rest. An
-    error (QdsFormatError) starts with the file's path."""
+    extent and label, and no trailing bytes. decode() checks the rest. Row
+    i is stored record kept[i]; widths covers every record. An error
+    (QdsFormatError) starts with the file's path."""
 
     def __init__(self, path):
         self.path = path
@@ -223,12 +225,15 @@ class QdsRecords:
         self.data = np.frombuffer(raw, dtype=np.uint8)
         self.offsets = np.array(offsets, dtype=np.int64)
         self.widths = self.data[self.offsets].astype(np.int64)  # 0 = dropped
-        self.labels = (sliding_window_view(self.data, 4)[self.offsets + 1]
-                       .view("<u4")[:, 0].astype(np.int64))
+        labels = (sliding_window_view(self.data, 4)[self.offsets + 1]
+                  .view("<u4")[:, 0].astype(np.int64))
         try:
-            check_labels(self.labels, num_classes)
+            check_labels(labels, num_classes, path)
         except ValueError as exc:
-            raise self._error(exc) from None
+            raise QdsFormatError(exc) from None
+        kept = self.kept = np.flatnonzero(self.widths > 0)
+        super().__init__(self.header.shape, num_classes, labels[kept],
+                         lambda slices: ((rows, kept[rows]) for rows in slices))
 
     def _error(self, message) -> QdsFormatError:
         return QdsFormatError(f"{self.path}: {message}")
@@ -236,8 +241,7 @@ class QdsRecords:
     def decode(self, rows):
         """Yield (positions, bit_width, codes, scales) for the stored
         records among rows, a width group and row chunk at a time;
-        positions index into rows."""
-        rows = np.asarray(rows, dtype=np.int64)
+        positions index into rows, an int64 array of record indices."""
         count = self.header.shape.element_count
         widths = self.widths[rows]
         for bits in np.unique(widths[widths > 0]).tolist():
@@ -259,29 +263,28 @@ class QdsRecords:
                                       f"{scales[bad[0]]} is out of range for {bits}-bit codes")
                 yield positions, bits, codes, scales
 
-    def dequantized(self, rows, dtype) -> np.ndarray:
-        """The stored records at rows, in that order, dequantized into one
-        (len(rows), D) array of dtype, a width group and row chunk at a
-        time. A tombstone among rows is an error."""
-        rows = np.asarray(rows, dtype=np.int64)
-        dropped = rows[self.widths[rows] == 0]
-        if dropped.size:
-            raise ValueError(f"record {dropped[0]} was dropped, it has no values")
-        out = np.empty((rows.size, self.header.shape.element_count), dtype)
-        for positions, _, codes, scales in self.decode(rows):
-            out[positions] = dequantize_rows(codes, scales)
-        return out
+    def _values(self, tables):
+        """(rows, values) for each (rows, record indices) of tables: those
+        records dequantized through decode, as float32."""
+        values = None
+        for rows, records in tables:
+            if values is None:
+                values = np.empty((len(records), self.shape.element_count), np.float32)
+            chunk = values[:len(records)]
+            for positions, _, codes, scales in self.decode(records):
+                chunk[positions] = dequantize_rows(codes, scales)
+            yield rows, chunk
 
 
 def read_qds(path):
     """Read a container; returns (records, header) where a record is a
     QuantizedSample or None for a dropped sample."""
     stored = QdsRecords(path)
-    labels = stored.labels.tolist()
     records = [None] * stored.header.sample_count
-    for positions, bits, codes, scales in stored.decode(np.arange(len(records))):
-        for k, i in enumerate(positions.tolist()):
-            records[i] = QuantizedSample(codes[k], scales[k], bits, labels[i])
+    for positions, bits, codes, scales in stored.decode(stored.kept):
+        rows = zip(stored.kept[positions].tolist(), stored.labels[positions].tolist())
+        for k, (i, label) in enumerate(rows):
+            records[i] = QuantizedSample(codes[k], scales[k], bits, label)
     return records, stored.header
 
 
@@ -289,7 +292,7 @@ def storage_report(path) -> StorageReport:
     """Recompute the storage accounting from an existing file, after
     checking every record's payload."""
     stored = QdsRecords(path)
-    for _ in stored.decode(np.arange(stored.header.sample_count)):
+    for _ in stored.decode(stored.kept):
         pass  # decoding rejects nonzero pad bits and the reserved sentinel
     return _build_report(stored.header.shape, stored.widths)
 
@@ -297,5 +300,4 @@ def storage_report(path) -> StorageReport:
 def materialize_training_set(path):
     """Dequantize all surviving records: (float32 values, int64 labels)."""
     stored = QdsRecords(path)
-    kept = np.flatnonzero(stored.widths > 0)
-    return stored.dequantized(kept, np.float32), stored.labels[kept]
+    return stored.take(np.arange(stored.labels.size), np.float32), stored.labels

@@ -133,8 +133,8 @@ def pack_code_rows(codes, bit_width: int) -> np.ndarray:
     bound, codes = max_code(bit_width), np.asarray(codes)
     if codes.size and (codes.min() < -bound or codes.max() > bound):
         raise ValueError(f"code outside [-{bound}, {bound}]")
-    # |codes| <= bound < 2^15, so the int32 sum cannot overflow
-    return _kernel.pack_rows(codes.astype(np.int32, copy=False) + bound, bit_width)
+    return _kernel.pack_rows(np.add(codes, bound, dtype=np.uint8 if bit_width <= 8 else np.uint16,
+                                    casting="unsafe"), bit_width)
 
 
 def unpack_code_rows(payload, count: int, bit_width: int) -> np.ndarray:

@@ -43,20 +43,20 @@ permutation and each row's flat class position in its batch's
 probabilities: beyond the model, at most 32 bytes per row next to the
 8·D bytes of a matrix row. The results are the same bits as when every
 step allocated its temporaries afresh.
-compare() streams the dataset file, so the float32 dataset never exists
-in full, and orders its work so that no process holds more than one
-matrix, and none holds the test split beside one:
-  1. It reads the dataset file's header and labels (dataset.DatasetRows)
-     and the QDS file's bytes, checks that the two match, splits on the
-     labels, and forks.
-  2. The child gathers the train rows into the baseline matrix with
-     DatasetRows.take, one pass over the value rows a row chunk at a
-     time, standardizes it in place and fits. Meanwhile the parent
-     builds the quantized matrix straight from decoded QDS chunks, with
-     no float32 training set, standardizes it and fits. Each process
-     peaks at its own matrix + the QDS bytes + one row chunk.
+compare() reads both files as row sources (dataset.DatasetRows and
+qds.QdsRecords), and one _arm fits each arm on the matrix that its
+source's take() gathers, so the float32 dataset never exists in full.
+It orders its work so that no process holds more than one matrix, and
+none holds the test split beside one:
+  1. It reads the dataset file's header and labels and the QDS file's
+     bytes, checks that the two match, splits on the labels, and forks.
+  2. The child fits on the dataset file's train rows, the parent on the
+     QDS file's stored train rows; each take() is one pass over every
+     row a row chunk at a time (the QDS pass decodes, and so checks,
+     every stored record). Each process peaks at its own matrix + the
+     QDS bytes + one row chunk.
   3. After its fit the parent frees its matrix and scores its model on
-     the dequantized train rows, then takes the test split as float64,
+     its train rows, taken again, then takes the test split as float64,
      once for both models, in one more pass and scores its model and the
      child's on it. Each is scored in one piece (in row chunks, BLAS can
      round a logit of a short final chunk differently), one at a time.
@@ -272,31 +272,28 @@ def fit_scoring_model(values, labels, num_classes: int, seed: int = 42) -> Logis
         return train(values, labels, num_classes, TrainConfig(epochs=1, seed=seed))[0]
 
 
-def _check_same_dataset(stored: QdsRecords, shape, num_classes: int,
-                        labels: np.ndarray) -> None:
-    """Reject a container that was not quantized from the dataset of this
-    shape, class count and labels."""
-    header = stored.header
+def _check_same_dataset(stored: QdsRecords, original: DatasetRows) -> None:
+    """Reject a container that was not quantized from the dataset that
+    original reads."""
+    header, labels = stored.header, original.labels
     for what, theirs, ours in (
         ("sample count", header.sample_count, len(labels)),
-        ("sample shape", header.shape, shape),
-        ("class count", header.num_classes, num_classes),
+        ("sample shape", header.shape, original.shape),
+        ("class count", header.num_classes, original.num_classes),
     ):
         if theirs != ours:
             raise ValueError(f"quantized file has {what} {theirs}, dataset has {ours}")
-    kept = np.flatnonzero(stored.widths > 0)
-    bad = kept[stored.labels[kept] != labels[kept]]
+    bad = np.flatnonzero(stored.labels != labels[stored.kept])
     if bad.size:
-        i = bad[0]
-        raise ValueError(f"record {i}: quantized file has label {stored.labels[i]}, "
-                         f"dataset has {labels[i]}")
+        row = bad[0]
+        raise ValueError(f"record {stored.kept[row]}: quantized file has label "
+                         f"{stored.labels[row]}, dataset has {labels[stored.kept[row]]}")
 
 
-def _baseline_arm(original: DatasetRows, train_idx: np.ndarray,
-                  config: TrainConfig) -> LogisticModel:
-    """The model fit on the dataset file's train rows."""
-    return _descend(*_standardized(original.take(train_idx, np.float64)),
-                    original.labels[train_idx], original.num_classes, config)[0]
+def _arm(source, rows: np.ndarray, config: TrainConfig):
+    """The model fit on the rows of the row source, and its loss curve."""
+    return _descend(*_standardized(source.take(rows, np.float64)),
+                    source.labels[rows], source.num_classes, config)
 
 
 def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
@@ -305,16 +302,14 @@ def compare(dataset_path, quantized_path, config: TrainConfig) -> EvalReport:
     once where they can (see the module docstring)."""
     original = DatasetRows(dataset_path)
     stored = QdsRecords(quantized_path)
-    _check_same_dataset(stored, original.shape, original.num_classes, original.labels)
+    _check_same_dataset(stored, original)
     train_idx, test_idx = stratified_split(original.labels, config.seed)
-    kept = train_idx[stored.widths[train_idx] > 0]
-    if kept.size == 0:
+    rows = np.flatnonzero(np.isin(stored.kept, train_idx))  # the stored train rows
+    if rows.size == 0:
         raise ValueError("empty training set: every sample was dropped")
-    labels, classes = stored.labels[kept], stored.header.num_classes
-    with parallel.started(lambda: _baseline_arm(original, train_idx, config)) as result:
-        quant_model, curve = _descend(*_standardized(stored.dequantized(kept, np.float64)),
-                                      labels, classes, config)
-        train_acc = _accuracy(quant_model, stored.dequantized(kept, np.float64), labels)
+    with parallel.started(lambda: _arm(original, train_idx, config)[0]) as result:
+        quant_model, curve = _arm(stored, rows, config)
+        train_acc = _accuracy(quant_model, stored.take(rows, np.float64), stored.labels[rows])
         test_split = original.take(test_idx, np.float64), original.labels[test_idx]
         quant_acc = _accuracy(quant_model, *test_split)
         baseline_acc = _accuracy(result(), *test_split)

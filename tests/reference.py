@@ -5,10 +5,12 @@ file property tests read, read_rows and take_rows, which read a dataset
 file by rows as compare and score do, every_row, which gathers every row
 of a row source, raw_rows, the one way the tests make a row source of
 arrays they hold (a .f32le/.u32le pair opened by RawRows), the
-whole-body dataset file reader that the row reader must match, and the
+whole-body dataset file reader that the row reader must match, the
 whole-array ingest decoders and dataset file writer that the streamed
-ingest must match byte for byte. No pipeline stage uses them, so they
-live here rather than in the dsquant package."""
+ingest must match byte for byte, and a QDS file's stored records
+dequantized one record at a time, which its row source must match. No
+pipeline stage uses them, so they live here rather than in the dsquant
+package."""
 
 import struct
 import tempfile
@@ -17,6 +19,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dsquant.dataset import DatasetRows, RawRows, SampleShape
+from dsquant.qds import read_qds
 
 
 def reference_unpack(payload: bytes, count: int, bit_width: int) -> np.ndarray:
@@ -185,3 +188,16 @@ def reference_dataset_bytes(shape: SampleShape, num_classes: int, values, labels
                          shape.height, shape.width, shape.channels, num_classes)
     return (header + np.ascontiguousarray(values, "<f4").tobytes()
             + np.ascontiguousarray(labels, "<u4").tobytes())
+
+
+def reference_dequantized(path):
+    """The stored records of the QDS file at path, as read_qds returns
+    them, each dequantized on its own as scale * codes in float32:
+    (their record indices, float32 values, int64 labels)."""
+    records, header = read_qds(path)
+    kept = [i for i, record in enumerate(records) if record is not None]
+    values = np.empty((len(kept), header.shape.element_count), np.float32)
+    for row, i in enumerate(kept):
+        values[row] = np.float32(records[i].scale) * records[i].codes.astype(np.float32)
+    return (np.array(kept, dtype=np.int64), values,
+            np.array([records[i].label for i in kept], dtype=np.int64))

@@ -282,7 +282,7 @@ class TestStreamedIngest:
         code, _, err = run(capsys, "ingest", f"--{'raw' if kind == 'raw' else 'cifar'}",
                            *args, "--out", str(out_dir / "d.dsr"))
         assert code == EXIT_VALIDATION
-        named = f"{source}: " if fault.endswith("shrunk") else ""  # the file that shrank
+        named = "" if fault == "raw-nan" else f"{source}: "  # the file at fault
         assert err == f"error: {named}{message}\n"
         assert list(out_dir.iterdir()) == []
 
@@ -549,7 +549,8 @@ class TestPipelineStages:
                              "--qds", str(tmp_path / "data.qds"), "--epochs", "1",
                              "--loss-csv", str(out_dir / "loss.csv"))
         assert code == EXIT_VALIDATION
-        assert (out, err) == ("", f"error: {message}\n")
+        named = f"{synth_file}: " if fault == "label-out-of-range" else ""  # the label file
+        assert (out, err) == ("", f"error: {named}{message}\n")
         assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
@@ -576,6 +577,35 @@ class TestPipelineStages:
                              "--loss-csv", str(out_dir / "loss.csv"))
         assert code == EXIT_VALIDATION
         assert (out, err) == ("", "error: sample values must be finite\n")
+        assert len(forks) == int(fork)
+        assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_compare_checks_every_stored_record_as_stats_does(self, tmp_path, capsys,
+                                                              synth_file, monkeypatch, forks,
+                                                              fork):
+        # a bad scale on a record of the test split, which no arm trains on
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        qds_path = tmp_path / "data.qds"
+        _, test_idx = trainer.stratified_split(dataset.DatasetRows(synth_file).labels, 42)
+        stored = qds.QdsRecords(qds_path)
+        record = test_idx[np.flatnonzero(stored.widths[test_idx])[0]]
+        data = bytearray(qds_path.read_bytes())
+        at = stored.offsets[record] + qds.PREFIX_BYTES
+        data[at:at + 4] = np.float32(-1.0).tobytes()
+        qds_path.write_bytes(bytes(data))
+        message = (f"{qds_path}: record {record}: scale -1.0 is out of range "
+                   f"for {stored.widths[record]}-bit codes")
+        code, out, err = run(capsys, "stats", "--qds", str(qds_path))
+        assert code == EXIT_VALIDATION and (out, err) == ("", f"error: {message}\n")
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
+                             "--qds", str(qds_path), "--epochs", "1",
+                             "--loss-csv", str(out_dir / "loss.csv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {message}\n")
         assert len(forks) == int(fork)
         assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
 

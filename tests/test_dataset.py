@@ -11,6 +11,7 @@ from reference import (
     every_row,
     raw_rows,
     read_rows,
+    reference_dequantized,
     reference_ingest_cifar,
     reference_read_dataset,
     synth_half_noise,
@@ -27,7 +28,7 @@ from dsquant.dataset import (
     synth_blobs,
     write_dataset_file,
 )
-from dsquant.qds import write_qds
+from dsquant.qds import QdsRecords, write_qds
 from dsquant.sensitivity import LogisticModel, score_dataset
 
 
@@ -340,9 +341,16 @@ def test_dataset_file_rejects_trailing_and_missing_bytes(tmp_path):
 
 
 def _source(root, kind, n):
-    """An n-row "cifar", "raw" or "dsr" file source written under root, or
-    a "synth" one: (the row source, its float32 values, its labels)."""
+    """An n-row "cifar", "raw", "dsr" or "qds" file source written under
+    root, or a "synth" one: (the row source, its float32 values, its
+    labels). The QDS file stores n of 2n records, every other one
+    dropped and the rest at widths 2, 5, 8 and 16 in turn."""
     rng = np.random.default_rng(n)
+    if kind == "qds":
+        values, labels = rng.standard_normal((2 * n, 16), dtype=np.float32), rng.integers(0, 5, 2 * n)
+        plan = AllocationPlan.from_assignments(np.tile([0, 2, 0, 5, 0, 8, 0, 16], n)[:2 * n])
+        write_qds(raw_rows(root, values, labels, SampleShape(2, 4, 2), 5), plan, root / "d.qds")
+        return QdsRecords(root / "d.qds"), *reference_dequantized(root / "d.qds")[1:]
     if kind == "cifar":
         records = rng.integers(0, 256, (n, 1 + 3072), dtype=np.uint8)
         records[:, 0] = rng.integers(0, 10, n)
@@ -369,7 +377,7 @@ class TestFileRowSources:
     stream. Its labels are complete when it is made, and no pass changes
     them."""
 
-    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "synth"])
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "qds", "synth"])
     def test_two_interleaved_passes_each_read_every_row(self, tmp_path, kind):
         source, values, labels = _source(tmp_path, kind, 50)
         slices = [slice(start, start + 8) for start in range(0, 50, 8)]
@@ -415,7 +423,7 @@ class TestFileRowSources:
         assert np.array_equal(source.labels, labels)
         assert len(forks) == 2
 
-    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "synth"])
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "qds", "synth"])
     def test_take_gathers_the_rows_of_every_source(self, tmp_path, monkeypatch, kind):
         source, values, _ = _source(tmp_path, kind, 50)
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * source.shape.element_count)
@@ -426,8 +434,16 @@ class TestFileRowSources:
         records = np.zeros((5, 1 + 3072), dtype=np.uint8)
         records[3, 0] = 10
         (tmp_path / "batch.bin").write_bytes(records.tobytes())
-        with pytest.raises(ValueError, match="^record 3: label 10 out of range for 10 classes$"):
+        message = f"{tmp_path / 'batch.bin'}: record 3: label 10 out of range for 10 classes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CifarRecords(tmp_path / "batch.bin", 10)
+
+    def test_a_bad_raw_label_names_the_label_file(self, tmp_path):
+        np.zeros((4, 2), "<f4").tofile(tmp_path / "v.f32le")
+        np.array([0, 2, 3, 9], "<u4").tofile(tmp_path / "l.u32le")
+        message = f"{tmp_path / 'l.u32le'}: record 2: label 3 out of range for 3 classes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RawRows(tmp_path / "v.f32le", tmp_path / "l.u32le", SampleShape(1, 1, 2), 3)
 
 
 class TestDatasetRows:
@@ -558,8 +574,9 @@ class TestDatasetRows:
         else:
             data[26:30] = bytes(4)
         path.write_bytes(bytes(data))
+        named = "" if fault == "nan-in-last-row" else f"{path}: "  # the label file
         for reader in READERS:
-            with pytest.raises(ValueError, match=message) as info:
+            with pytest.raises(ValueError, match=f"^{re.escape(named + message)}$") as info:
                 reader(path)
             assert "\n" not in str(info.value)
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import every_row, raw_rows, reference_pack
+from reference import every_row, raw_rows, reference_dequantized, reference_pack
 
 from dsquant import parallel, quantizer
 from dsquant._bitpack_py import payload_bytes
@@ -206,6 +206,23 @@ class TestReadQds:
             assert records[i].label == label
             assert records[i].bit_width == bits
 
+    def test_every_record_of_many_row_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 8 * 6)  # 8 rows of 6
+        bits = np.random.default_rng(5).choice([0, 2, 3, 8, 11, 16], 200)
+        dset = small_dataset(tmp_path, n=200, dim=6, seed=5)
+        path = tmp_path / "many.qds"
+        write_qds(dset, plan_of(bits), path)
+        records, header = read_qds(path)
+        assert header.sample_count == 200
+        for i, (values, b) in enumerate(zip(every_row(dset), bits.tolist())):
+            if b == 0:
+                assert records[i] is None
+                continue
+            codes, scales = quantize_rows(values[None], b)
+            np.testing.assert_array_equal(records[i].codes, codes[0])
+            assert records[i].scale.tobytes() == scales[0].tobytes()
+            assert (records[i].bit_width, records[i].label) == (b, dset.labels[i])
+
     def test_corrupted_magic(self, tmp_path):
         dset = small_dataset(tmp_path)
         path = tmp_path / "bad.qds"
@@ -262,12 +279,14 @@ class TestHostileInput:
         write_qds(small_dataset(tmp_path, n=len(bits), dim=6), plan_of(bits), path)
         return path, bytearray(path.read_bytes())
 
-    def test_label_out_of_range(self, tmp_path):
+    # record 1 is a tombstone, whose label is checked too
+    @pytest.mark.parametrize("record, at", [(0, 1), (1, 15 + 1)])
+    def test_label_out_of_range(self, tmp_path, record, at):
         path, data = self._written(tmp_path)
-        struct.pack_into("<I", data, HEADER_BYTES + 1, 99)
+        struct.pack_into("<I", data, HEADER_BYTES + at, 99)
         path.write_bytes(bytes(data))
         for reader in (read_qds, storage_report, materialize_training_set):
-            with pytest.raises(QdsFormatError, match="record 0: label 99"):
+            with pytest.raises(QdsFormatError, match=f"record {record}: label 99"):
                 reader(path)
 
     def test_huge_sample_count_fails_before_allocating(self, tmp_path):
@@ -432,14 +451,16 @@ class TestMaterialize:
         restored = materialize_training_set(path)[0].astype(np.float64)
         assert (np.abs(restored - values) <= scale / 2).all()
 
-    def test_dequantized_takes_rows_in_order_and_rejects_a_tombstone(self, tmp_path):
+    def test_the_rows_are_the_stored_records(self, tmp_path):
         path = tmp_path / "rows.qds"
-        write_qds(small_dataset(tmp_path, n=3), plan_of([8, 0, 4]), path)
+        write_qds(small_dataset(tmp_path, n=5), plan_of([8, 0, 4, 16, 0]), path)
         stored = QdsRecords(path)
-        np.testing.assert_array_equal(stored.dequantized([2, 0], np.float64),
-                                      materialize_training_set(path)[0][::-1])
-        with pytest.raises(ValueError, match="record 1 was dropped"):
-            stored.dequantized([0, 1], np.float64)
+        kept, values, labels = reference_dequantized(path)
+        assert stored.kept.tolist() == kept.tolist() == [0, 2, 3]
+        assert stored.widths.tolist() == [8, 0, 4, 16, 0]
+        np.testing.assert_array_equal(stored.labels, labels)
+        np.testing.assert_array_equal(stored.take(np.array([0, 2]), np.float64), values[[0, 2]])
+        np.testing.assert_array_equal(materialize_training_set(path)[0], values)
 
 
 class TestStorageReport:

@@ -6,7 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import every_row, raw_rows, reference_read_dataset, synth_half_noise
+from reference import (
+    every_row,
+    raw_rows,
+    reference_dequantized,
+    reference_read_dataset,
+    synth_half_noise,
+)
 
 from dsquant import parallel, quantizer, trainer
 from dsquant.allocator import AllocationConfig, AllocationPlan, allocate
@@ -16,7 +22,7 @@ from dsquant.dataset import (
     synth_blobs,
     write_dataset_file,
 )
-from dsquant.qds import QdsRecords, write_qds
+from dsquant.qds import write_qds
 from dsquant.sensitivity import LogisticModel, _softmax, score_dataset
 from dsquant.trainer import (
     EvalReport,
@@ -375,16 +381,16 @@ def _rows(tmp_path, data):
 
 def reference_compare(dataset_path, quantized_path, config):
     """compare as first written: one process, the baseline arm first,
-    a float32 dequantized training set, and the accuracy of whole float32
-    arrays throughout."""
+    a float32 training set of the stored records dequantized one at a
+    time, and the accuracy of whole float32 arrays throughout."""
     _, classes, values, labels = reference_read_dataset(dataset_path)
-    stored = QdsRecords(quantized_path)
+    kept, quantized, quantized_labels = reference_dequantized(quantized_path)
     train_idx, test_idx = stratified_split(labels, config.seed)
     test_set = values[test_idx], labels[test_idx]
     baseline = train(values[train_idx], labels[train_idx], classes, config)[0]
     baseline_acc = _accuracy(baseline, *test_set)
-    kept = train_idx[stored.widths[train_idx] > 0]
-    quant_train = stored.dequantized(kept, np.float32), stored.labels[kept]
+    stored_train = np.isin(kept, train_idx)
+    quant_train = quantized[stored_train], quantized_labels[stored_train]
     quant_model, curve = train(*quant_train, classes, config)
     quant_acc = _accuracy(quant_model, *test_set)
     return EvalReport(_accuracy(quant_model, *quant_train), quant_acc, curve,
