@@ -76,11 +76,9 @@ class SampleShape:
 
 
 def _check_finite(values: np.ndarray) -> None:
-    """Reject a non-finite value in the 2-D values, checked a row chunk
-    at a time, so the mask is at most one chunk's."""
-    for rows in row_chunks(*values.shape):
-        if not np.isfinite(values[rows]).all():
-            raise ValueError("sample values must be finite")
+    """Reject a non-finite value in values, a row chunk."""
+    if not np.isfinite(values).all():
+        raise ValueError("sample values must be finite")
 
 
 def check_labels(labels: np.ndarray, num_classes: int, path) -> None:
@@ -284,11 +282,15 @@ def write_atomically(path, writer) -> None:
 
 def write_indexed(path, values, spec: str, header: str = None) -> None:
     """One `index<TAB>value` line per entry, each value formatted with
-    spec (".9g" or "d"), after an optional header line."""
+    spec (".9g" or "d"), after an optional header line. The lines are one
+    % format over the interleaved index and value fields."""
+    values = np.asarray(values).tolist()
+    fields = [None] * (2 * len(values))
+    fields[::2], fields[1::2] = range(len(values)), values
     with open(path, "w") as fh:
         if header is not None:
             fh.write(f"{header}\n")
-        fh.writelines(f"{i}\t{v:{spec}}\n" for i, v in enumerate(np.asarray(values).tolist()))
+        fh.write((f"%d\t%{spec}\n" * len(values)) % tuple(fields))
 
 
 def read_table(path, columns, header_fields: int = 0):

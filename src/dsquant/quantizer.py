@@ -3,10 +3,9 @@
 A sample is quantized with a single positive scale s derived from its
 maximum absolute value m: s = (m + 1e-12) / Q, stepped down one float32
 where rounding puts s * Q past float32 max. Codes are signed integers in
-[-Q, Q] with Q = 2^(b-1) - 1, held as int16; reconstruction is s * code. Rounding is
-half-away-from-zero (one routine, _rounded, for the codes and for
-score's probe). Bit-width 0 means the sample is dropped; bit-width 1 is
-rejected (its code range would collapse to {0}).
+[-Q, Q] with Q = 2^(b-1) - 1, held as int16; reconstruction is s * code.
+Rounding is half-away-from-zero. Bit-width 0 means the sample is
+dropped; bit-width 1 is rejected (its code range would collapse to {0}).
 
 Packed layout (normative for the QDS container): each code c is written
 as the unsigned offset c + Q in exactly b bits, MSB-first within each
@@ -15,7 +14,11 @@ byte, zero-padded to a byte boundary. Offsets occupy [0, 2Q]; the value
 
 Everything works on rows: an (N, D) array of samples at one bit-width
 is quantized, packed, unpacked or dequantized as one array operation;
-the per-sample functions are the one-row case.
+the per-sample functions are the one-row case. Each step has one
+routine: quantize_rows, pack_code_rows, unpack_code_rows and
+dequantize_rows. The QDS writer and reader call them, and score's probe
+is dequantize_rows(*quantize_rows(...)), the writer's round trip less
+the packing.
 """
 
 from __future__ import annotations
@@ -97,35 +100,23 @@ def _rounded(scaled: np.ndarray, signs: np.ndarray, q: int) -> np.ndarray:
     return np.copysign(scaled, signs, out=scaled)
 
 
-def quantize_rows(values, bit_width: int):
-    """Quantize each row of an (N, D) array; returns (int16 codes, float32 scales)."""
+def quantize_rows(values, bit_width: int, out: np.ndarray = None):
+    """Quantize each row of an (N, D) array; returns (int16 codes, float32
+    scales). The rows are scaled in out, a float64 array of values' shape,
+    if given."""
     q = max_code(bit_width)
     values = np.asarray(values)
     scales = _scales(values, q)
-    scaled = values.astype(np.float64)
-    scaled /= scales.astype(np.float64)[:, None]
+    scaled = np.divide(values, scales.astype(np.float64)[:, None], out=out, dtype=np.float64)
     return _rounded(scaled, values, q).astype(np.int16), scales
 
 
-def dequantize_rows(codes, scales) -> np.ndarray:
-    """Reconstruct float32 rows as scale * code, in float32: |code| < 2^15
-    and a scale has 24 significant bits, so the exact product is rounded
-    once, bit for bit as the float64 product cast to float32."""
-    return np.asarray(codes, np.float32) * np.asarray(scales, np.float32)[:, None]
-
-
-def round_trip_rows(values: np.ndarray, x: np.ndarray, bit_width: int,
-                    out: np.ndarray = None) -> np.ndarray:
-    """dequantize_rows(*quantize_rows(values, bit_width)) without the
-    int16 codes, from x, values' float64 copy, which it only reads. The
-    two agree bit for bit except that a zero may keep the sign of the
-    value it came from (an integer code has no -0). The rows are scaled
-    in out, a float64 array of x's shape, if given."""
-    q = max_code(bit_width)
-    scales = _scales(values, q).astype(np.float64)[:, None]
-    scaled = _rounded(np.divide(x, scales, out=out), x, q)
-    scaled *= scales
-    return scaled.astype(np.float32)
+def dequantize_rows(codes, scales, out: np.ndarray = None) -> np.ndarray:
+    """Reconstruct rows as scale * code, in float32: |code| < 2^15 and a
+    scale has 24 significant bits, so the exact product is rounded once,
+    bit for bit as the float64 product cast to float32. out, if given,
+    receives the products (a float64 out receives them widened)."""
+    return np.multiply(codes, np.asarray(scales, np.float32)[:, None], out=out, dtype=np.float32)
 
 
 def pack_code_rows(codes, bit_width: int) -> np.ndarray:

@@ -14,8 +14,9 @@ insensitive (S = 0).
 score_dataset uses the closed form of LogisticModel's gradient
 g = [r (x) x, r], r = p - onehot(y): <g1, g2> = (r1.r2)(x1.x2 + 1) and
 ||g||^2 = ||r||^2 (||x||^2 + 1), so it never builds the C x D gradients.
-Its probe is quantizer.round_trip_rows, the quantize/dequantize round
-trip taken straight from the float64 rows the closed form needs anyway.
+Its probe is the QDS writer's round trip,
+dequantize_rows(*quantize_rows(...)), so the reconstructed sample is bit
+for bit, zero signs included, what a QDS file stores at the probe width.
 _softmax, in place, serves this pass and trainer's SGD step alike.
 
 The scoring pass is elementwise work plus two small GEMMs per row chunk
@@ -26,10 +27,11 @@ bit either way.
 Memory: each process reads its own row chunks through rows.chunks(), so
 from a DatasetRows it holds one chunk of float32 rows in one reused
 buffer. Beyond that and the model, each process holds its half of the
-scores and one chunk's temporaries: at most two float64 arrays and one
-float32 array of the chunk at once, 20 bytes per chunk element (20 MiB
-at quantizer.CHUNK_ELEMENTS, where the probe through int32 codes and
-dequantize_rows took 48 MiB). The two float64 arrays are buffers
+scores and one chunk's temporaries: two float64 arrays, x and x_tilde
+(the rows are scaled in x_tilde, and the products land back in it), and
+the int16 codes, with the float32 |values| that the scales take before
+the codes exist: at most 20 bytes per chunk element (20 MiB at
+quantizer.CHUNK_ELEMENTS). The two float64 arrays are buffers
 allocated once per process and reused by every chunk: allocated per
 chunk, glibc handed them back to the kernel and faulted them in again
 for each chunk (on a CIFAR-shaped batch, 105k minor faults in score
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import parallel
 from .dataset import read_indexed, write_indexed
-from .quantizer import round_trip_rows, row_chunks
+from .quantizer import dequantize_rows, quantize_rows, row_chunks
 
 NORM_FLOOR = 1e-12
 
@@ -128,8 +130,8 @@ def _chunk_scores(values, labels, model, probe_bit_width: int, buffers) -> np.nd
     two float64 arrays of at least its rows, overwritten with x, x_tilde."""
     x, x_tilde = (buffer[:len(values)] for buffer in buffers)
     np.copyto(x, values)
-    # scaled in x_tilde, rounded to float32, then widened back into it
-    np.copyto(x_tilde, round_trip_rows(values, x, probe_bit_width, x_tilde))
+    # scaled in x_tilde, then the float32 products widened back into it
+    dequantize_rows(*quantize_rows(values, probe_bit_width, x_tilde), x_tilde)
     picked = (np.arange(len(x)), labels)
     r, r_tilde = model.probabilities(x), model.probabilities(x_tilde)
     r[picked] -= 1.0  # r = p - onehot(y)

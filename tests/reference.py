@@ -1,6 +1,7 @@
 """Reference code shared by the tests: an independent bit encoder and
-decoder, the row quantizer as first written, the half-noise fixture of
-the acceptance gate, the hostile copies of valid stage files that the
+decoder, the row quantizer and score's probe as first written, rows of
+ties and signed zeros to test both on, the half-noise fixture of the
+acceptance gate, the hostile copies of valid stage files that the
 file property tests read, read_rows and take_rows, which read a dataset
 file by rows as compare and score do, every_row, which gathers every row
 of a row source, raw_rows, the one way the tests make a row source of
@@ -17,6 +18,7 @@ import tempfile
 
 import numpy as np
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsquant.dataset import DatasetRows, RawRows, SampleShape
 from dsquant.qds import read_qds
@@ -58,6 +60,46 @@ def reference_quantize_rows(values, bit_width: int):
     scaled = rows / scales.astype(np.float64)[:, None]
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     return np.clip(rounded, -q, q).astype(np.int32), scales
+
+
+def reference_round_trip_rows(values, bit_width: int) -> np.ndarray:
+    """score's probe as it was first written, with no integer codes: the
+    float64 rows divided by their scales, rounded half away from zero and
+    clipped, given the sign of the value each came from, times the scale
+    in float64 and cast to float32. It equals
+    dequantize_rows(*quantize_rows(values, bit_width)) except that a zero
+    keeps the sign of its value, which an integer code cannot carry."""
+    q = (1 << (bit_width - 1)) - 1
+    rows = np.asarray(values, dtype=np.float64)
+    scales = reference_quantize_rows(values, bit_width)[1].astype(np.float64)[:, None]
+    rounded = np.minimum(np.floor(np.abs(rows / scales) + 0.5), q)
+    return (np.copysign(rounded, rows) * scales).astype(np.float32)
+
+
+@st.composite
+def rows_with_ties(draw):
+    """(values, bit_width, tie): random float32 rows, a row of +-float32
+    max, an all-zero row, a row of negative values that round to code 0
+    ending in -0.0, and a row of exact .5 ties. The last two rows' max is
+    q * 2^e, so their scale is 2^e: each negative value, -f * 2^e with
+    f < 0.5, scales to -f, and every tie but the first, (k + 0.5) * 2^e,
+    scales to k + 0.5."""
+    bit_width = draw(st.integers(2, 16))
+    q = (1 << (bit_width - 1)) - 1
+    dim = draw(st.integers(2, 12))
+    random = draw(arrays(np.float32, st.tuples(st.integers(0, 4), st.just(dim)),
+                         elements=st.floats(-1e6, 1e6, width=32)))
+    step = 2.0 ** draw(st.integers(-12, 12))
+    below = [q] + [-f for f in draw(st.lists(st.floats(0, 0.49), min_size=dim - 2,
+                                              max_size=dim - 2))] + [-0.0]
+    halves = [q] + [k + 0.5 for k in draw(st.lists(st.integers(0, q - 1),
+                                                   min_size=dim - 1, max_size=dim - 1))]
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+    tie = np.array(halves) * signs * step
+    largest = np.finfo(np.float32).max * np.array(signs)
+    values = np.vstack([random, largest, np.zeros((1, dim)), np.array(below) * step,
+                        tie]).astype(np.float32)
+    return values, bit_width, tie
 
 
 def synth_half_noise(num_classes: int, dim: int, per_class: int,

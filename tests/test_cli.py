@@ -766,7 +766,7 @@ class TestPipelineStages:
             signal.raise_signal(signum)
 
         self._fork_score(monkeypatch, lambda *args: time.sleep(60))  # still scoring
-        monkeypatch.setattr(sensitivity, "round_trip_rows", stop_parent)  # the parent's half
+        monkeypatch.setattr(sensitivity, "quantize_rows", stop_parent)  # the parent's half
         sigint_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         out_dir = tmp_path / "out"
         out_dir.mkdir()

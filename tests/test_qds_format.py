@@ -168,7 +168,7 @@ class TestForkedWriter:
         assert len(forks) == 1
 
     def test_holds_one_row_chunk_of_values(self, tmp_path, monkeypatch):
-        # quantize_rows takes float64 and int32 copies of a chunk (12 MB
+        # quantize_rows takes float64 and int16 copies of a chunk (10 MB
         # at the default chunk here), so the chunk is shrunk to show the
         # peak follows it and not the 2000 rows of values
         monkeypatch.setattr(quantizer, "CHUNK_ELEMENTS", 1 << 16)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-from reference import reference_pack, reference_quantize_rows, reference_unpack
+from reference import reference_pack, reference_quantize_rows, reference_unpack, rows_with_ties
 
 from dsquant import _bitpack_py
 from dsquant.quantizer import (
@@ -18,7 +17,6 @@ from dsquant.quantizer import (
     pack_codes,
     quantize_rows,
     quantize_sample,
-    round_trip_rows,
     unpack_code_rows,
     unpack_codes,
 )
@@ -159,28 +157,9 @@ class TestQuantizeDequantize:
         assert a.scale == b.scale
 
 
-@st.composite
-def rows_with_ties(draw):
-    """(values, bit_width, tie): random float32 rows, a row of +-float32
-    max, an all-zero row and a row of exact .5 ties. The tie row's max is
-    q * 2^e, so its scale is 2^e and every other element (k + 0.5) * 2^e
-    scales to k + 0.5."""
-    bit_width = draw(st.integers(2, 16))
-    q = max_code(bit_width)
-    dim = draw(st.integers(2, 12))
-    random = draw(arrays(np.float32, st.tuples(st.integers(0, 4), st.just(dim)),
-                         elements=st.floats(-1e6, 1e6, width=32)))
-    halves = [q] + [k + 0.5 for k in draw(st.lists(st.integers(0, q - 1),
-                                                   min_size=dim - 1, max_size=dim - 1))]
-    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
-    tie = np.array(halves) * signs * 2.0 ** draw(st.integers(-12, 12))
-    largest = np.finfo(np.float32).max * np.array(signs)
-    values = np.vstack([random, largest, np.zeros((1, dim)), tie]).astype(np.float32)
-    return values, bit_width, tie
-
-
 class TestRoundingRoutine:
-    """quantize_rows and score's probe share one rounding routine."""
+    """quantize_rows rounds as the reference does, and score's probe is
+    quantize_rows and dequantize_rows through their out= buffers."""
 
     @given(rows_with_ties())
     @settings(max_examples=200, deadline=None)
@@ -197,27 +176,40 @@ class TestRoundingRoutine:
 
     @given(rows_with_ties())
     @settings(max_examples=200, deadline=None)
-    def test_probe_equals_the_quantize_dequantize_round_trip(self, case):
+    def test_probe_through_out_is_the_round_trip_widened(self, case):
         values, bit_width, _ = case
-        x = values.astype(np.float64)
-        probed = round_trip_rows(values, x, bit_width)
+        x_tilde = np.full(values.shape, np.nan)
+        probed = dequantize_rows(*quantize_rows(values, bit_width, x_tilde), x_tilde)
         expected = dequantize_rows(*quantize_rows(values, bit_width))
-        assert probed.dtype == np.float32 and np.array_equal(x, values)
-        # array_equal holds -0.0 == 0.0; the sign of a zero is the one
-        # difference allowed, since the int32 codes cannot carry it
-        assert np.array_equal(probed, expected)
-        nonzero = expected != 0
-        assert np.array_equal(np.signbit(probed)[nonzero], np.signbit(expected)[nonzero])
+        assert probed is x_tilde and expected.dtype == np.float32
+        # bit for bit, so zero signs included
+        assert probed.tobytes() == expected.astype(np.float64).tobytes()
 
     @given(rows_with_ties())
     @settings(max_examples=50, deadline=None)
-    def test_probe_scaled_in_a_given_buffer_is_the_same(self, case):
+    def test_quantize_rows_scales_into_the_given_buffer(self, case):
         values, bit_width, _ = case
-        x = values.astype(np.float64)
-        out = np.full_like(x, np.nan)
-        probed = round_trip_rows(values, x, bit_width, out)
-        assert probed.tobytes() == round_trip_rows(values, x, bit_width).tobytes()
-        assert np.array_equal(out.astype(np.float32), probed)  # out is used, not a copy
+        out = np.full(values.shape, np.nan)
+        codes, scales = quantize_rows(values, bit_width, out)
+        expected_codes, expected_scales = quantize_rows(values, bit_width)
+        assert codes.dtype == expected_codes.dtype == np.int16
+        assert scales.dtype == expected_scales.dtype == np.float32
+        assert np.array_equal(codes, expected_codes) and np.array_equal(scales, expected_scales)
+        assert np.array_equal(out, codes)  # rounded in out itself, not in a copy
+
+    @pytest.mark.parametrize("bit_width", range(2, 17))
+    def test_dequantize_into_float64_is_the_float32_product_widened(self, bit_width):
+        q = max_code(bit_width)
+        # the scales of rows whose max is float32 max, 1, 1e-30 and 0
+        _, scales = quantize_rows(np.array([[F32_MAX], [1.0], [1e-30], [0.0]]), bit_width)
+        codes = np.tile(np.array([-q, q, -q, 0, q], np.int16), (scales.size, 1))
+        out = np.full(codes.shape, np.nan)
+        assert dequantize_rows(codes, scales, out) is out
+        expected = dequantize_rows(codes, scales)
+        assert expected.dtype == np.float32 and np.isfinite(expected).all()
+        assert out.tobytes() == expected.astype(np.float64).tobytes()
+        product = scales.astype(np.float64)[:, None] * codes.astype(np.float64)
+        assert expected.tobytes() == product.astype(np.float32).tobytes()
 
 
 class TestPacking:

@@ -3,7 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import every_row, raw_rows, reference_read_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    every_row,
+    raw_rows,
+    reference_read_dataset,
+    reference_round_trip_rows,
+    rows_with_ties,
+)
 
 from dsquant import parallel, quantizer, sensitivity
 from dsquant.dataset import DatasetRows, SampleShape, synth_blobs, write_dataset_file
@@ -110,6 +118,30 @@ class TestScoreDataset:
         dset = synth_blobs(2, 8, 5, 0.5, seed=6)
         scores = score_dataset(dset, random_model(2, 8), 4)
         assert scores.shape == (10,)
+
+
+class TestProbe:
+    """score's probe is the QDS writer's round trip, whose zeros are +0.0;
+    the probe first written kept the sign of the value a zero came from."""
+
+    @given(rows_with_ties(), st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_scores_equal_those_of_the_reference_probe(self, case, num_classes, seed):
+        values, bit_width, _ = case
+        labels = np.random.default_rng(seed).integers(0, num_classes, len(values))
+        model = random_model(num_classes, values.shape[1], seed)
+        buffers = [np.empty(values.shape) for _ in range(2)]
+        scores = sensitivity._chunk_scores(values, labels, model, bit_width, buffers)
+        probed = buffers[1].copy()
+        with pytest.MonkeyPatch.context() as patch:  # x_tilde is the reference probe
+            patch.setattr(sensitivity, "quantize_rows", lambda *args: args[:2])
+            patch.setattr(sensitivity, "dequantize_rows", lambda values, bits, out: np.copyto(
+                out, reference_round_trip_rows(values, bits)))
+            reference = sensitivity._chunk_scores(values, labels, model, bit_width, buffers)
+        assert scores.tobytes() == reference.tobytes()
+        # the probes differ, and only in the sign of a zero
+        assert np.array_equal(probed, buffers[1])
+        assert (np.signbit(probed) != np.signbit(buffers[1])).any()
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from dsquant.allocator import (
     write_plan,
 )
 from dsquant.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from dsquant.dataset import synth_blobs, write_dataset_file
+from dsquant.dataset import synth_blobs, write_dataset_file, write_indexed
 from dsquant.sensitivity import read_scores, write_scores
 
 
@@ -79,6 +79,22 @@ def test_files_and_arrays_match_reference_code(tmp_path, n):
     again = read_plan(theirs)
     assert np.array_equal(again.assignments, reference_read_plan(theirs))
     assert again.b_avg == plan.b_avg
+
+
+@pytest.mark.parametrize("header", [None, "3 4 0.875"], ids=["no-header", "header"])
+@pytest.mark.parametrize("spec, values", [
+    (".9g", [-0.0, 5e-324, 1e16, 1.5e-7, 123456789.5, 0.0, -1.999999999, 2.0, 1e-300,
+             float("inf"), -float("inf"), float("nan")]),
+    (".9g", []),
+    ("d", [0, 16, -1, 2, 1 << 40]),
+], ids=["floats", "empty", "ints"])
+def test_write_indexed_matches_the_per_line_format(tmp_path, spec, values, header):
+    path = tmp_path / "f"
+    array = np.array(values, dtype=np.float64 if spec == ".9g" else np.int64)
+    write_indexed(path, array, spec, header)
+    lines = [] if header is None else [f"{header}\n"]
+    lines += [f"{i}\t{v:{spec}}\n" for i, v in enumerate(array.tolist())]
+    assert path.read_bytes() == "".join(lines).encode()
 
 
 def test_empty_lines_are_skipped(tmp_path):
