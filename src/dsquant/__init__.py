@@ -6,7 +6,6 @@ from .allocator import (
     AllocationPlan,
     allocate,
     compression_ratio,
-    split_by_score,
 )
 from .dataset import (
     SampleShape,

@@ -1,9 +1,10 @@
 """Turn sensitivity scores into per-sample bit-width assignments.
 
-One rule: sort the surviving samples by descending score, split them
-into groups by largest-remainder shares of the group fractions, and give
-group g bit level g. One level is uniform quantization; two or more are
-adaptive, highest scores getting the most bits.
+One rule, one assignment: sort the surviving samples by descending
+score (ties by ascending index) and give them the bit levels in that
+order, level g repeated for its largest-remainder share of the group
+fractions. One level is uniform quantization; two or more are adaptive,
+highest scores getting the most bits.
 
 A random prune step (seeded) may drop a fraction of samples to 0 bits
 before allocation, or else (never both) an explicit keep-list pins the
@@ -96,26 +97,6 @@ def largest_remainder_sizes(fractions, total: int) -> list:
     return sizes
 
 
-def split_by_score(scores, fractions, indices) -> list:
-    """Partition the sample indices into score-ordered groups.
-
-    Samples sort by descending score, ties by ascending index; group g
-    takes the next largest-remainder share. Highest-score group first.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        raise ValueError("empty score list")
-    # lexsort: primary key -score, secondary key index
-    order = indices[np.lexsort((indices, -scores[indices]))]
-    sizes = largest_remainder_sizes(fractions, indices.size)
-    groups, start = [], 0
-    for size in sizes:
-        groups.append(order[start:start + size])
-        start += size
-    return groups
-
-
 def compression_ratio(b_avg: float) -> float:
     """Nominal payload saving vs 32-bit storage: 1 - b_avg/32."""
     if not 0.0 <= b_avg <= ORIGINAL_BITS:
@@ -147,11 +128,11 @@ def allocate(scores, config: AllocationConfig, seed: int = 0,
     else:
         survivors = np.arange(n, dtype=np.int64)
 
+    # lexsort: primary key -score, secondary key index
+    order = survivors[np.lexsort((survivors, -scores[survivors]))]
     assignments = np.zeros(n, dtype=np.int32)
-    if survivors.size:
-        groups = split_by_score(scores, config.group_fractions, survivors)
-        for group, bits in zip(groups, config.bit_levels):
-            assignments[group] = bits
+    assignments[order] = np.repeat(
+        config.bit_levels, largest_remainder_sizes(config.group_fractions, order.size))
     return AllocationPlan.from_assignments(assignments)
 
 

@@ -56,7 +56,9 @@ def _cmd_ingest(args) -> dict:
             raise ValueError("--synth takes CLASSES,DIM,COUNT,SPREAD")
         classes, dim, total = int(parts[0]), int(parts[1]), int(parts[2])
         spread = float(parts[3])
-        if classes < 2 or total % classes:
+        if classes < 2:
+            raise ValueError("--synth needs at least 2 classes")
+        if total % classes:
             raise ValueError("--synth sample count must divide evenly by classes")
         source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
     ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(source, tmp))

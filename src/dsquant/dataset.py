@@ -15,10 +15,12 @@ The single-file stage container written by the CLI (``DSR1``) is a thin
 header over the same raw layout. Every stage takes its samples from a
 row source (_RowSource): shape, num_classes, labels, chunks(slices) and
 take(). Its labels are complete and checked (check_labels) when it is
-made. chunks() yields the float32 values a row chunk at a time, checked
-finite, and keeps no state: each call starts afresh, so two passes, such
-as the two processes of parallel.halves, never share a file offset or a
-random stream. take() gathers strictly ascending rows in one pass
+made. chunks() yields the float32 values a row chunk at a time, all
+finite (RawRows and DatasetRows check theirs and name the file and
+record of the first bad row; the others make finite values), and keeps
+no state: each call starts afresh, so two passes, such as the two
+processes of parallel.halves, never share a file offset or a random
+stream. take() gathers strictly ascending rows in one pass
 (compare's two splits, and every row for score's fit). CifarRecords,
 RawRows and DatasetRows read fixed-width records from files and differ
 only in where the values and labels sit, the record dtype and width, the
@@ -75,12 +77,6 @@ class SampleShape:
         return f"{self.height}x{self.width}x{self.channels}"
 
 
-def _check_finite(values: np.ndarray) -> None:
-    """Reject a non-finite value in values, a row chunk."""
-    if not np.isfinite(values).all():
-        raise ValueError("sample values must be finite")
-
-
 def check_labels(labels: np.ndarray, num_classes: int, path) -> None:
     """Reject a label outside [0, num_classes) of the file at path, whose
     record i has labels[i]; the error starts with path."""
@@ -108,6 +104,17 @@ def _read_rows(path, at, n, width, dtype, truncated, slices):
             if fh.readinto(table) != table.nbytes:
                 raise ValueError(truncated)
             yield rows, table
+
+
+def _read_values(path, at, n, width, truncated, slices):
+    """_read_rows of float32 value rows, each checked finite: the first
+    row that is not is a ValueError naming path and its record."""
+    for rows, table in _read_rows(path, at, n, width, "<f4", truncated, slices):
+        if not np.isfinite(table).all():
+            bad = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
+            raise ValueError(f"{path}: record {rows.start + bad}: "
+                             "sample values must be finite")
+        yield rows, table
 
 
 def _file_size(path) -> int:
@@ -142,10 +149,8 @@ class _RowSource:
         self._tables = tables
 
     def _values(self, tables):
-        """(rows, values) for each (rows, float32 values) of tables, checked finite."""
-        for rows, values in tables:
-            _check_finite(values)
-            yield rows, values
+        """(rows, values) for each (rows, float32 values) of tables."""
+        return tables
 
     def chunks(self, slices=None):
         """Yield (rows, values) for each of slices, consecutive row_chunks
@@ -218,7 +223,7 @@ class RawRows(_RowSource):
         labels = _read_labels((labels_path, 0, n, 1, "<u4", f"{labels_path}: truncated "
                                "label stream: the file shrank while read"), num_classes)
         super().__init__(shape, num_classes, labels, functools.partial(
-            _read_rows, values_path, 0, n, shape.element_count, "<f4",
+            _read_values, values_path, 0, n, shape.element_count,
             f"{values_path}: truncated value stream: the file shrank while read"))
 
 
@@ -269,15 +274,15 @@ def synth_blobs(num_classes: int, dim: int, per_class: int,
 
 def write_atomically(path, writer) -> None:
     """Run writer against a temp path, then rename it into place; the
-    temp file is removed if the writer fails."""
+    temp file is removed if the writer or the rename fails."""
     tmp = f"{path}.tmp"
     try:
         writer(tmp)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def write_indexed(path, values, spec: str, header: str = None) -> None:
@@ -379,4 +384,4 @@ class DatasetRows(_RowSource):
         truncated = f"{path}: truncated dataset body"
         labels = _read_labels((path, at + n * dim * 4, n, 1, "<u4", truncated), num_classes)
         super().__init__(shape, num_classes, labels,
-                         functools.partial(_read_rows, path, at, n, dim, "<f4", truncated))
+                         functools.partial(_read_values, path, at, n, dim, truncated))

@@ -9,15 +9,26 @@ from dsquant.allocator import (
     largest_remainder_sizes,
     read_keep_list,
     read_plan,
-    split_by_score,
     write_plan,
 )
+
+
+def reference_split_by_score(scores, fractions, indices):
+    """The grouping allocate's one assignment replaced: indices sorted by
+    descending score, ties by ascending index, sliced into consecutive
+    largest-remainder shares, highest-score group first."""
+    order = indices[np.lexsort((indices, -scores[indices]))]
+    groups, start = [], 0
+    for size in largest_remainder_sizes(fractions, indices.size):
+        groups.append(order[start:start + size])
+        start += size
+    return groups
 
 
 def reference_allocate(scores, strategy, config, seed=0, keep_indices=None):
     """The three-strategy allocate this module replaced, as an oracle:
     "fixed_uniform" gave every survivor bit_levels[0], the adaptive
-    strategies split by score."""
+    strategies gave group g of the score split bit level g."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     if keep_indices is not None:
@@ -36,7 +47,7 @@ def reference_allocate(scores, strategy, config, seed=0, keep_indices=None):
         if strategy == "fixed_uniform":
             assignments[survivors] = config.bit_levels[0]
         else:
-            groups = split_by_score(scores, config.group_fractions, survivors)
+            groups = reference_split_by_score(scores, config.group_fractions, survivors)
             for group, bits in zip(groups, config.bit_levels):
                 assignments[group] = bits
     return assignments, int(assignments.sum()) / n
@@ -75,31 +86,37 @@ def test_one_rule_matches_the_strategy_allocator(levels, strategies):
             assert plan.b_avg == b_avg
 
 
-class TestSplitByScore:
+class TestScoreOrder:
+    """allocate's score order, read off the plan: group g holds the
+    samples at bit level g."""
+
     def test_two_group_example(self):
-        groups = split_by_score([0.9, 0.1, 0.5, 0.5], [0.5, 0.5], np.arange(4))
-        assert sorted(groups[0].tolist()) == [0, 2]
-        assert groups[1].tolist() == [3, 1]
+        plan = allocate([0.9, 0.1, 0.5, 0.5], AllocationConfig((8, 4)))
+        assert np.flatnonzero(plan.assignments == 8).tolist() == [0, 2]
+        assert np.flatnonzero(plan.assignments == 4).tolist() == [1, 3]
 
     def test_single_group_gets_everything(self):
-        groups = split_by_score([0.3, 0.1, 0.2], [1.0], np.arange(3))
-        assert sorted(groups[0].tolist()) == [0, 1, 2]
+        plan = allocate([0.3, 0.1, 0.2], AllocationConfig((8,)))
+        assert plan.assignments.tolist() == [8, 8, 8]
 
     def test_all_equal_scores_split_by_index(self):
-        groups = split_by_score(np.zeros(6), [0.5, 0.5], np.arange(6))
-        assert groups[0].tolist() == [0, 1, 2]
-        assert groups[1].tolist() == [3, 4, 5]
+        plan = allocate(np.zeros(6), AllocationConfig((8, 4)))
+        assert plan.assignments.tolist() == [8, 8, 8, 4, 4, 4]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            split_by_score([], [1.0], [])
+        with pytest.raises(ValueError, match="^empty score list$"):
+            allocate([], AllocationConfig((8,)))
 
     def test_groups_partition_indices(self):
         rng = np.random.default_rng(5)
         scores = rng.random(97)
-        groups = split_by_score(scores, [0.2, 0.3, 0.5], np.arange(97))
+        plan = allocate(scores, AllocationConfig((8, 4, 2), (0.2, 0.3, 0.5)))
+        groups = [np.flatnonzero(plan.assignments == bits) for bits in (8, 4, 2)]
+        assert [g.size for g in groups] == largest_remainder_sizes([0.2, 0.3, 0.5], 97)
         merged = np.sort(np.concatenate(groups))
         np.testing.assert_array_equal(merged, np.arange(97))
+        for higher, lower in zip(groups, groups[1:]):
+            assert scores[higher].min() > scores[lower].max()
 
 
 def test_largest_remainder_sizes():

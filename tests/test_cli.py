@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import signal
 import subprocess
@@ -97,7 +98,11 @@ class TestIngest:
         (["--raw", "v.f32le", "l.u32le"], "--raw requires --shape HxWxC"),
         (["--raw", "v.f32le", "l.u32le", "--shape", "4x4"], "shape must be HxWxC, got '4x4'"),
         (["--synth", "3,16,300"], "--synth takes CLASSES,DIM,COUNT,SPREAD"),
-    ], ids=["no-shape", "bad-shape", "synth-fields"])
+        (["--synth", "1,4,10,1"], "--synth needs at least 2 classes"),
+        (["--synth", "0,4,10,1"], "--synth needs at least 2 classes"),
+        (["--synth", "3,16,301,0.5"], "--synth sample count must divide evenly by classes"),
+    ], ids=["no-shape", "bad-shape", "synth-fields", "synth-one-class", "synth-no-class",
+            "synth-uneven"])
     def test_a_malformed_source_argument_is_one_line(self, tmp_path, capsys, source,
                                                      message):
         code, out, err = run(capsys, "ingest", *source, "--out", str(tmp_path / "d.bin"))
@@ -251,7 +256,7 @@ class TestStreamedIngest:
 
     @pytest.mark.parametrize("fault, message", [
         ("cifar-label", "record 9: label 10 out of range for 10 classes"),
-        ("raw-nan", "sample values must be finite"),
+        ("raw-nan", "record 11: sample values must be finite"),
         ("cifar-shrunk", "truncated CIFAR stream: the file shrank while read"),
         ("raw-shrunk", "truncated value stream: the file shrank while read"),
     ])
@@ -282,8 +287,7 @@ class TestStreamedIngest:
         code, _, err = run(capsys, "ingest", f"--{'raw' if kind == 'raw' else 'cifar'}",
                            *args, "--out", str(out_dir / "d.dsr"))
         assert code == EXIT_VALIDATION
-        named = "" if fault == "raw-nan" else f"{source}: "  # the file at fault
-        assert err == f"error: {named}{message}\n"
+        assert err == f"error: {source}: {message}\n"  # the file at fault
         assert list(out_dir.iterdir()) == []
 
 
@@ -435,6 +439,30 @@ class TestPipelineStages:
         assert err == "error: disk full\n"  # the stage called the patched writer
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("stage", ["ingest", "score", "allocate", "quantize", "compare"])
+    def test_an_output_path_that_is_a_directory_leaves_no_temp_file(self, tmp_path, capsys,
+                                                                     synth_file, stage):
+        # the writer succeeds and the rename onto the directory fails
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept").write_text("kept")
+        args = {
+            "ingest": ["--synth", "3,16,300,0.5", "--out"],
+            "score": ["--dataset", str(synth_file), "--out"],
+            "allocate": ["--scores", str(tmp_path / "scores.tsv"), "--bits", "8,4", "--out"],
+            "quantize": ["--dataset", str(synth_file), "--plan", str(tmp_path / "plan.tsv"),
+                         "--out"],
+            "compare": ["--dataset", str(synth_file), "--qds", str(tmp_path / "data.qds"),
+                        "--epochs", "1", "--loss-csv"],
+        }[stage]
+        code, out, err = run(capsys, stage, *args, str(target))
+        assert code == EXIT_IO
+        assert (out, err) == ("", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                  f"'{target}.tmp' -> '{target}'\n")
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert [(p.name, p.read_text()) for p in target.iterdir()] == [("kept", "kept")]
+
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
     def test_interrupted_writer_leaves_no_temp_file(self, tmp_path, capsys, synth_file,
                                                     monkeypatch, signum):
@@ -529,7 +557,7 @@ class TestPipelineStages:
         assert "record 0: quantized file has label 2, dataset has 0" in err
 
     @pytest.mark.parametrize("fault, message", [
-        ("nan-in-last-row", "sample values must be finite"),
+        ("nan-in-last-row", "record 299: sample values must be finite"),
         ("label-out-of-range", "record 299: label 3 out of range for 3 classes"),
     ])
     def test_compare_rejects_a_fault_in_the_last_record(self, tmp_path, capsys, synth_file,
@@ -549,8 +577,7 @@ class TestPipelineStages:
                              "--qds", str(tmp_path / "data.qds"), "--epochs", "1",
                              "--loss-csv", str(out_dir / "loss.csv"))
         assert code == EXIT_VALIDATION
-        named = f"{synth_file}: " if fault == "label-out-of-range" else ""  # the label file
-        assert (out, err) == ("", f"error: {named}{message}\n")
+        assert (out, err) == ("", f"error: {synth_file}: {message}\n")
         assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
@@ -576,7 +603,8 @@ class TestPipelineStages:
                              "--qds", str(tmp_path / "data.qds"), "--epochs", "1",
                              "--loss-csv", str(out_dir / "loss.csv"))
         assert code == EXIT_VALIDATION
-        assert (out, err) == ("", "error: sample values must be finite\n")
+        assert (out, err) == ("", f"error: {synth_file}: record {row}: "
+                                  "sample values must be finite\n")
         assert len(forks) == int(fork)
         assert list(out_dir.iterdir()) == [] and not list(tmp_path.rglob("*.tmp"))
 
@@ -813,7 +841,8 @@ class TestPipelineStages:
         synth_file.write_bytes(bytes(data))
         code, out, err = run(capsys, *argv)
         assert code == EXIT_VALIDATION
-        assert (out, err) == ("", "error: sample values must be finite\n")
+        assert (out, err) == ("", f"error: {synth_file}: record {row}: "
+                                  "sample values must be finite\n")
         assert len(forks) == 1 and list((tmp_path / "out").iterdir()) == []
 
     def test_quantize_reports_an_error_in_the_child(self, tmp_path, capsys, synth_file,

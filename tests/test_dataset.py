@@ -268,7 +268,9 @@ class TestDatasetFiniteCheck:
         values = np.ones((2000, 16), dtype=np.float32)
         values[row, 15] = np.inf
         source = raw_rows(tmp_path, values, np.zeros(2000), SampleShape(1, 1, 16), 2)
-        with pytest.raises(ValueError, match="^sample values must be finite$"):
+        values_path = re.escape(str(next(tmp_path.glob("*/v.f32le"))))
+        with pytest.raises(ValueError,
+                           match=f"^{values_path}: record {row}: sample values must be finite$"):
             list(source.chunks())
 
 
@@ -520,7 +522,8 @@ class TestDatasetRows:
         at = 30 + (row * 8 + 3) * 4  # value 3 of the row, after the 30-byte header
         data[at:at + 4] = np.float32(np.inf).tobytes()
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="^sample values must be finite$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record {row}: "
+                                             "sample values must be finite$"):
             DatasetRows(path).take(np.delete(np.arange(30), row), dtype)
 
     @pytest.mark.parametrize("reader", READERS)
@@ -556,7 +559,7 @@ class TestDatasetRows:
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("fault, message", [
-        ("nan-in-last-row", "sample values must be finite"),
+        ("nan-in-last-row", "record 29: sample values must be finite"),
         ("label-out-of-range", "record 29: label 3 out of range for 3 classes"),
         ("no-classes", "num_classes must be positive"),
     ])
@@ -574,9 +577,8 @@ class TestDatasetRows:
         else:
             data[26:30] = bytes(4)
         path.write_bytes(bytes(data))
-        named = "" if fault == "nan-in-last-row" else f"{path}: "  # the label file
         for reader in READERS:
-            with pytest.raises(ValueError, match=f"^{re.escape(named + message)}$") as info:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$") as info:
                 reader(path)
             assert "\n" not in str(info.value)
 
