@@ -9,12 +9,9 @@ signal number on SIGINT or SIGTERM. Each stage returns its fields and
 main alone prints them: aligned `key  value` columns, or key=value lines
 under --porcelain.
 
-ingest streams a --cifar, --raw or --synth source into the dataset file
-a row chunk at a time. quantize and score's scoring pass read the
-dataset file a row chunk at a time (dataset.DatasetRows); compare and
-score's fit gather the rows they train on. score, quantize and compare
-may fork a child for half their work (dsquant.parallel), which is
-killed and reaped if the stage fails or is interrupted.
+Every stage reads its samples through a row source (dsquant.dataset).
+score, quantize and compare may fork a child (dsquant.parallel), which
+is killed and reaped if the stage fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -35,12 +32,20 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 
 
+def _number(flag: str, field: str, text: str, kind=int):
+    """text, the field of flag's argument, as kind (int or float)."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag}: {field} must be {noun}, got {text!r}") from None
+
+
 def _parse_shape(text: str) -> ds.SampleShape:
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise ValueError(f"shape must be HxWxC, got {text!r}")
-    h, w, c = (int(p) for p in parts)
-    return ds.SampleShape(h, w, c)
+    return ds.SampleShape(*(_number("--shape", f, p) for f, p in zip("HWC", parts)))
 
 
 def _cmd_ingest(args) -> dict:
@@ -54,8 +59,8 @@ def _cmd_ingest(args) -> dict:
         parts = args.synth.split(",")
         if len(parts) != 4:
             raise ValueError("--synth takes CLASSES,DIM,COUNT,SPREAD")
-        classes, dim, total = int(parts[0]), int(parts[1]), int(parts[2])
-        spread = float(parts[3])
+        classes, dim, total, spread = (_number("--synth", *field) for field in zip(
+            ("CLASSES", "DIM", "COUNT", "SPREAD"), parts, (int, int, int, float)))
         if classes < 2:
             raise ValueError("--synth needs at least 2 classes")
         if total % classes:
@@ -79,10 +84,11 @@ def _cmd_score(args) -> dict:
 
 def _cmd_allocate(args) -> dict:
     scores = sensitivity.read_scores(args.scores)
-    # AllocationConfig parses and checks the levels and fractions
+    # AllocationConfig checks the levels and fractions
     config = allocator.AllocationConfig(
-        bit_levels=args.bits.split(","),
-        group_fractions=args.fractions.split(",") if args.fractions else None,
+        bit_levels=[_number("--bits", "level", b) for b in args.bits.split(",")],
+        group_fractions=[_number("--fractions", "fraction", f, float)
+                         for f in args.fractions.split(",")] if args.fractions else None,
         prune_ratio=args.prune_ratio,
     )
     keep = allocator.read_keep_list(args.keep_list) if args.keep_list else None

@@ -13,24 +13,24 @@ External formats:
 
 The single-file stage container written by the CLI (``DSR1``) is a thin
 header over the same raw layout. Every stage takes its samples from a
-row source (_RowSource): shape, num_classes, labels, chunks(slices) and
-take(). Its labels are complete and checked (check_labels) when it is
-made. chunks() yields the float32 values a row chunk at a time, all
-finite (RawRows and DatasetRows check theirs and name the file and
-record of the first bad row; the others make finite values), and keeps
-no state: each call starts afresh, so two passes, such as the two
-processes of parallel.halves, never share a file offset or a random
-stream. take() gathers strictly ascending rows in one pass
-(compare's two splits, and every row for score's fit). CifarRecords,
-RawRows and DatasetRows read fixed-width records from files and differ
-only in where the values and labels sit, the record dtype and width, the
-message for a file that shrank and CIFAR's pixel-to-float32 conversion.
-Opening one checks its size (_file_size, which refuses a pipe) and reads
-every label. synth_blobs (--synth) generates its rows a chunk at a time
-instead of reading them, and qds.QdsRecords decodes them from a QDS
-file. write_dataset_file, the one writer, writes any row source a chunk
-at a time. The text stage files (scores, plans, keep-lists) share one
-codec: write_indexed, read_indexed and read_table.
+row source (_RowSource): its labels, complete and checked (check_labels)
+when it is made, plus one chunk function, which chunks(slices) and
+take() (compare's two splits, and every row for score's fit) read
+through. A chunk function yields (rows, float32 values) a row chunk at a
+time in chunk_buffer views, all finite (RawRows and DatasetRows check
+theirs and name the file and record of the first bad row; the others
+make finite values), and keeps no state: each call starts afresh, so two
+passes, such as the two processes of parallel.halves, never share a file
+offset or a random stream. CifarRecords, RawRows and DatasetRows read
+fixed-width records (_read_rows) and differ only in where the values and
+labels sit, the record dtype and width, the message for a file that
+shrank and CIFAR's chunk function, which converts its pixels. Opening
+one checks its size (_file_size, which refuses a pipe) and reads every
+label. synth_blobs (--synth) generates its rows instead, and
+qds.QdsRecords decodes them from a QDS file. write_dataset_file, the one
+writer, writes any row source a chunk at a time. The text stage files
+(scores, plans, keep-lists) share one codec: write_indexed, read_indexed
+and read_table.
 """
 
 from __future__ import annotations
@@ -88,25 +88,30 @@ def check_labels(labels: np.ndarray, num_classes: int, path) -> None:
                          f"out of range for {num_classes} classes")
 
 
+def chunk_buffer(slices, n, width, dtype=np.float32):
+    """Yield a (rows, width) dtype view for each of slices, consecutive
+    row slices of n rows, of one buffer sized to the first slice (one
+    allocated per chunk, glibc hands back and faults in again each time)."""
+    if slices:
+        buffer = np.empty((min(slices[0].stop, n) - slices[0].start, width), dtype)
+        for rows in slices:
+            yield buffer[:min(rows.stop, n) - rows.start]
+
+
 def _read_rows(path, at, n, width, dtype, truncated, slices):
     """Yield (rows, table) for each of slices, consecutive row slices of
     the n-row table of width-element dtype rows that starts at byte at of
     the file at path, which each call opens itself: table is those rows,
-    read into one buffer that the next slice overwrites. A short read
-    raises ValueError(truncated)."""
-    if not slices:
-        return
-    buffer = np.empty((min(slices[0].stop, n) - slices[0].start, width), dtype)
+    a chunk_buffer view. A short read raises ValueError(truncated)."""
     with open(path, "rb") as fh:
-        fh.seek(at + slices[0].start * width * buffer.itemsize)
-        for rows in slices:
-            table = buffer[:min(rows.stop, n) - rows.start]
+        for rows, table in zip(slices, chunk_buffer(slices, n, width, dtype)):
+            fh.seek(at + rows.start * table.strides[0])
             if fh.readinto(table) != table.nbytes:
                 raise ValueError(truncated)
             yield rows, table
 
 
-def _read_values(path, at, n, width, truncated, slices):
+def _read_finite(path, at, n, width, truncated, slices):
     """_read_rows of float32 value rows, each checked finite: the first
     row that is not is a ValueError naming path and its record."""
     for rows, table in _read_rows(path, at, n, width, "<f4", truncated, slices):
@@ -140,25 +145,20 @@ def _read_labels(records, num_classes: int, column: int = 0) -> np.ndarray:
 
 class _RowSource:
     """The row source of the module docstring: labels, checked by its
-    maker, and tables(slices), which yields (rows, table) for each of
-    slices, table being those rows, which _values turns into float32 values."""
+    maker, plus chunks, its chunk function of a list of slices."""
 
-    def __init__(self, shape, num_classes, labels, tables):
+    def __init__(self, shape, num_classes, labels, chunks):
         labels.setflags(write=False)
         self.shape, self.num_classes, self.labels = shape, num_classes, labels
-        self._tables = tables
-
-    def _values(self, tables):
-        """(rows, values) for each (rows, float32 values) of tables."""
-        return tables
+        self._chunks = chunks
 
     def chunks(self, slices=None):
         """Yield (rows, values) for each of slices, consecutive row_chunks
         slices (default: all of them) from the first slice's row on: values
-        is those rows as float32, in one buffer that the next chunk overwrites."""
+        is those rows as float32, a view that the next chunk overwrites."""
         if slices is None:
             slices = row_chunks(self.labels.size, self.shape.element_count)
-        return self._values(self._tables(slices))
+        return self._chunks(slices)
 
     def take(self, indices: np.ndarray, dtype) -> np.ndarray:
         """The rows at indices, strictly ascending in [0, n), as one dtype
@@ -192,19 +192,17 @@ class CifarRecords(_RowSource):
         records = (path, 0, size // record_size, record_size, np.uint8,
                    f"{path}: truncated CIFAR stream: the file shrank while read")
         labels = _read_labels(records, num_classes, label_bytes - 1)
-        super().__init__(self.shape, num_classes, labels, functools.partial(_read_rows, *records))
 
-    def _values(self, tables):
-        """(rows, values) for each (rows, records) of tables: the pixels as float32."""
-        values = None
-        for rows, records in tables:
-            if values is None:
-                values = np.empty((len(records), CIFAR_PIXEL_BYTES), dtype=np.float32)
-            chunk = values[:len(records)]
-            # bitwise records.astype(np.float32) / np.float32(255)
-            np.copyto(chunk, records[:, -CIFAR_PIXEL_BYTES:], casting="unsafe")
-            chunk /= np.float32(255)
-            yield rows, chunk
+        def chunks(slices):
+            """The pixels of the records of slices as float32."""
+            pixels = chunk_buffer(slices, records[2], CIFAR_PIXEL_BYTES)
+            for (rows, table), values in zip(_read_rows(*records, slices), pixels):
+                # bitwise table.astype(np.float32) / np.float32(255)
+                np.copyto(values, table[:, -CIFAR_PIXEL_BYTES:], casting="unsafe")
+                values /= np.float32(255)
+                yield rows, values
+
+        super().__init__(self.shape, num_classes, labels, chunks)
 
 
 class RawRows(_RowSource):
@@ -223,39 +221,36 @@ class RawRows(_RowSource):
         labels = _read_labels((labels_path, 0, n, 1, "<u4", f"{labels_path}: truncated "
                                "label stream: the file shrank while read"), num_classes)
         super().__init__(shape, num_classes, labels, functools.partial(
-            _read_values, values_path, 0, n, shape.element_count,
+            _read_finite, values_path, 0, n, shape.element_count,
             f"{values_path}: truncated value stream: the file shrank while read"))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int,
                 spread: float, seed: int) -> _RowSource:
     """Gaussian class blobs with pairwise-distinct means, shape 1x1xdim,
-    generated a row chunk at a time.
-
-    Deterministic in seed; values clipped to [-8, 8]. Samples are
-    ordered class-major.
-    """
-    if num_classes < 2 or dim < 1 or per_class < 1 or not 0 < spread < np.inf:
-        raise ValueError("invalid synthetic dataset sizes")
+    generated a row chunk at a time: deterministic in seed, values
+    clipped to [-8, 8], samples ordered class-major."""
+    for name, value, valid in (("num_classes", num_classes, num_classes >= 2),
+                               ("dim", dim, dim >= 1), ("per_class", per_class, per_class >= 1),
+                               ("spread", spread, 0 < spread < np.inf)):
+        if not valid:
+            raise ValueError(f"invalid synthetic dataset sizes: {name} {value}")
     n = num_classes * per_class
 
-    def tables(slices):
+    def chunks(slices):
         """The rows of slices from one seeded stream: the class means, then
         one normal draw per value in row order; the draws of the rows before
-        the first slice are made and discarded."""
+        the first slice are made and discarded a whole slice at a time."""
         if not slices:
             return
         rng = np.random.default_rng(seed)
         means = rng.uniform(-4.0, 4.0, size=(num_classes, dim))
-        # a whole slice's rows even where the first slice is the short last
-        # one, so the draws before it are discarded a chunk at a time
-        size = min(n, max(rows.stop - rows.start for rows in slices))
-        draws, values = np.empty((size, dim)), np.empty((size, dim), dtype=np.float32)
-        skip, flat = slices[0].start * dim, draws.reshape(-1)
-        for done in range(0, skip, flat.size):
-            rng.standard_normal(out=flat[:skip - done])
-        for rows in slices:
-            stop = min(rows.stop, n)
+        skip, step = slices[0].start * dim, (slices[0].stop - slices[0].start) * dim
+        for done in range(0, skip, step):
+            rng.standard_normal(min(step, skip - done))
+        for rows, draws, values in zip(slices, chunk_buffer(slices, n, dim, np.float64),
+                                       chunk_buffer(slices, n, dim)):
+            stop = rows.start + len(values)
             # one class segment at a time: the same draws and arithmetic as
             # means[c] + spread * normals, clipped, then cast on assignment
             for c in range(rows.start // per_class, (stop - 1) // per_class + 1):
@@ -266,22 +261,25 @@ def synth_blobs(num_classes: int, dim: int, per_class: int,
                 block *= spread
                 block += means[c]
                 values[segment] = np.clip(block, -8.0, 8.0, out=block)
-            yield rows, values[:stop - rows.start]
+            yield rows, values
 
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    return _RowSource(SampleShape(1, 1, dim), num_classes, labels, tables)
+    return _RowSource(SampleShape(1, 1, dim), num_classes, labels, chunks)
 
 
 def write_atomically(path, writer) -> None:
     """Run writer against a temp path, then rename it into place; the
-    temp file is removed if the writer or the rename fails."""
+    temp file is removed if the writer or the rename fails, and a writer's
+    OSError names path, not the temp path."""
     tmp = f"{path}.tmp"
     try:
         writer(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
+            exc.filename = path  # not the rename's error, which names both paths
         raise
 
 
@@ -384,4 +382,4 @@ class DatasetRows(_RowSource):
         truncated = f"{path}: truncated dataset body"
         labels = _read_labels((path, at + n * dim * 4, n, 1, "<u4", truncated), num_classes)
         super().__init__(shape, num_classes, labels,
-                         functools.partial(_read_values, path, at, n, dim, truncated))
+                         functools.partial(_read_finite, path, at, n, dim, truncated))

@@ -1,16 +1,13 @@
 """Half of a stage's row work in a forked child, one OpenBLAS thread each.
 
-halves(chunks, work) is the one split of row work: work runs on the
-first half of a stage's row chunks (quantizer.row_chunks) here and on
-the second half in a forked child, each process reading its own rows
-through the row source's chunks(). score_dataset()'s child sends back
-its scores; write_qds()'s child writes its records into the output file
-itself and sends back nothing. compare() trains its baseline arm in a
-forked child, which sends back its model. All of them fork through
-started(), the one owner of that decision: it runs a function in a
-forked child and hands back its result or its exception, pickled, or
-runs it in the caller's process when forking does not pay, so a result
-is the same bit for bit either way.
+halves(chunks, work) is the one split of row work (score_dataset and
+write_qds): work runs on the first half of a stage's row chunks here and
+on the second half in a forked child, each process reading its own rows
+through the row source's chunk function. compare() trains its baseline
+arm in a forked child. All of them fork through started(), the one
+owner of that decision: it runs a function in a forked child and hands
+back its result or its exception, pickled, or runs it here when forking
+does not pay, so a result is the same bit for bit either way.
 
 Forking pays only with two usable cores, and only when each process
 keeps OpenBLAS to one thread: two processes with a BLAS thread per core

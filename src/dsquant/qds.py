@@ -27,10 +27,11 @@ produce byte-identical files.
 Records are encoded and decoded one width group at a time, in fixed row
 chunks, as array operations. One width-to-record-size table serves the
 writer, the reader's walk over the record prefixes that finds every
-record's offset, and the storage report. QdsRecords.decode alone unpacks
-records and checks their scales and payloads; a read container is a row
-source whose rows are the stored records, dequantized through decode.
-The bit layout lives in dsquant._bitpack_py; this module slices bytes.
+record's offset, and the storage report. _decode alone unpacks records
+and checks their scales and payloads. A read container (QdsRecords) is
+a row source of the stored records, whose chunk function dequantizes
+them through _decode. The bit layout lives in dsquant._bitpack_py; this
+module slices bytes.
 
 The writer takes its rows a chunk at a time from a row source, so from a
 file it holds one chunk of values. The plan alone gives every record's
@@ -42,6 +43,7 @@ encoded bytes cross between the processes).
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -52,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import parallel
 from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
-from .dataset import SampleShape, _RowSource, check_labels, write_atomically
+from .dataset import SampleShape, _RowSource, check_labels, chunk_buffer, write_atomically
 from .quantizer import (
     F32_MAX,
     MAX_BIT_WIDTH,
@@ -184,9 +186,9 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
 class QdsRecords(_RowSource):
     """A container read into memory with its structure checked: magic,
     version, flags, a sample count the file can hold, every record's width,
-    extent and label, and no trailing bytes. decode() checks the rest. Row
-    i is stored record kept[i]; widths covers every record. An error
-    (QdsFormatError) starts with the file's path."""
+    extent and label, and no trailing bytes; decode (_decode) checks the
+    rest. Row i is stored record kept[i]; widths covers every record. An
+    error (QdsFormatError) starts with the file's path."""
 
     def __init__(self, path):
         self.path = path
@@ -208,7 +210,8 @@ class QdsRecords(_RowSource):
             self.header = QdsHeader(count, SampleShape(h, w, c), num_classes)
         except ValueError as exc:
             raise self._error(exc) from None
-        sizes = _record_sizes(self.header.shape.element_count)
+        elems = self.header.shape.element_count
+        sizes = _record_sizes(elems)
         offsets, pos = [], HEADER_BYTES
         for i in range(count):
             if pos >= len(raw):
@@ -232,48 +235,47 @@ class QdsRecords(_RowSource):
         except ValueError as exc:
             raise QdsFormatError(exc) from None
         kept = self.kept = np.flatnonzero(self.widths > 0)
-        super().__init__(self.header.shape, num_classes, labels[kept],
-                         lambda slices: ((rows, kept[rows]) for rows in slices))
+        # of the arrays, not of self: no reference cycle keeps the file's bytes
+        decode = self.decode = functools.partial(
+            _decode, path, self.data, self.offsets, self.widths, elems)
+
+        def chunks(slices):
+            """The stored records kept[rows] of slices, dequantized through decode."""
+            for rows, values in zip(slices, chunk_buffer(slices, kept.size, elems)):
+                for positions, _, codes, scales in decode(kept[rows]):
+                    values[positions] = dequantize_rows(codes, scales)
+                yield rows, values
+
+        super().__init__(self.header.shape, num_classes, labels[kept], chunks)
 
     def _error(self, message) -> QdsFormatError:
         return QdsFormatError(f"{self.path}: {message}")
 
-    def decode(self, rows):
-        """Yield (positions, bit_width, codes, scales) for the stored
-        records among rows, a width group and row chunk at a time;
-        positions index into rows, an int64 array of record indices."""
-        count = self.header.shape.element_count
-        widths = self.widths[rows]
-        for bits in np.unique(widths[widths > 0]).tolist():
-            group = np.flatnonzero(widths == bits)
-            payload = sliding_window_view(self.data, payload_bytes(count, bits))
-            for chunk in row_chunks(group.size, count):
-                positions = group[chunk]
-                at = self.offsets[rows[positions]]
-                try:
-                    codes = unpack_code_rows(payload[at + _PAYLOAD_AT], count, bits)
-                except ValueError as exc:
-                    raise self._error(f"{bits}-bit record payload: {exc}") from exc
-                scales = sliding_window_view(self.data, 4)[at + _SCALE_AT].view("<f4")[:, 0]
-                with np.errstate(invalid="ignore"):  # casting a signaling NaN
-                    largest = scales.astype(np.float64) * max_code(bits)
-                bad = np.flatnonzero(~((scales > 0) & (largest <= F32_MAX)))
-                if bad.size:  # the writer's scales are positive, Q * scale a float32
-                    raise self._error(f"record {rows[positions[bad[0]]]}: scale "
-                                      f"{scales[bad[0]]} is out of range for {bits}-bit codes")
-                yield positions, bits, codes, scales
 
-    def _values(self, tables):
-        """(rows, values) for each (rows, record indices) of tables: those
-        records dequantized through decode, as float32."""
-        values = None
-        for rows, records in tables:
-            if values is None:
-                values = np.empty((len(records), self.shape.element_count), np.float32)
-            chunk = values[:len(records)]
-            for positions, _, codes, scales in self.decode(records):
-                chunk[positions] = dequantize_rows(codes, scales)
-            yield rows, chunk
+def _decode(path, data, offsets, widths, count, rows):
+    """Yield (positions, bit_width, codes, scales) for the stored records
+    among rows, a width group and row chunk at a time; positions index
+    into rows, an int64 array of record indices. data is the bytes of the
+    file at path, offsets and widths its records', of count elements each."""
+    widths = widths[rows]
+    for bits in np.unique(widths[widths > 0]).tolist():
+        group = np.flatnonzero(widths == bits)
+        payload = sliding_window_view(data, payload_bytes(count, bits))
+        for chunk in row_chunks(group.size, count):
+            positions = group[chunk]
+            at = offsets[rows[positions]]
+            try:
+                codes = unpack_code_rows(payload[at + _PAYLOAD_AT], count, bits)
+            except ValueError as exc:
+                raise QdsFormatError(f"{path}: {bits}-bit record payload: {exc}") from exc
+            scales = sliding_window_view(data, 4)[at + _SCALE_AT].view("<f4")[:, 0]
+            with np.errstate(invalid="ignore"):  # casting a signaling NaN
+                largest = scales.astype(np.float64) * max_code(bits)
+            bad = np.flatnonzero(~((scales > 0) & (largest <= F32_MAX)))
+            if bad.size:  # the writer's scales are positive, Q * scale a float32
+                raise QdsFormatError(f"{path}: record {rows[positions[bad[0]]]}: scale "
+                                     f"{scales[bad[0]]} is out of range for {bits}-bit codes")
+            yield positions, bits, codes, scales
 
 
 def read_qds(path):

@@ -20,22 +20,18 @@ for bit, zero signs included, what a QDS file stores at the probe width.
 _softmax, in place, serves this pass and trainer's SGD step alike.
 
 The scoring pass is elementwise work plus two small GEMMs per row chunk
-(quantizer.row_chunks), so it splits by rows through parallel.halves,
-and the child sends back its scores. The scores are the same bit for
-bit either way.
+(quantizer.row_chunks), so it splits by rows through parallel.halves;
+the child sends back its scores, the same bits either way.
 
 Memory: each process reads its own row chunks through rows.chunks(), so
-from a DatasetRows it holds one chunk of float32 rows in one reused
-buffer. Beyond that and the model, each process holds its half of the
-scores and one chunk's temporaries: two float64 arrays, x and x_tilde
-(the rows are scaled in x_tilde, and the products land back in it), and
-the int16 codes, with the float32 |values| that the scales take before
-the codes exist: at most 20 bytes per chunk element (20 MiB at
-quantizer.CHUNK_ELEMENTS). The two float64 arrays are buffers
-allocated once per process and reused by every chunk: allocated per
-chunk, glibc handed them back to the kernel and faulted them in again
-for each chunk (on a CIFAR-shaped batch, 105k minor faults in score
-against 22k).
+from a DatasetRows it holds one chunk of float32 rows. Beyond that and
+the model, each process holds its half of the scores and one chunk's
+temporaries: x and x_tilde, two float64 dataset.chunk_buffer views (the
+rows are scaled in x_tilde, and the products land back in it), and the
+int16 codes, with the float32 |values| that the scales take before the
+codes exist: at most 20 bytes per chunk element (20 MiB at
+quantizer.CHUNK_ELEMENTS). Allocated per chunk instead, the two float64
+arrays cost a CIFAR-shaped score 105k minor faults against 22k.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import parallel
-from .dataset import read_indexed, write_indexed
+from .dataset import chunk_buffer, read_indexed, write_indexed
 from .quantizer import dequantize_rows, quantize_rows, row_chunks
 
 NORM_FLOOR = 1e-12
@@ -127,8 +123,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _chunk_scores(values, labels, model, probe_bit_width: int, buffers) -> np.ndarray:
     """The scores of the float32 rows values, labelled labels; buffers are
-    two float64 arrays of at least its rows, overwritten with x, x_tilde."""
-    x, x_tilde = (buffer[:len(values)] for buffer in buffers)
+    two float64 arrays of its shape, overwritten with x, x_tilde."""
+    x, x_tilde = buffers
     np.copyto(x, values)
     # scaled in x_tilde, then the float32 products widened back into it
     dequantize_rows(*quantize_rows(values, probe_bit_width, x_tilde), x_tilde)
@@ -148,10 +144,10 @@ def _chunk_scores(values, labels, model, probe_bit_width: int, buffers) -> np.nd
 
 def _scores(rows, model: LogisticModel, slices, probe_bit_width: int) -> np.ndarray:
     """The scores of the rows that slices, consecutive row chunks, cover."""
-    size = min(slices[0].stop, rows.labels.size) - slices[0].start if slices else 0
-    buffers = [np.empty((size, rows.shape.element_count)) for _ in range(2)]
-    scores = [_chunk_scores(values, rows.labels[chunk], model, probe_bit_width, buffers)
-              for chunk, values in rows.chunks(slices)]
+    n, dim = rows.labels.size, rows.shape.element_count
+    xs, x_tildes = (chunk_buffer(slices, n, dim, np.float64) for _ in range(2))
+    scores = [_chunk_scores(values, rows.labels[chunk], model, probe_bit_width, (x, x_tilde))
+              for (chunk, values), x, x_tilde in zip(rows.chunks(slices), xs, x_tildes)]
     return np.concatenate(scores) if scores else np.zeros(0)
 
 

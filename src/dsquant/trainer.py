@@ -93,7 +93,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ValueError("invalid training configuration")
+            raise ValueError(f"invalid training configuration: epochs {self.epochs}")
 
 
 @dataclass(frozen=True)

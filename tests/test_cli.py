@@ -101,8 +101,14 @@ class TestIngest:
         (["--synth", "1,4,10,1"], "--synth needs at least 2 classes"),
         (["--synth", "0,4,10,1"], "--synth needs at least 2 classes"),
         (["--synth", "3,16,301,0.5"], "--synth sample count must divide evenly by classes"),
+        (["--synth", "3,16,abc,1"], "--synth: COUNT must be an integer, got 'abc'"),
+        (["--synth", "3,16,30,x"], "--synth: SPREAD must be a number, got 'x'"),
+        (["--synth", "3,16,30,nan"], "invalid synthetic dataset sizes: spread nan"),
+        (["--raw", "v.f32le", "l.u32le", "--shape", "1x1xq"],
+         "--shape: C must be an integer, got 'q'"),
     ], ids=["no-shape", "bad-shape", "synth-fields", "synth-one-class", "synth-no-class",
-            "synth-uneven"])
+            "synth-uneven", "synth-count-text", "synth-spread-text", "synth-spread-nan",
+            "shape-text"])
     def test_a_malformed_source_argument_is_one_line(self, tmp_path, capsys, source,
                                                      message):
         code, out, err = run(capsys, "ingest", *source, "--out", str(tmp_path / "d.bin"))
@@ -168,7 +174,7 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", "--synth", f"3,4,30,{spread}",
                            "--out", str(tmp_path / "d.bin"))
         assert code == EXIT_VALIDATION
-        assert err == "error: invalid synthetic dataset sizes\n"
+        assert err == f"error: invalid synthetic dataset sizes: spread {float(spread)}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("shape, classes, message", [
@@ -393,6 +399,21 @@ class TestPipelineStages:
         assert code == EXIT_VALIDATION
         assert err == "error: empty score list\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bits", "8,x"], "--bits: level must be an integer, got 'x'"),
+        (["--bits", "8,4", "--fractions", "0.5,y"],
+         "--fractions: fraction must be a number, got 'y'"),
+    ], ids=["bits", "fractions"])
+    def test_allocate_names_the_flag_of_a_field_that_does_not_parse(self, tmp_path, capsys,
+                                                                    flags, message):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("0\t0.5\n1\t0.25\n")
+        code, out, err = run(capsys, "allocate", "--scores", str(scores), *flags,
+                             "--out", str(tmp_path / "plan.tsv"))
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "plan.tsv").exists()
+
     @pytest.mark.parametrize("fractions", ["0.5,nan", "nan,nan", "inf,0.5"])
     def test_allocate_rejects_non_finite_fraction(self, tmp_path, capsys, fractions):
         scores = tmp_path / "scores.tsv"
@@ -463,6 +484,27 @@ class TestPipelineStages:
         assert not list(tmp_path.rglob("*.tmp"))
         assert [(p.name, p.read_text()) for p in target.iterdir()] == [("kept", "kept")]
 
+    @pytest.mark.parametrize("stage", ["ingest", "score", "allocate", "quantize", "compare"])
+    def test_an_output_in_a_missing_directory_names_the_output(self, tmp_path, capsys,
+                                                                synth_file, stage):
+        # the writer fails to create the temp file; the error names --out
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+        before = sorted(tmp_path.rglob("*"))
+        target = tmp_path / "nodir" / "out"
+        args = {
+            "ingest": ["--synth", "3,16,300,0.5", "--out"],
+            "score": ["--dataset", str(synth_file), "--out"],
+            "allocate": ["--scores", str(tmp_path / "scores.tsv"), "--bits", "8,4", "--out"],
+            "quantize": ["--dataset", str(synth_file), "--plan", str(tmp_path / "plan.tsv"),
+                         "--out"],
+            "compare": ["--dataset", str(synth_file), "--qds", str(tmp_path / "data.qds"),
+                        "--epochs", "1", "--loss-csv"],
+        }[stage]
+        code, out, err = run(capsys, stage, *args, str(target))
+        assert code == EXIT_IO
+        assert (out, err) == ("", f"error: file not found: {target}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
     def test_interrupted_writer_leaves_no_temp_file(self, tmp_path, capsys, synth_file,
                                                     monkeypatch, signum):
@@ -520,6 +562,12 @@ class TestPipelineStages:
             main(["compare", "--dataset", str(synth_file), "--qds", "data.qds", *flag])
         assert exit_info.value.code == EXIT_VALIDATION
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_compare_names_a_negative_epoch_count(self, capsys, synth_file):
+        code, out, err = run(capsys, "compare", "--dataset", str(synth_file),
+                             "--qds", "data.qds", "--epochs", "-1")
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: invalid training configuration: epochs -1\n")
 
     @staticmethod
     def _no_training(*args, **kwargs):

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import os
 import re
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -215,11 +217,13 @@ class TestSyntheticBlobs:
             values = np.concatenate([np.empty((0, dim), np.float32), *(v for _, v in read)])
             assert np.array_equal(values, whole[first * chunk_rows:])
 
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            synth_blobs(1, 4, 10, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            synth_blobs(2, 4, 10, 0.0, seed=0)
+    @pytest.mark.parametrize("args, field", [
+        ((1, 4, 10, 0.5), "num_classes 1"), ((2, 0, 10, 0.5), "dim 0"),
+        ((2, 4, 0, 0.5), "per_class 0"), ((2, 4, 10, 0.0), "spread 0.0"),
+    ], ids=["classes", "dim", "per-class", "spread"])
+    def test_invalid_sizes_name_their_field(self, args, field):
+        with pytest.raises(ValueError, match=f"^invalid synthetic dataset sizes: {field}$"):
+            synth_blobs(*args, seed=0)
 
 
 def reference_synth_blobs(num_classes, dim, per_class, spread, seed):
@@ -389,6 +393,30 @@ class TestFileRowSources:
             assert np.array_equal(first, values[rows])
             assert np.array_equal(second, values[rows])
         assert np.array_equal(source.labels, labels)
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "qds", "synth"])
+    def test_a_pass_overwrites_one_chunk_buffer(self, tmp_path, kind):
+        # 50 rows in chunks of 8: the buffer is the first chunk's 8 rows
+        # and the short last chunk its first 2
+        source, values, _ = _source(tmp_path, kind, 50)
+        slices = [slice(start, start + 8) for start in range(0, 50, 8)]
+        read = [(rows, chunk.base, chunk.copy()) for rows, chunk in source.chunks(slices)]
+        assert all(base is read[0][1] for _, base, _ in read)
+        assert read[0][1].shape == (8, source.shape.element_count)
+        for rows, _, chunk in read:
+            assert np.array_equal(chunk, values[rows])
+
+    @pytest.mark.parametrize("kind", ["cifar", "raw", "dsr", "qds", "synth"])
+    def test_a_dropped_source_is_freed_without_the_garbage_collector(self, tmp_path, kind):
+        # no reference cycle through its chunk function keeps, say, a QDS
+        # file's bytes alive until the collector runs
+        gc.disable()
+        try:
+            source = weakref.ref(_source(tmp_path, kind, 50)[0])
+            freed = source() is None  # outside the assert, which keeps its operands
+        finally:
+            gc.enable()
+        assert freed
 
     @pytest.mark.parametrize("kind", ["cifar", "raw", "synth"])
     def test_forked_stages_read_the_rows_of_the_dataset(self, tmp_path, monkeypatch, forks,

@@ -94,7 +94,7 @@ class TestTrain:
         assert violations <= 2
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^invalid training configuration: epochs -1$"):
             TrainConfig(epochs=-1)
 
     def test_config_is_epochs_and_seed(self):
