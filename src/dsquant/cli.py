@@ -2,12 +2,13 @@
 -> compare.
 
 Each stage reads the previous stage's file and writes its own output
-atomically (temp file + rename), so a failing or interrupted stage
-leaves neither a truncated artifact nor its temp file. Exit codes: 0
-success, 1 I/O failure or out of memory, 2 validation failure, 128 +
-signal number on SIGINT or SIGTERM. Each stage returns its fields and
-main alone prints them: aligned `key  value` columns, or key=value lines
-under --porcelain.
+atomically: OUT.tmp, created before the work so that an unwritable OUT
+fails at once, then renamed to OUT. A failing or interrupted stage
+leaves neither a truncated artifact nor OUT.tmp; only SIGKILL can leave
+OUT.tmp, at any point of the work. Exit codes: 0 success, 1 I/O failure
+or out of memory, 2 validation failure, 128 + signal number on SIGINT
+or SIGTERM. Each stage returns its fields and main alone prints them:
+aligned `key  value` columns, or key=value lines under --porcelain.
 
 Every stage reads its samples through a row source (dsquant.dataset).
 score, quantize and compare may fork a child (dsquant.parallel), which
@@ -17,6 +18,7 @@ is killed and reaped if the stage fails or is interrupted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import signal
 import sys
@@ -49,12 +51,18 @@ def _parse_shape(text: str) -> ds.SampleShape:
 
 
 def _cmd_ingest(args) -> dict:
+    mode = "cifar" if args.cifar else "raw" if args.raw else "synth"
+    unread = {"cifar": ["shape", "seed"], "raw": ["seed"], "synth": ["num_classes", "shape"]}
+    for name in unread[mode]:  # a flag this source never reads
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read with --{mode}")
+    num_classes = 10 if args.num_classes is None else args.num_classes
     if args.cifar:
-        source = ds.CifarRecords(args.cifar, args.num_classes)
+        source = ds.CifarRecords(args.cifar, num_classes)
     elif args.raw:
         if args.shape is None:
             raise ValueError("--raw requires --shape HxWxC")
-        source = ds.RawRows(*args.raw, _parse_shape(args.shape), args.num_classes)
+        source = ds.RawRows(*args.raw, _parse_shape(args.shape), num_classes)
     else:
         parts = args.synth.split(",")
         if len(parts) != 4:
@@ -65,8 +73,9 @@ def _cmd_ingest(args) -> dict:
             raise ValueError("--synth needs at least 2 classes")
         if total % classes:
             raise ValueError("--synth sample count must divide evenly by classes")
-        source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed)
-    ds.write_atomically(args.out, lambda tmp: ds.write_dataset_file(source, tmp))
+        source = ds.synth_blobs(classes, dim, total // classes, spread, args.seed or 0)
+    with ds.write_atomically(args.out) as tmp:
+        ds.write_dataset_file(source, tmp)
     return {"samples": source.labels.size, "shape": source.shape,
             "classes": source.num_classes}
 
@@ -74,16 +83,18 @@ def _cmd_ingest(args) -> dict:
 def _cmd_score(args) -> dict:
     quantizer.max_code(args.probe_bits)  # refuse a bad width before reading or fitting
     rows = ds.DatasetRows(args.dataset)
-    # the float32 rows are the fit's alone, freed when it returns
-    oracle = trainer.fit_scoring_model(rows.take(np.arange(rows.labels.size), np.float32),
-                                       rows.labels, rows.num_classes, args.seed)
-    scores = sensitivity.score_dataset(rows, oracle, args.probe_bits)
-    ds.write_atomically(args.out, lambda tmp: sensitivity.write_scores(scores, tmp))
+    with ds.write_atomically(args.out) as tmp:
+        # the float32 rows are the fit's alone, freed when it returns
+        oracle = trainer.fit_scoring_model(rows.take(np.arange(rows.labels.size), np.float32),
+                                           rows.labels, rows.num_classes, args.seed)
+        scores = sensitivity.score_dataset(rows, oracle, args.probe_bits)
+        sensitivity.write_scores(scores, tmp)
     return {"samples": scores.size, "mean_score": f"{scores.mean():.9g}"}
 
 
 def _cmd_allocate(args) -> dict:
-    scores = sensitivity.read_scores(args.scores)
+    if args.seed is not None and not args.prune_ratio:
+        raise ValueError("--seed is not read unless --prune-ratio is above 0")
     # AllocationConfig checks the levels and fractions
     config = allocator.AllocationConfig(
         bit_levels=[_number("--bits", "level", b) for b in args.bits.split(",")],
@@ -91,9 +102,11 @@ def _cmd_allocate(args) -> dict:
                          for f in args.fractions.split(",")] if args.fractions else None,
         prune_ratio=args.prune_ratio,
     )
+    scores = sensitivity.read_scores(args.scores)
     keep = allocator.read_keep_list(args.keep_list) if args.keep_list else None
-    plan = allocator.allocate(scores, config, seed=args.seed, keep_indices=keep)
-    ds.write_atomically(args.out, lambda tmp: allocator.write_plan(plan, tmp))
+    with ds.write_atomically(args.out) as tmp:
+        plan = allocator.allocate(scores, config, seed=args.seed or 0, keep_indices=keep)
+        allocator.write_plan(plan, tmp)
     return {"samples": len(plan), "b_avg": f"{plan.b_avg:.9g}",
             "ratio": f"{plan.compression_ratio:.9g}"}
 
@@ -108,12 +121,12 @@ def _cmd_stats(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
-    report = trainer.compare(args.dataset, args.qds,
-                             trainer.TrainConfig(args.epochs, args.seed))
-    if args.loss_csv:
-        lines = ["epoch,loss\n"]
-        lines += [f"{i},{loss:.9g}\n" for i, loss in enumerate(report.loss_curve)]
-        ds.write_atomically(args.loss_csv, lambda tmp: Path(tmp).write_text("".join(lines)))
+    config = trainer.TrainConfig(args.epochs, args.seed)
+    with ds.write_atomically(args.loss_csv) if args.loss_csv else contextlib.nullcontext() as tmp:
+        report = trainer.compare(args.dataset, args.qds, config)
+        if tmp:
+            Path(tmp).write_text("epoch,loss\n" + "".join(
+                f"{i},{loss:.9g}\n" for i, loss in enumerate(report.loss_curve)))
     return {key: f"{getattr(report, key):.9g}" for key in (
         "train_accuracy", "test_accuracy", "baseline_test_accuracy", "accuracy_delta")}
 
@@ -133,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--cifar", metavar="PATH")
     src.add_argument("--raw", nargs=2, metavar=("VALUES", "LABELS"))
     src.add_argument("--synth", metavar="C,DIM,N,SPREAD")
-    p.add_argument("--shape", metavar="HxWxC")
-    p.add_argument("--num-classes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shape", metavar="HxWxC", help="--raw only")
+    p.add_argument("--num-classes", type=int, help="--cifar and --raw only (default 10)")
+    p.add_argument("--seed", type=int, help="--synth only (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
@@ -154,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", help="comma-separated group fractions")
     p.add_argument("--prune-ratio", type=float, default=0.0)
     p.add_argument("--keep-list", help="file of surviving indices, one per line")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="--prune-ratio only (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_allocate)
 

@@ -267,13 +267,16 @@ def synth_blobs(num_classes: int, dim: int, per_class: int,
     return _RowSource(SampleShape(1, 1, dim), num_classes, labels, chunks)
 
 
-def write_atomically(path, writer) -> None:
-    """Run writer against a temp path, then rename it into place; the
-    temp file is removed if the writer or the rename fails, and a writer's
-    OSError names path, not the temp path."""
+@contextlib.contextmanager
+def write_atomically(path):
+    """Create path.tmp and yield it, so an unwritable path fails before
+    the block's work; rename it to path when the block ends. The temp
+    file is removed if the block or the rename fails, and an OSError
+    about it names path instead."""
     tmp = f"{path}.tmp"
     try:
-        writer(tmp)
+        open(tmp, "wb").close()
+        yield tmp
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):

@@ -173,13 +173,10 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
                 _scatter(out, at[rows] + _PAYLOAD_AT, pack_code_rows(codes, bits))
             _write_at(fd, out, int(starts[chunk.start]))
 
-    def write(tmp):
-        with open(tmp, "wb") as fh:
-            fd = fh.fileno()
-            _write_at(fd, header, 0)  # before a fork, so only the parent writes it
-            parallel.halves(row_chunks(n, elems), lambda slices: encode(slices, fd))
-
-    write_atomically(path, write)
+    with write_atomically(path) as tmp, open(tmp, "wb") as fh:
+        fd = fh.fileno()
+        _write_at(fd, header, 0)  # before a fork, so only the parent writes it
+        parallel.halves(row_chunks(n, elems), lambda slices: encode(slices, fd))
     return _build_report(dataset.shape, widths)
 
 

@@ -106,9 +106,18 @@ class TestIngest:
         (["--synth", "3,16,30,nan"], "invalid synthetic dataset sizes: spread nan"),
         (["--raw", "v.f32le", "l.u32le", "--shape", "1x1xq"],
          "--shape: C must be an integer, got 'q'"),
+        # a flag that the chosen source never reads
+        (["--synth", "3,16,30,1", "--num-classes", "5", "--shape", "2x2x2"],
+         "--num-classes is not read with --synth"),
+        (["--synth", "3,16,30,1", "--shape", "2x2x2"], "--shape is not read with --synth"),
+        (["--cifar", "batch.bin", "--shape", "32x32x3"], "--shape is not read with --cifar"),
+        (["--cifar", "batch.bin", "--seed", "1"], "--seed is not read with --cifar"),
+        (["--raw", "v.f32le", "l.u32le", "--shape", "1x1x4", "--seed", "1"],
+         "--seed is not read with --raw"),
     ], ids=["no-shape", "bad-shape", "synth-fields", "synth-one-class", "synth-no-class",
             "synth-uneven", "synth-count-text", "synth-spread-text", "synth-spread-nan",
-            "shape-text"])
+            "shape-text", "synth-num-classes", "synth-shape", "cifar-shape", "cifar-seed",
+            "raw-seed"])
     def test_a_malformed_source_argument_is_one_line(self, tmp_path, capsys, source,
                                                      message):
         code, out, err = run(capsys, "ingest", *source, "--out", str(tmp_path / "d.bin"))
@@ -332,6 +341,20 @@ class TestPipelineStages:
         assert code == EXIT_OK
         assert allocator.read_plan(tmp_path / "plan.tsv").assignments.tolist() == [8] * 4
 
+    @pytest.mark.parametrize("prune", [[], ["--prune-ratio", "0"]], ids=["none", "zero"])
+    def test_allocate_refuses_a_seed_that_no_prune_step_reads(self, tmp_path, capsys, prune):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("".join(f"{i}\t{i / 4}\n" for i in range(4)))
+        argv = ("allocate", "--scores", str(scores), "--bits", "8", "--seed", "3",
+                "--out", str(tmp_path / "plan.tsv"))
+        code, out, err = run(capsys, *argv, *prune)
+        assert code == EXIT_VALIDATION
+        assert (out, err) == ("", "error: --seed is not read unless --prune-ratio is above 0\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["scores.tsv"]
+        code, _, _ = run(capsys, *argv, "--prune-ratio", "0.5")  # the seed picks the drops
+        assert code == EXIT_OK
+        assert allocator.read_plan(tmp_path / "plan.tsv").assignments.tolist().count(0) == 2
+
     def test_allocate_idempotent(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"
         scores.write_text("".join(f"{i}\t{i / 10}\n" for i in range(10)))
@@ -531,6 +554,62 @@ class TestPipelineStages:
         assert (out, err) == ("", "error: interrupted\n")
         assert list(out_dir.iterdir()) == []
         assert signal.getsignal(signal.SIGTERM) is sigterm_handler
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+    @pytest.mark.parametrize("stage", ["score", "compare"])
+    def test_an_interrupted_fit_leaves_no_temp_file(self, tmp_path, capsys, synth_file,
+                                                    monkeypatch, stage, signum):
+        # the temp file exists from before the fit, so the fit's interrupt removes it too
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+
+        def interrupted_fit(*args):
+            assert signal.getsignal(signum) not in (signal.SIG_DFL, signal.SIG_IGN)
+            signal.raise_signal(signum)
+
+        fit = "fit_scoring_model" if stage == "score" else "_descend"
+        monkeypatch.setattr(trainer, fit, interrupted_fit)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: False)  # inline
+        sigint_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        args = {
+            "score": ["--dataset", str(synth_file), "--out"],
+            "compare": ["--dataset", str(synth_file), "--qds", str(tmp_path / "data.qds"),
+                        "--epochs", "1", "--loss-csv"],
+        }[stage]
+        try:
+            code, out, err = run(capsys, stage, *args, str(out_dir / "result"))
+        except KeyboardInterrupt:  # would stop the test run, not fail a test
+            pytest.fail("the interrupt escaped main")
+        finally:
+            signal.signal(signal.SIGINT, sigint_handler)
+        assert code == 128 + signum
+        assert (out, err) == ("", "error: interrupted\n")
+        assert list(out_dir.iterdir()) == []
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize("stage", ["score", "compare"])
+    def test_an_output_in_a_missing_directory_stops_the_stage_before_it_fits(
+            self, tmp_path, capsys, synth_file, monkeypatch, stage, fork):
+        self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
+
+        def fit(*args):
+            raise AssertionError("the stage fitted before it created its output")
+
+        monkeypatch.setattr(trainer, "_descend", fit)
+        monkeypatch.setattr(parallel, "use_fork", lambda one_blas_thread: fork)
+        before = sorted(tmp_path.rglob("*"))
+        target = tmp_path / "nodir" / "x"
+        args = {
+            "score": ["--dataset", str(synth_file), "--out"],
+            "compare": ["--dataset", str(synth_file), "--qds", str(tmp_path / "data.qds"),
+                        "--epochs", "1", "--loss-csv"],
+        }[stage]
+        code, out, err = run(capsys, stage, *args, str(target))
+        assert code == EXIT_IO
+        assert (out, err) == ("", f"error: file not found: {target}\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_stats_rejects_out_of_range_label(self, tmp_path, capsys, synth_file):
         self._score_allocate_quantize(tmp_path, capsys, synth_file, "8,4")
