@@ -119,6 +119,8 @@ def allocate(scores, config: AllocationConfig, seed: int = 0,
         if survivors.size and (survivors[0] < 0 or survivors[-1] >= n):
             raise ValueError("keep-list index out of range")
     elif config.prune_ratio > 0.0:
+        if seed < 0:
+            raise ValueError(f"prune seed must be non-negative, got {seed}")
         n_drop = int(round(config.prune_ratio * n))
         rng = np.random.default_rng(seed)
         dropped = rng.choice(n, size=n_drop, replace=False)

@@ -202,6 +202,8 @@ def main(argv=None) -> int:
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before any input
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         fields = args.func(args)
         width = max(map(len, fields))
         for key, value in fields.items():

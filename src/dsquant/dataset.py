@@ -232,7 +232,8 @@ def synth_blobs(num_classes: int, dim: int, per_class: int,
     clipped to [-8, 8], samples ordered class-major."""
     for name, value, valid in (("num_classes", num_classes, num_classes >= 2),
                                ("dim", dim, dim >= 1), ("per_class", per_class, per_class >= 1),
-                               ("spread", spread, 0 < spread < np.inf)):
+                               ("spread", spread, 0 < spread < np.inf),
+                               ("seed", seed, seed >= 0)):
         if not valid:
             raise ValueError(f"invalid synthetic dataset sizes: {name} {value}")
     n = num_classes * per_class

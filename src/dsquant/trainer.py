@@ -92,8 +92,9 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"invalid training configuration: epochs {self.epochs}")
+        for name, value in (("epochs", self.epochs), ("seed", self.seed)):
+            if value < 0:
+                raise ValueError(f"invalid training configuration: {name} {value}")
 
 
 @dataclass(frozen=True)

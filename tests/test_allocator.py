@@ -227,6 +227,12 @@ class TestAllocate:
         with pytest.raises(ValueError, match="^a keep-list and a prune ratio exclude each other$"):
             allocate(np.arange(10, dtype=float), cfg, keep_indices=keep)
 
+    def test_a_negative_prune_seed_is_named(self):
+        cfg = AllocationConfig((8,), prune_ratio=0.5)
+        with pytest.raises(ValueError, match="^prune seed must be non-negative, got -3$"):
+            allocate(np.arange(10, dtype=float), cfg, seed=-3)
+        allocate(np.arange(10, dtype=float), AllocationConfig((8,)), seed=-3)  # no prune step
+
     def test_keep_list_range_checked(self):
         cfg = AllocationConfig((8,))
         with pytest.raises(ValueError, match="keep-list"):

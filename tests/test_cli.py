@@ -1125,6 +1125,40 @@ def test_human_output_is_the_porcelain_fields_aligned(tmp_path, monkeypatch, cap
     assert out == "".join(f"{key:<{width}}  {value}\n" for key, value in pairs)
 
 
+# every input names a missing file, so a stage that opened one would exit 1
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--synth", "2,4,20,1", "--seed", "-1", "--out", "data.dsr"],
+    ["score", "--dataset", "data.dsr", "--seed", "-1", "--out", "scores.tsv"],
+    ["allocate", "--scores", "scores.tsv", "--bits", "4,0", "--prune-ratio", "0.5",
+     "--seed", "-3", "--out", "plan.tsv"],
+    ["compare", "--dataset", "data.dsr", "--qds", "data.qds", "--seed", "-1"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_refused_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    monkeypatch.chdir(tmp_path)
+    seed = argv[argv.index("--seed") + 1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        EXIT_VALIDATION, "", f"error: --seed must be a non-negative integer, got {seed}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# the smallest pipeline's exact storage: 20 samples of 4 values, whose
+# record sizes depend only on the plan's group sizes, not on the scores
+@pytest.mark.parametrize("bits, ratio", [("4", "0.20625"), ("16,6,2", "0.071875")])
+def test_stats_prints_the_exact_realized_ratio(tmp_path, monkeypatch, capsys, bits, ratio):
+    monkeypatch.chdir(tmp_path)
+    for stage in (["ingest", "--synth", "2,4,20,1", "--out", "data.dsr"],
+                  ["score", "--dataset", "data.dsr", "--out", "scores.tsv"],
+                  ["allocate", "--scores", "scores.tsv", "--bits", bits, "--out", "plan.tsv"],
+                  ["quantize", "--dataset", "data.dsr", "--plan", "plan.tsv",
+                   "--out", "data.qds"]):
+        assert run(capsys, *stage)[0] == EXIT_OK
+    code, out, _ = run(capsys, "--porcelain", "stats", "--qds", "data.qds")
+    assert code == EXIT_OK
+    assert porcelain(out)["realized_ratio"] == ratio
+
+
 def test_raw_ingest_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(1)
     values = rng.standard_normal((5, 4)).astype("<f4")

@@ -218,12 +218,13 @@ class TestSyntheticBlobs:
             assert np.array_equal(values, whole[first * chunk_rows:])
 
     @pytest.mark.parametrize("args, field", [
-        ((1, 4, 10, 0.5), "num_classes 1"), ((2, 0, 10, 0.5), "dim 0"),
-        ((2, 4, 0, 0.5), "per_class 0"), ((2, 4, 10, 0.0), "spread 0.0"),
-    ], ids=["classes", "dim", "per-class", "spread"])
+        ((1, 4, 10, 0.5, 0), "num_classes 1"), ((2, 0, 10, 0.5, 0), "dim 0"),
+        ((2, 4, 0, 0.5, 0), "per_class 0"), ((2, 4, 10, 0.0, 0), "spread 0.0"),
+        ((2, 4, 10, 0.5, -1), "seed -1"),
+    ], ids=["classes", "dim", "per-class", "spread", "seed"])
     def test_invalid_sizes_name_their_field(self, args, field):
         with pytest.raises(ValueError, match=f"^invalid synthetic dataset sizes: {field}$"):
-            synth_blobs(*args, seed=0)
+            synth_blobs(*args)
 
 
 def reference_synth_blobs(num_classes, dim, per_class, spread, seed):

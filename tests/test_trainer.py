@@ -94,8 +94,9 @@ class TestTrain:
         assert violations <= 2
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError, match="^invalid training configuration: epochs -1$"):
-            TrainConfig(epochs=-1)
+        for field in ("epochs", "seed"):
+            with pytest.raises(ValueError, match=f"^invalid training configuration: {field} -1$"):
+                TrainConfig(**{field: -1})
 
     def test_config_is_epochs_and_seed(self):
         # the SGD recipe is constant; only the run length and seed vary
