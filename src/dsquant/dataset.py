@@ -36,6 +36,7 @@ and read_table.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import io
 import os
@@ -273,7 +274,11 @@ def write_atomically(path):
     """Create path.tmp and yield it, so an unwritable path fails before
     the block's work; rename it to path when the block ends. The temp
     file is removed if the block or the rename fails, and an OSError
-    about it names path instead."""
+    about it names path instead. Atomic covers interrupts and concurrent
+    readers, not power loss: nothing is fsynced, so the blocks of a
+    preallocated file (preallocate) can read as zeros until written back,
+    which the readers' magic check catches in a header but not in a body.
+    ext4's rename flush no longer narrows that window for such a file."""
     tmp = f"{path}.tmp"
     try:
         open(tmp, "wb").close()
@@ -285,6 +290,23 @@ def write_atomically(path):
         if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
             exc.filename = path  # not the rename's error, which names both paths
         raise
+
+
+def preallocate(fh, size: int) -> None:
+    """Allocate the file open as fh its final size, size bytes, before
+    any is written: a disk or file size limit too small for it fails now
+    (an OSError naming fh.name), and renaming it over another file skips
+    ext4's flush of delayed-allocation blocks. A filesystem that cannot
+    preallocate is written as without; where one has no fallocate, glibc
+    emulates it by writing one byte per block."""
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fallocate(fh.fileno(), 0, size)
+    except OSError as exc:
+        if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS):
+            raise OSError(exc.errno, exc.strerror, fh.name) from None
 
 
 def write_indexed(path, values, spec: str, header: str = None) -> None:
@@ -334,7 +356,10 @@ def read_indexed(path, dtype, header_fields: int = 0):
 
 def write_dataset_file(source, path) -> None:
     """Write the DSR1 stage container from a row source: the header, the
-    values a row chunk at a time, then the labels."""
+    values a row chunk at a time, then the labels. The file gets its full
+    size before the first row is read (preallocate), so a disk that
+    cannot hold it fails before the work, and a source that yields more or
+    fewer bytes than its labels call for is a RuntimeError."""
     n, shape = source.labels.size, source.shape
     for name, value in (*asdict(shape).items(), ("class count", source.num_classes)):
         if value >= 1 << 32:
@@ -343,11 +368,15 @@ def write_dataset_file(source, path) -> None:
         DATASET_MAGIC, DATASET_VERSION, n,
         shape.height, shape.width, shape.channels, source.num_classes,
     )
+    size = _DATASET_HEADER.size + n * (shape.element_count + 1) * 4
     with open(path, "wb") as fh:
+        preallocate(fh, size)
         fh.write(header)
         for _, values in source.chunks(row_chunks(n, shape.element_count)):
             fh.write(np.ascontiguousarray(values, "<f4"))
         fh.write(np.ascontiguousarray(source.labels, "<u4"))
+        if fh.tell() != size:
+            raise RuntimeError(f"wrote {fh.tell()} bytes of a {size}-byte dataset file")
 
 
 def _read_dataset_header(path):

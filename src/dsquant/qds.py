@@ -54,7 +54,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import parallel
 from ._bitpack_py import payload_bytes
 from .allocator import ORIGINAL_BITS, AllocationPlan, compression_ratio
-from .dataset import SampleShape, _RowSource, check_labels, chunk_buffer, write_atomically
+from .dataset import (
+    SampleShape,
+    _RowSource,
+    check_labels,
+    chunk_buffer,
+    preallocate,
+    write_atomically,
+)
 from .quantizer import (
     F32_MAX,
     MAX_BIT_WIDTH,
@@ -141,7 +148,10 @@ def _write_at(fd: int, data, offset: int) -> None:
 def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     """Quantize per the plan and write the container atomically. dataset
     is a row source (dataset.DatasetRows, CifarRecords, RawRows or
-    synth_blobs); a forked child may encode half of it (parallel.halves)."""
+    synth_blobs); a forked child may encode half of it (parallel.halves).
+    The file gets its full size, which the plan fixes, before the fork
+    (dataset.preallocate), so a disk that cannot hold it fails before any
+    row is encoded; encoding more or fewer bytes is a RuntimeError."""
     n = len(dataset.labels)
     if len(plan) != n:
         raise ValueError(f"plan covers {len(plan)} samples, dataset has {n}")
@@ -157,9 +167,10 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
     sizes = np.array(_record_sizes(elems))[widths]
     starts = HEADER_BYTES + np.cumsum(sizes) - sizes  # each record's file offset
 
-    def encode(slices, fd: int) -> None:
+    def encode(slices, fd: int) -> int:
         """Encode the records of slices, consecutive row chunks, writing
-        each chunk's records at their offset in fd."""
+        each chunk's records at their offset in fd; returns the bytes written."""
+        written = 0
         for chunk, values in dataset.chunks(slices):
             w, size = widths[chunk], sizes[chunk]
             at = np.cumsum(size) - size  # record starts within this chunk
@@ -172,11 +183,18 @@ def write_qds(dataset, plan: AllocationPlan, path) -> StorageReport:
                 _scatter(out, at[rows] + _SCALE_AT, scales.astype("<f4"))
                 _scatter(out, at[rows] + _PAYLOAD_AT, pack_code_rows(codes, bits))
             _write_at(fd, out, int(starts[chunk.start]))
+            written += out.size
+        return written
 
+    total = HEADER_BYTES + int(sizes.sum())
     with write_atomically(path) as tmp, open(tmp, "wb") as fh:
         fd = fh.fileno()
+        preallocate(fh, total)
         _write_at(fd, header, 0)  # before a fork, so only the parent writes it
-        parallel.halves(row_chunks(n, elems), lambda slices: encode(slices, fd))
+        written = HEADER_BYTES + sum(parallel.halves(row_chunks(n, elems),
+                                                     lambda slices: encode(slices, fd)))
+        if written != total:
+            raise RuntimeError(f"wrote {written} bytes of a {total}-byte QDS file")
     return _build_report(dataset.shape, widths)
 
 
